@@ -155,6 +155,11 @@ class BsState:
         self.unknown_beams = 0
         self.duplicate_beams = 0
 
+    def record_for_track(self, track_key: int) -> NodeRecord | None:
+        """The record registered for a sonar track, or None if never seen."""
+        nid = self._by_track.get(track_key)
+        return None if nid is None else self.registry[nid]
+
     # -- discovery ---------------------------------------------------------
 
     def sonar_scan(self, snapshot: Sequence[tuple[int, Position]],
@@ -217,26 +222,22 @@ class BsState:
         reset bit toggled so the nodes redraw their velocities.
         """
         for det in detections:
-            nid = self._by_track.get(det.track_key)
-            if nid is None:
+            rec = self.record_for_track(det.track_key)
+            if rec is None:
                 continue
-            rec = self.registry[nid]
             old = rec.sonar_position
             new = det.position
-            if new is not old:
-                delta = new.depth - old.depth
-                if delta > _MOTION_EPS:
-                    rec.observed_motion = MovementMarker.DIVING
-                elif delta < -_MOTION_EPS:
-                    rec.observed_motion = MovementMarker.RISING
-                else:
-                    rec.observed_motion = MovementMarker.NONE
-                if (new.east != old.east or new.north != old.north
-                        or new.depth != old.depth):
-                    rec.sonar_position = new
-                    rec.bs_angles = None
+            delta = new.depth - old.depth
+            if delta > _MOTION_EPS:
+                rec.observed_motion = MovementMarker.DIVING
+            elif delta < -_MOTION_EPS:
+                rec.observed_motion = MovementMarker.RISING
             else:
                 rec.observed_motion = MovementMarker.NONE
+            if (new.east != old.east or new.north != old.north
+                    or new.depth != old.depth):
+                rec.sonar_position = new
+                rec.bs_angles = None
             if rec.stage in _DEPTH_MATCHABLE:
                 rec.depth_code = det.depth_code
         self._recompute_conflicts(now)

@@ -1,8 +1,9 @@
 """Command-line front end: single runs, turbidity sweeps, topology export.
 
 Exit codes: 0 on success, 1 on usage errors, 2 on configuration or input
-validation errors.  All outputs are canonical, so rerunning a command
-with the same config and seed produces byte-identical files.
+validation errors and on runs the frame format or ID space cannot carry.
+All outputs are canonical, so rerunning a command with the same config
+and seed produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
+from .base_station import ProtocolError
 from .config import ConfigError, load_config
 from .engine import simulate
+from .frame import FrameError
 from .report import (
     CSV_COLUMNS,
     ReportError,
@@ -153,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ReportError) as exc:
+    except (ConfigError, ReportError, ProtocolError, FrameError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .base_station import BsParams
 from .channel import OpticalLinkBudget, WaterProfile
+from .frame import MAX_DEPTH_CODE, MAX_FRAME_SEQ
 from .geometry import DepthModel, Position
 from .node import UwnParams
 
@@ -82,6 +83,10 @@ class SimConfig:
             if not cond:
                 raise ConfigError(msg)
 
+        for f in fields(c):
+            if f.type == "float":
+                need(math.isfinite(getattr(c, f.name)),
+                     f"{f.name} must be finite")
         need(c.n_uwn >= 0, f"n_uwn must be >= 0, got {c.n_uwn}")
         for name in ("region_east_m", "region_north_m", "region_depth_m"):
             need(getattr(c, name) > 0, f"{name} must be positive")
@@ -109,6 +114,11 @@ class SimConfig:
              "depth_resolution_surface_m must be positive")
         need(c.depth_resolution_gradient >= 0,
              "depth_resolution_gradient must be >= 0")
+        deepest = c.depth_model().bucket(c.region_depth_m)
+        need(deepest <= MAX_DEPTH_CODE,
+             f"depth resolution too fine: region_depth_m {c.region_depth_m} "
+             f"needs depth code {deepest}, a frame carries at most "
+             f"{MAX_DEPTH_CODE}")
         need(c.superframe_period_s > 0, "superframe_period_s must be positive")
         need(c.first_superframe_offset_s >= 0,
              "first_superframe_offset_s must be >= 0")
@@ -124,8 +134,11 @@ class SimConfig:
         need(c.v_return_mps > 0, "v_return_mps must be positive")
         need(c.return_tolerance_m >= 0, "return_tolerance_m must be >= 0")
         need(c.t_max_s > 0, "t_max_s must be positive")
-        for name in ("current_east_mps", "current_north_mps"):
-            need(math.isfinite(getattr(c, name)), f"{name} must be finite")
+        frames = (c.t_max_s - c.first_superframe_offset_s) \
+            / c.superframe_period_s
+        need(frames <= MAX_FRAME_SEQ,
+             f"t_max_s {c.t_max_s} spans {frames:.0f} superframes, more "
+             f"than the 32-bit frame_seq counts")
 
     # -- derived parameter bundles -----------------------------------------
 

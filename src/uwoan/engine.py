@@ -21,11 +21,11 @@ from heapq import heappop, heappush
 from random import Random
 
 from . import node as uwn
-from .base_station import BsState, HandshakeStage
+from .base_station import MAX_NETWORK_ID, BsState, HandshakeStage
 from .channel import optical_received_power
-from .config import SimConfig
+from .config import ConfigError, SimConfig
 from .frame import FrameIndex, decode, encode
-from .geometry import Position, angle_between, unit_vector
+from .geometry import Bearing, Position, angle_between, unit_vector
 from .report import NodeOutcome, SimReport, TopologyEdge
 from .world import World, deploy
 
@@ -55,6 +55,10 @@ class Simulation:
         self.seed = config.seed if seed is None else seed
         self.rng = Random(self.seed)
         self.world = world if world is not None else deploy(config, self.rng)
+        # deploy draws any size, but a run has only MAX_NETWORK_ID IDs
+        if self.world.n > MAX_NETWORK_ID:
+            raise ConfigError(f"n_uwn {self.world.n} exceeds the "
+                              f"{MAX_NETWORK_ID} network IDs of a run")
         self.profile = config.water_profile()
         self.budget = config.link_budget()
         self.model = config.depth_model()
@@ -67,17 +71,15 @@ class Simulation:
         self.trace_lines: list[str] | None = [] if collect_trace else None
         self._heap: list = []
         self._seq = 0
-        self._frames: dict[int, list] = {}  # frame_seq -> [payload, index|None]
         self._delay_sum = 0.0
         self._delay_count = 0
-        self._duty_nodes: list[int] = []  # nodes that ever gained relay duty
-        self._duty_boresight: dict[int, tuple] = {}  # node -> (duty, unit vec)
-        # emissions repeat identically while nothing moves; cache delivery
-        # verdicts keyed by the identities of the inputs that could change
+        # ACCESSED nodes holding a relay duty; neither is ever undone
+        self._duty_nodes: list[int] = []
+        # emissions repeat identically while nothing moves; a delivery
+        # verdict is reused while both positions are the same objects and
+        # both bearings have the same values
         self._deliver_cache: dict[tuple, tuple] = {}
-        self._unit_cache: dict[tuple[float, float], tuple] = {}
         self._next_tx = config.first_superframe_offset_s
-        self._early_stop = False
         # once the network settles, the only observable tail activity is the
         # repeated per-frame delivery delays, which can be replayed exactly;
         # anything that makes the tail non-repetitive disables the shortcut
@@ -113,7 +115,7 @@ class Simulation:
                         f"detected={len(detections)} new={len(new_ids)}")
         if self._may_fast_forward and self._quiescent():
             self._fast_forward_tail()
-            self._early_stop = True
+            self._heap.clear()  # nothing left can change the report
             return
         # the ping doubles as the wake-up trigger for dormant nodes
         reach = self.cfg.acoustic_range_m
@@ -141,21 +143,16 @@ class Simulation:
                     and rec.stage is not HandshakeStage.ACCESSED:
                 return False
         reach = self.cfg.acoustic_range_m
-        registered = self.bs._by_track
         for i, state in enumerate(self.nodes):
             if self.world.bodies[i].v_down != 0.0:
                 return False
-            life = state.lifecycle
-            if life is uwn.Lifecycle.ACCESSED:
+            if state.lifecycle is uwn.Lifecycle.ACCESSED:
                 continue
-            in_range = self.world.bs_distance_of(i, 0.0) <= reach
-            if not in_range:
+            if self.world.bs_distance_of(i, 0.0) > reach:
                 continue
-            if i not in registered:
-                return False
-            rec = self.bs.registry[registered[i]]
-            if rec.stage is not HandshakeStage.FAILED:
-                return False  # e.g. a confirmation still in flight
+            rec = self.bs.record_for_track(i)
+            if rec is None or rec.stage is not HandshakeStage.FAILED:
+                return False  # unregistered, or a confirmation in flight
         return True
 
     def _fast_forward_tail(self) -> None:
@@ -164,10 +161,9 @@ class Simulation:
             return
         reach = self.cfg.acoustic_range_m
         speed = self.profile.sound_speed
-        deliveries = sorted(
-            self.world.bs_distance_of(i, 0.0) / speed
-            for i in range(self.world.n)
-            if self.world.bs_distance_of(i, 0.0) <= reach)
+        distances = [self.world.bs_distance_of(i, 0.0)
+                     for i in range(self.world.n)]
+        deliveries = sorted(d / speed for d in distances if d <= reach)
         t = self._next_tx
         t_max = self.cfg.t_max_s
         period = self.cfg.superframe_period_s
@@ -187,7 +183,8 @@ class Simulation:
         if self.bs.registry:
             frame = self.bs.compose_superframe(t)
             payload = encode(frame)
-            self._frames[frame.frame_seq] = [payload, None]
+            # every receiver parses the same bytes, so parse them once here
+            index = FrameIndex(decode(payload))
             reach = self.cfg.acoustic_range_m
             speed = self.profile.sound_speed
             p_loss = self.cfg.p_frame_loss
@@ -199,7 +196,7 @@ class Simulation:
                     continue
                 delay = d / speed
                 self._push(t + delay, ACOUSTIC_ARRIVAL, i,
-                           ("frame", frame.frame_seq, d, delay))
+                           ("frame", index, d, delay))
             if self.trace_lines is not None:
                 slots = ",".join(
                     f"{s.network_id}:{s.stage.name}:{s.depth_code}"
@@ -221,10 +218,11 @@ class Simulation:
                        state.movement_epoch)
 
     def _on_acoustic_arrival(self, t: float, i: int, payload) -> None:
-        what, frame_seq, d, delay = payload
+        what, index, d, delay = payload
         self._delay_sum += delay
         self._delay_count += 1
         if self.trace_lines is not None:
+            frame_seq = None if index is None else index.frame.frame_seq
             self._trace(t, ACOUSTIC_ARRIVAL, f"u{i}",
                         f"src=bs what={what} frame={frame_seq} dist={d!r} "
                         f"delay={delay!r}")
@@ -232,13 +230,10 @@ class Simulation:
         if what == "trigger":
             uwn.on_trigger(state)
             return
-        entry = self._frames[frame_seq]
-        if entry[1] is None:
-            entry[1] = FrameIndex(decode(entry[0]))
         state.own_depth = self.world.depth_of(i, t)
         epoch_before = state.movement_epoch
         duty_before = state.relay_duty
-        emissions = uwn.match_frame_indexed(state, entry[1], self.model,
+        emissions = uwn.match_frame_indexed(state, index, self.model,
                                             self.uwn_params, self.rng, t)
         self._sync_motion(i, t, epoch_before)
         if state.relay_duty is not None and duty_before is None:
@@ -258,63 +253,51 @@ class Simulation:
                         f"v={state.vertical_velocity!r}")
         self._sync_motion(i, t, before)
 
-    def _unit(self, bearing) -> tuple:
-        key = (bearing.azimuth, bearing.elevation)
-        vec = self._unit_cache.get(key)
-        if vec is None:
-            vec = unit_vector(bearing)
-            self._unit_cache[key] = vec
-        return vec
-
     def _emit(self, src: int, emission: uwn.Emission, t: float) -> None:
         src_pos = self.world.position_of(src, t)
-        beam_vec = self._unit(emission.bearing)
-        self._try_deliver(src, emission, src_pos, beam_vec,
-                          self.world.bs_position, "bs", (0.0, 0.0, 1.0),
-                          math.pi / 2, t)
+        self._try_deliver(src, emission, src_pos, "bs", self.world.bs_position,
+                          None, math.pi / 2, t)
         for j in self._duty_nodes:
-            state = self.nodes[j]
-            if j == src or state.relay_duty is None:
-                continue
-            if state.lifecycle is not uwn.Lifecycle.ACCESSED:
-                continue
-            cached = self._duty_boresight.get(j)
-            if cached is None or cached[0] is not state.relay_duty:
-                cached = (state.relay_duty,
-                          self._unit(state.relay_duty.receiver_bearing))
-                self._duty_boresight[j] = cached
-            self._try_deliver(src, emission, src_pos, beam_vec,
-                              self.world.position_of(j, t), j,
-                              cached[1], self.budget.rx_fov_half_angle, t)
+            if j != src:
+                self._try_deliver(src, emission, src_pos, j,
+                                  self.world.position_of(j, t),
+                                  self.nodes[j].relay_duty.receiver_bearing,
+                                  self.budget.rx_fov_half_angle, t)
 
     def _try_deliver(self, src: int, emission: uwn.Emission,
-                     src_pos: Position, beam_vec, rx_pos: Position,
-                     receiver, boresight, fov: float, t: float) -> None:
+                     src_pos: Position, receiver, rx_pos: Position,
+                     rx_bearing: Bearing | None, fov: float, t: float) -> None:
         # geometry and link outcome are pure in the inputs below; identical
         # repeats (retries while nothing moved) hit the cache
         key = (src, receiver)
+        beam = emission.bearing
         hit = self._deliver_cache.get(key)
         if hit is not None and hit[0] is src_pos and hit[1] is rx_pos \
-                and hit[2] is beam_vec and hit[3] is boresight:
+                and hit[2] == beam and hit[3] == rx_bearing:
             power = hit[4]
         else:
-            power = self._delivery_power(src_pos, beam_vec, rx_pos,
-                                         boresight, fov)
-            self._deliver_cache[key] = (src_pos, rx_pos, beam_vec,
-                                        boresight, power)
+            power = self._delivery_power(src_pos, beam, rx_pos, rx_bearing,
+                                         fov)
+            self._deliver_cache[key] = (src_pos, rx_pos, beam, rx_bearing,
+                                        power)
         if power is None:
             return
         self._push(t, OPTICAL_ARRIVAL, receiver,
                    (src, emission.claimed_id, emission.relayed, power))
 
-    def _delivery_power(self, src_pos: Position, beam_vec, rx_pos: Position,
-                        boresight, fov: float) -> float | None:
+    def _delivery_power(self, src_pos: Position, beam: Bearing,
+                        rx_pos: Position, rx_bearing: Bearing | None,
+                        fov: float) -> float | None:
         disp = (rx_pos.east - src_pos.east, rx_pos.north - src_pos.north,
                 rx_pos.depth - src_pos.depth)
         if disp == (0.0, 0.0, 0.0):
             return None
-        if angle_between(beam_vec, disp) > self.budget.divergence_half_angle:
+        if angle_between(unit_vector(beam), disp) \
+                > self.budget.divergence_half_angle:
             return None  # receiver outside the beam cone
+        # no receiver bearing: the base station, looking straight down
+        boresight = (0.0, 0.0, 1.0) if rx_bearing is None \
+            else unit_vector(rx_bearing)
         toward_source = (-disp[0], -disp[1], -disp[2])
         if angle_between(boresight, toward_source) > fov:
             return None  # outside the receiver's field of view
@@ -364,8 +347,6 @@ class Simulation:
                 self._on_movement_expiry(t, a, b)
             elif kind == SONAR_PING:
                 self._on_ping(t)
-                if self._early_stop:
-                    break
             elif kind == TIMEOUT_CHECK:
                 self._on_timeout_check(t)
             elif kind == SUPERFRAME_TX:
@@ -375,7 +356,6 @@ class Simulation:
     def _build_report(self, t_max: float) -> SimReport:
         outcomes: list[NodeOutcome] = []
         edges: list[TopologyEdge] = []
-        track_of = {nid: rec.track_key for nid, rec in self.bs.registry.items()}
         counts = {"accessed": 0, "failed": 0, "dormant": 0, "unresolved": 0}
         n_via = 0
         for i, state in enumerate(self.nodes):
@@ -383,17 +363,16 @@ class Simulation:
                     and state.conflict_entered_at is not None:
                 state.total_conflict_time += t_max - state.conflict_entered_at
                 state.conflict_entered_at = None
-            rec = None
-            nid = self.bs._by_track.get(i)
-            if nid is not None:
-                rec = self.bs.registry[nid]
+            rec = self.bs.record_for_track(i)
+            nid = None if rec is None else rec.network_id
             via = False
             relay_name = None
             if state.lifecycle is uwn.Lifecycle.ACCESSED:
                 outcome = "accessed"
                 if rec is not None and rec.via_relay and rec.relayed_by is not None:
                     via = True
-                    relay_name = f"u{track_of[rec.relayed_by]}"
+                    relay_name = \
+                        f"u{self.bs.registry[rec.relayed_by].track_key}"
                     n_via += 1
                     edges.append(TopologyEdge(f"u{i}", relay_name, 2))
                 else:

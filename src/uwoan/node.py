@@ -42,7 +42,6 @@ class Lifecycle(Enum):
     CONFLICT_MOVING = "conflict_moving"
     EMITTING = "emitting"
     ACCESSED = "accessed"
-    FAILED = "failed"
 
 
 @dataclass(frozen=True)
@@ -214,7 +213,7 @@ def match_frame_indexed(state: UwnState, index: FrameIndex, model: DepthModel,
                         params: UwnParams, rng: Random,
                         now: float) -> list[Emission]:
     """Process one decoded superframe; returns the beams to emit."""
-    if state.lifecycle in (Lifecycle.DORMANT, Lifecycle.FAILED):
+    if state.lifecycle is Lifecycle.DORMANT:
         return []
     if state.lifecycle is Lifecycle.ACTIVATED:
         state.lifecycle = Lifecycle.MATCHING

@@ -86,6 +86,14 @@ class TestAllocate:
         with pytest.raises(ProtocolError, match="exhausted"):
             bs.allocate(dets, now=0.0)
 
+    def test_record_for_track(self):
+        bs = make_bs()
+        dets = scan(bs, [Position(0, 0, 10), Position(0, 0, 50)])
+        bs.allocate(dets, 0.0)
+        assert bs.record_for_track(1) is bs.registry[2]
+        assert bs.record_for_track(1).track_key == 1
+        assert bs.record_for_track(7) is None
+
     def test_rescan_does_not_reallocate(self):
         bs = make_bs()
         dets = scan(bs, [Position(0, 0, 10)])

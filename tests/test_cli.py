@@ -44,6 +44,33 @@ class TestExitCodes:
                      "--c-list", "0.056,banana", "--seeds", "2",
                      "--out", str(tmp_path / "s.csv")]) == 2
 
+    @pytest.mark.parametrize("text,needle", [
+        ("n_uwn = 1100\n", "1023 network IDs"),
+        ("depth_resolution_surface_m = 0.001\n"
+         "depth_resolution_gradient = 0\n", "depth code 200000"),
+        ("t_max_s = inf\n", "t_max_s must be finite"),
+    ])
+    def test_unrepresentable_config_exits_2_before_running(
+            self, tmp_path, capsys, text, needle):
+        path = tmp_path / "big.cfg"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_protocol_limit_hit_mid_run_exits_2(self, tmp_path, capsys):
+        # sonar noise can push a measured depth below the region floor,
+        # past the deepest depth code a frame can carry
+        path = tmp_path / "noisy.cfg"
+        path.write_text("n_uwn = 10\nt_max_s = 5\n"
+                        "depth_resolution_surface_m = 0.0125\n"
+                        "depth_resolution_gradient = 0\n"
+                        "sonar_depth_noise_std_m = 100\n")
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "depth_code" in capsys.readouterr().err
+
     def test_unknown_topo_format_exits_1(self, tmp_path):
         assert main(["topo", "--report", "whatever.json",
                      "--format", "svg"]) == 1

@@ -92,10 +92,22 @@ class TestValidation:
         (dict(divergence_half_angle_deg=90.0), "divergence"),
         (dict(rx_fov_half_angle_deg=91.0), "rx_fov"),
         (dict(superframe_period_s=0.0), "superframe_period_s"),
+        (dict(c0=math.nan), "c0 must be finite"),
+        (dict(region_east_m=math.inf), "region_east_m must be finite"),
+        (dict(current_north_mps=-math.inf), "current_north_mps must be finite"),
+        (dict(depth_resolution_surface_m=0.001,
+              depth_resolution_gradient=0.0), "depth code"),
+        (dict(t_max_s=1e10), "frame_seq"),
     ])
     def test_rejects(self, kwargs, needle):
         with pytest.raises(ConfigError, match=needle):
             SimConfig(**kwargs)
+
+    def test_limits_are_inclusive(self):
+        # 200 m at a 0.0125 m resolution is code 16000, within 14 bits
+        SimConfig(depth_resolution_surface_m=0.0125,
+                  depth_resolution_gradient=0.0)
+        SimConfig(t_max_s=2.0**32 - 1 + 0.1)
 
     def test_stationary_draw_allowed(self):
         # v_min = 0 models nodes that may hold station during a draw

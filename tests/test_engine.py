@@ -89,6 +89,28 @@ class TestDeterminism:
             assert run(cfg) == simulate(cfg, collect_trace=True).report
 
 
+class TestFastForward:
+    @pytest.mark.parametrize("c0", [0.056, 0.120, 0.151])
+    def test_matches_plain_event_loop(self, c0, monkeypatch):
+        # replaying the settled tail must give exactly the report of the
+        # full event loop, float summation order included
+        cfg = SimConfig(c0=c0)
+        taken = []
+        replay = Simulation._fast_forward_tail
+
+        def counted(self):
+            taken.append(self.seed)
+            replay(self)
+
+        monkeypatch.setattr(Simulation, "_fast_forward_tail", counted)
+        fast = [run(cfg, seed) for seed in range(100)]
+        assert len(taken) > 50  # the shortcut is the common case
+        monkeypatch.setattr(Simulation, "_quiescent", lambda self: False)
+        plain = [run(cfg, seed) for seed in range(100)]
+        assert len(taken) == len(set(taken))
+        assert fast == plain
+
+
 class TestCausality:
     def test_acoustic_delays_exact(self):
         cfg = SimConfig(n_uwn=10, t_max_s=6.0)

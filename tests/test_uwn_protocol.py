@@ -202,13 +202,12 @@ class TestMatching:
         assert state.movement_epoch == epoch + 1
         assert state.last_reset_bit == 1
 
-    def test_dormant_and_failed_ignore_frames(self):
-        for lifecycle in (Lifecycle.DORMANT, Lifecycle.FAILED):
-            state = fresh_node(100.0, lifecycle=lifecycle)
-            frame = mkframe(mkslot(7, MODEL.bucket(100.0)))
-            assert match_frame(state, frame, MODEL, PARAMS,
-                               random.Random(0), 1.0) == []
-            assert state.lifecycle is lifecycle
+    def test_dormant_ignores_frames(self):
+        state = fresh_node(100.0, lifecycle=Lifecycle.DORMANT)
+        frame = mkframe(mkslot(7, MODEL.bucket(100.0)))
+        assert match_frame(state, frame, MODEL, PARAMS,
+                           random.Random(0), 1.0) == []
+        assert state.lifecycle is Lifecycle.DORMANT
 
 
 class TestDrawMovement:
