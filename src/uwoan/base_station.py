@@ -74,6 +74,7 @@ class BsParams:
     direct_retries: int = 5
     relay_retries: int = 5
     conflict_reset_after: float = 5.0
+    region_depth: float = 200.0
 
 
 @dataclass(frozen=True)
@@ -166,9 +167,9 @@ class BsState:
                    rng: Random) -> list[Detection]:
         """Sound the water column: every in-range node becomes a detection.
 
-        Depth is measured (optionally with Gaussian noise) and quantized
-        with the shared depth model; each return is independently dropped
-        with probability p_misdetect.
+        Depth is measured (optionally with Gaussian noise, clipped to the
+        water column) and quantized with the shared depth model; each
+        return is independently dropped with probability p_misdetect.
         """
         p = self.params
         out: list[Detection] = []
@@ -178,7 +179,8 @@ class BsState:
             if p.p_misdetect > 0.0 and rng.random() < p.p_misdetect:
                 continue
             if p.depth_noise_std > 0.0:
-                depth = max(0.0, pos.depth + rng.gauss(0.0, p.depth_noise_std))
+                depth = min(p.region_depth, max(
+                    0.0, pos.depth + rng.gauss(0.0, p.depth_noise_std)))
                 measured = Position(pos.east, pos.north, depth)
             else:
                 depth, measured = pos.depth, pos

@@ -180,7 +180,8 @@ class SimConfig:
             depth_noise_std=self.sonar_depth_noise_std_m,
             direct_retries=self.direct_retries,
             relay_retries=self.relay_retries,
-            conflict_reset_after=self.conflict_reset_after_s)
+            conflict_reset_after=self.conflict_reset_after_s,
+            region_depth=self.region_depth_m)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

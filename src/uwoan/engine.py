@@ -135,8 +135,9 @@ class Simulation:
 
         Every record must be terminal (accessed or failed), every node
         settled with zero vertical velocity, and every acoustically
-        reachable node already registered; nodes still emitting toward a
-        live record, or with a confirmation in flight, keep the loop going.
+        reachable node already registered.  Terminal records put only
+        CONFIRM and RELAY_RX slots in a frame, and every frame lands before
+        the next ping, so an unaccessed node left over can match nothing.
         """
         for rec in self.bs.registry.values():
             if rec.stage is not HandshakeStage.FAILED \
@@ -150,9 +151,9 @@ class Simulation:
                 continue
             if self.world.bs_distance_of(i, 0.0) > reach:
                 continue
-            rec = self.bs.record_for_track(i)
-            if rec is None or rec.stage is not HandshakeStage.FAILED:
-                return False  # unregistered, or a confirmation in flight
+            # registered nodes need no stage check: CONFIRMs land before a ping
+            if self.bs.record_for_track(i) is None:
+                return False
         return True
 
     def _fast_forward_tail(self) -> None:

@@ -22,6 +22,7 @@ partner slot present in the same frame.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -65,7 +66,7 @@ class MovementMarker(IntEnum):
     RISING = 2
 
 
-@dataclass
+@dataclass(slots=True)
 class SlotPayload:
     """One TDMA slot of the downward broadcast."""
 
@@ -147,78 +148,85 @@ class SuperFrame:
                     f"{slot.partner_id}")
 
 
-# (attribute, width) in wire order; the trailing pad bit is implicit
-_FIELDS = (
-    ("network_id", 10),
-    ("depth_code", 14),
-    ("azimuth_centideg", 16),
-    ("elevation_centideg", 15),
-    ("stage", 2),
-    ("conflict_flag", 1),
-    ("movement_marker", 2),
-    ("reset_bit", 1),
-    ("partner_id", 10),
-)
-_PAYLOAD_BITS = sum(w for _, w in _FIELDS)
-assert _PAYLOAD_BITS + 1 == SLOT_NBYTES * 8
+# Each 9-byte slot unpacks as four big-endian words: network_id:10 and the
+# top 6 depth_code bits | the low 8 depth_code bits | azimuth:16 |
+# elevation:15 stage:2 conflict:1 marker:2 reset:1 partner:10 pad:1
+_SLOT = struct.Struct(">HBHI")
+assert _SLOT.size == SLOT_NBYTES
 
-# unrolled shift positions (from the least significant bit); these are the
-# cumulative widths of everything to the right of each field plus the pad bit
-_SH_PARTNER = 1
-_SH_RESET = 11
-_SH_MARKER = 12
-_SH_CONFLICT = 14
-_SH_STAGE = 15
+# shift positions inside the last 32-bit word, counted from its LSB
 _SH_ELEVATION = 17
-_SH_AZIMUTH = 32
-_SH_DEPTH = 48
-_SH_ID = 62
+_SH_STAGE = 15
+_CONFLICT_BIT = 1 << 14
+_SH_MARKER = 12
+_SH_RESET = 11
+_SH_PARTNER = 1
+
+_STAGES = tuple(SlotStage)
+_MARKERS = tuple(MovementMarker)
 
 
-def _pack_slot(slot: SlotPayload) -> bytes:
-    acc = ((slot.network_id << _SH_ID)
-           | (slot.depth_code << _SH_DEPTH)
-           | (slot.azimuth_centideg << _SH_AZIMUTH)
-           | (slot.elevation_centideg << _SH_ELEVATION)
-           | (slot.stage << _SH_STAGE)
-           | ((1 << _SH_CONFLICT) if slot.conflict_flag else 0)
-           | (slot.movement_marker << _SH_MARKER)
-           | (slot.reset_bit << _SH_RESET)
-           | (slot.partner_id << _SH_PARTNER))
-    return acc.to_bytes(SLOT_NBYTES, "big")
-
-
-def _unpack_slot(raw: bytes) -> SlotPayload:
-    acc = int.from_bytes(raw, "big")
-    if acc & 1:
-        raise FrameError("nonzero padding bits in slot")
-    marker = (acc >> _SH_MARKER) & 0x3
-    if marker == 3:
-        raise FrameError("movement_marker 3 has no meaning")
-    return SlotPayload(
-        (acc >> _SH_ID) & 0x3FF,
-        (acc >> _SH_DEPTH) & 0x3FFF,
-        (acc >> _SH_AZIMUTH) & 0xFFFF,
-        (acc >> _SH_ELEVATION) & 0x7FFF,
-        SlotStage((acc >> _SH_STAGE) & 0x3),
-        bool((acc >> _SH_CONFLICT) & 0x1),
-        MovementMarker(marker),
-        (acc >> _SH_RESET) & 0x1,
-        (acc >> _SH_PARTNER) & 0x3FF,
-    )
+def _require_partners(relays: list[tuple[int, int]], ids: set[int]) -> None:
+    for nid, partner in relays:
+        if partner not in ids:
+            raise FrameError(
+                f"relay slot {nid} names absent partner {partner}")
 
 
 def encode(frame: SuperFrame) -> bytes:
-    """Serialize a superframe to its normative byte layout."""
-    frame.validate()
-    parts = [frame.frame_seq.to_bytes(4, "big"),
-             frame.slot_count.to_bytes(2, "big")]
-    parts.extend(_pack_slot(slot) for slot in frame.slots)
+    """Serialize a superframe to its normative byte layout.
+
+    One pass packs every slot behind a single range-and-partner test;
+    only a slot that fails it goes through `SlotPayload.validate`, which
+    names the offending field.
+    """
+    frame_seq, slots = frame.frame_seq, frame.slots
+    if not 0 <= frame_seq <= MAX_FRAME_SEQ:
+        raise FrameError(f"frame_seq {frame_seq} outside 32-bit range")
+    if len(slots) > 0xFFFF:
+        raise FrameError(f"too many slots: {len(slots)}")
+    pack = _SLOT.pack
+    parts = [frame_seq.to_bytes(4, "big"), len(slots).to_bytes(2, "big")]
+    ids: set[int] = set()
+    relays: list[tuple[int, int]] = []
+    for slot in slots:
+        nid = slot.network_id
+        depth = slot.depth_code
+        az = slot.azimuth_centideg
+        el = slot.elevation_centideg
+        stage = slot.stage
+        marker = slot.movement_marker
+        reset = slot.reset_bit
+        partner = slot.partner_id
+        if not (0 <= nid <= MAX_NETWORK_ID and 0 <= depth <= MAX_DEPTH_CODE
+                and 0 <= az <= MAX_AZIMUTH_CD and 0 <= el <= MAX_ELEVATION_CD
+                and 0 <= marker <= 2 and (reset == 0 or reset == 1)
+                and (0 <= stage <= 1 and partner == 0
+                     or 2 <= stage <= 3 and 0 < partner <= MAX_NETWORK_ID
+                     and partner != nid)):
+            slot.validate()
+        if nid in ids:
+            raise FrameError(f"duplicate network_id {nid}")
+        ids.add(nid)
+        if stage >= 2:
+            relays.append((nid, partner))
+        parts.append(pack(
+            (nid << 6) | (depth >> 8), depth & 0xFF, az,
+            (el << _SH_ELEVATION) | (stage << _SH_STAGE)
+            | (_CONFLICT_BIT if slot.conflict_flag else 0)
+            | (marker << _SH_MARKER) | (reset << _SH_RESET)
+            | (partner << _SH_PARTNER)))
+    _require_partners(relays, ids)
     return b"".join(parts)
 
 
 def decode(data: bytes) -> SuperFrame:
-    """Parse bytes back into a superframe; exact inverse of encode."""
+    """Parse bytes back into a superframe; exact inverse of encode.
+
+    One pass reads each slot and checks only what the bit widths leave
+    open: the azimuth, elevation and marker ranges, the pad bit, the
+    relay-partner rules, unique IDs and present partners.
+    """
     if len(data) < HEADER_NBYTES:
         raise FrameError(f"truncated frame: {len(data)} bytes, need at least "
                          f"{HEADER_NBYTES}")
@@ -231,13 +239,36 @@ def decode(data: bytes) -> SuperFrame:
     if len(data) > expected:
         raise FrameError(f"trailing bytes: {len(data) - expected} after "
                          f"{slot_count} slots")
-    slots = tuple(
-        _unpack_slot(data[HEADER_NBYTES + i * SLOT_NBYTES:
-                          HEADER_NBYTES + (i + 1) * SLOT_NBYTES])
-        for i in range(slot_count))
-    frame = SuperFrame(frame_seq, slots)
-    frame.validate()
-    return frame
+    stages, markers = _STAGES, _MARKERS
+    slots: list[SlotPayload] = []
+    ids: set[int] = set()
+    relays: list[tuple[int, int]] = []
+    for hi, mid, az, lo in _SLOT.iter_unpack(data[HEADER_NBYTES:]):
+        nid = hi >> 6
+        el = lo >> _SH_ELEVATION
+        stage = (lo >> _SH_STAGE) & 0x3
+        marker = (lo >> _SH_MARKER) & 0x3
+        partner = (lo >> _SH_PARTNER) & 0x3FF
+        if lo & 1:
+            raise FrameError("nonzero padding bits in slot")
+        if marker == 3:
+            raise FrameError("movement_marker 3 has no meaning")
+        slot = SlotPayload(
+            nid, ((hi & 0x3F) << 8) | mid, az, el, stages[stage],
+            lo & _CONFLICT_BIT != 0, markers[marker],
+            (lo >> _SH_RESET) & 0x1, partner)
+        if not (az <= MAX_AZIMUTH_CD and el <= MAX_ELEVATION_CD
+                and (partner == 0 if stage < 2
+                     else partner != 0 and partner != nid)):
+            slot.validate()  # raises, naming the field at fault
+        if nid in ids:
+            raise FrameError(f"duplicate network_id {nid}")
+        ids.add(nid)
+        if stage >= 2:
+            relays.append((nid, partner))
+        slots.append(slot)
+    _require_partners(relays, ids)
+    return SuperFrame(frame_seq, tuple(slots))
 
 
 class FrameIndex:

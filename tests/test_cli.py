@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from uwoan.base_station import BsState
 from uwoan.cli import main
+from uwoan.frame import SlotPayload, SuperFrame
 
 BASE_CFG = """
 n_uwn = 12
@@ -59,17 +61,26 @@ class TestExitCodes:
         assert needle in capsys.readouterr().err
         assert not out.exists()
 
-    def test_protocol_limit_hit_mid_run_exits_2(self, tmp_path, capsys):
-        # sonar noise can push a measured depth below the region floor,
-        # past the deepest depth code a frame can carry
+    def test_sonar_noise_past_the_floor_runs_clean(self, tmp_path):
+        # noisy measured depths are clipped to the region, so they never
+        # reach past the deepest depth code a frame can carry
         path = tmp_path / "noisy.cfg"
         path.write_text("n_uwn = 10\nt_max_s = 5\n"
                         "depth_resolution_surface_m = 0.0125\n"
                         "depth_resolution_gradient = 0\n"
                         "sonar_depth_noise_std_m = 100\n")
         assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+
+    def test_protocol_limit_hit_mid_run_exits_2(self, cfg_file, tmp_path,
+                                                capsys, monkeypatch):
+        def compose_unencodable(self, now):
+            return SuperFrame(0, (SlotPayload(1, 16384, 0, 0),))
+        monkeypatch.setattr(BsState, "compose_superframe",
+                            compose_unencodable)
+        assert main(["run", "--config", str(cfg_file),
                      "--out", str(tmp_path / "out")]) == 2
-        assert "depth_code" in capsys.readouterr().err
+        assert "depth_code 16384" in capsys.readouterr().err
 
     def test_unknown_topo_format_exits_1(self, tmp_path):
         assert main(["topo", "--report", "whatever.json",

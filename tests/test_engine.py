@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from uwoan.base_station import HandshakeStage
 from uwoan.config import SimConfig
 from uwoan.engine import Simulation, run, simulate, trace
 from uwoan.geometry import Position
+from uwoan.node import Lifecycle
 from uwoan.world import World, generate
 
 
@@ -109,6 +111,27 @@ class TestFastForward:
         plain = [run(cfg, seed) for seed in range(100)]
         assert len(taken) == len(set(taken))
         assert fast == plain
+
+    def test_node_whose_id_was_taken_does_not_block_the_shortcut(
+            self, monkeypatch):
+        # with 3 m of sonar depth noise, seed 18 records node 30 at node
+        # 13's depth bucket: node 13 binds and confirms node 30's ID, so
+        # that record is accessed while node 30 itself is still matching
+        cfg = SimConfig(c0=0.056, sonar_depth_noise_std_m=3.0)
+        taken = []
+        replay = Simulation._fast_forward_tail
+        monkeypatch.setattr(Simulation, "_fast_forward_tail",
+                            lambda self: (taken.append(self.seed),
+                                          replay(self)))
+        sim = Simulation(cfg, seed=18)
+        fast = sim.run()
+        rec = sim.bs.record_for_track(30)
+        assert rec.stage is HandshakeStage.ACCESSED
+        assert sim.nodes[30].lifecycle is Lifecycle.MATCHING
+        assert sim.nodes[13].matched_id == rec.network_id
+        assert taken == [18]
+        monkeypatch.setattr(Simulation, "_quiescent", lambda self: False)
+        assert run(cfg, 18) == fast
 
 
 class TestCausality:

@@ -1,11 +1,16 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import uwoan
 from uwoan.frame import (
     HEADER_NBYTES,
+    MAX_NETWORK_ID,
     SLOT_NBYTES,
     FrameError,
     FrameIndex,
@@ -58,6 +63,42 @@ def random_frame(rng, max_slots=8):
     slots = tuple(random_slot(rng, nid, [p for p in ids if p != nid])
                   for nid in ids)
     return SuperFrame(rng.randint(0, 2**32 - 1), slots)
+
+
+def pack_slot(nid, code=0, az=0, el=0, stage=0, conflict=0, marker=0,
+              reset=0, partner=0, pad=0):
+    """Pack one slot from a bit string, independently of the codec."""
+    bits = (f"{nid:010b}{code:014b}{az:016b}{el:015b}{stage:02b}"
+            f"{conflict:01b}{marker:02b}{reset:01b}{partner:010b}{pad:01b}")
+    assert len(bits) == SLOT_NBYTES * 8
+    return bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
+
+
+def raw_frame(*slots, frame_seq=1):
+    return (frame_seq.to_bytes(4, "big") + len(slots).to_bytes(2, "big")
+            + b"".join(slots))
+
+
+def reference_decode(data):
+    """Bit-string parse plus `SuperFrame.validate`, independent of decode."""
+    if len(data) < HEADER_NBYTES or \
+            (len(data) - HEADER_NBYTES) % SLOT_NBYTES \
+            or int.from_bytes(data[4:6], "big") \
+            != (len(data) - HEADER_NBYTES) // SLOT_NBYTES:
+        raise FrameError("length")
+    bits = "".join(f"{b:08b}" for b in data[HEADER_NBYTES:])
+    slots = []
+    for i in range(0, len(bits), SLOT_NBYTES * 8):
+        f = [int(bits[i + a:i + b], 2) for a, b in (
+            (0, 10), (10, 24), (24, 40), (40, 55), (55, 57), (57, 58),
+            (58, 60), (60, 61), (61, 71), (71, 72))]
+        if f[9] or f[6] == 3:
+            raise FrameError("padding or marker")
+        slots.append(SlotPayload(f[0], f[1], f[2], f[3], SlotStage(f[4]),
+                                 bool(f[5]), MovementMarker(f[6]), f[7], f[8]))
+    frame = SuperFrame(int.from_bytes(data[:4], "big"), tuple(slots))
+    frame.validate()
+    return frame
 
 
 class TestGoldenVectors:
@@ -117,12 +158,28 @@ class TestErrors:
 
     def test_duplicate_ids_rejected_on_decode(self):
         # construct the byte stream with an independent packer
-        def pack(nid, code):
-            bits = f"{nid:010b}{code:014b}" + "0" * 48
-            return bytes(int(bits[i:i + 8], 2) for i in range(0, 72, 8))
-        raw = (1).to_bytes(4, "big") + (2).to_bytes(2, "big") + pack(9, 0) + pack(9, 1)
         with pytest.raises(FrameError, match="duplicate"):
-            decode(raw)
+            decode(raw_frame(pack_slot(9, 0), pack_slot(9, 1)))
+
+    @pytest.mark.parametrize("slots,match", [
+        ([pack_slot(1, az=36000)], "azimuth_centideg 36000"),
+        ([pack_slot(1, az=65535)], "azimuth_centideg 65535"),
+        ([pack_slot(1, el=18001)], "elevation_centideg 18001"),
+        ([pack_slot(1, el=32767)], "elevation_centideg 32767"),
+        ([pack_slot(1, marker=3)], "movement_marker 3"),
+        ([pack_slot(5, stage=2)], "without a partner"),
+        ([pack_slot(5, stage=3, partner=5)], "naming itself"),
+        ([pack_slot(5, stage=3, partner=9)], "absent partner 9"),
+        ([pack_slot(5, stage=2, partner=9), pack_slot(8)], "absent partner 9"),
+        ([pack_slot(5, partner=3)], "unused partner_id 3"),
+        ([pack_slot(5, stage=1, partner=3)], "unused partner_id 3"),
+    ], ids=["az36000", "az65535", "el18001", "el32767", "marker3",
+            "relay_partner0", "relay_self", "absent_partner",
+            "absent_partner_among_others", "assign_unused_partner",
+            "confirm_unused_partner"])
+    def test_invalid_slot_rejected_on_decode(self, slots, match):
+        with pytest.raises(FrameError, match=match):
+            decode(raw_frame(*slots))
 
     def test_field_out_of_range(self):
         with pytest.raises(FrameError, match="azimuth"):
@@ -152,6 +209,91 @@ class TestErrors:
         raw[-1] |= 0x01  # set the pad bit
         with pytest.raises(FrameError, match="padding"):
             decode(bytes(raw))
+
+
+class TestDifferential:
+    def test_encode_raises_exactly_when_validate_does(self):
+        # fields straddle their ranges; ids and partners share a small pool
+        # so duplicates, self-partners and absent partners all occur
+        rng = random.Random(0xD1FF)
+        limits = (MAX_NETWORK_ID, 16383, 35999, 18000)
+        raised = 0
+        for _ in range(20_000):
+            slots = []
+            for _ in range(rng.randint(0, 4)):
+                nid, code, az, el = (
+                    rng.choice((rng.randint(-2, 6), rng.randint(0, hi),
+                                rng.randint(hi - 2, hi + 2)))
+                    for hi in limits)
+                slots.append(SlotPayload(
+                    nid, code, az, el, rng.randint(-1, 4),
+                    rng.random() < 0.5, rng.randint(-1, 3),
+                    rng.randint(-1, 2),
+                    rng.choice((0, rng.randint(-2, 6),
+                                rng.randint(1021, 1025)))))
+            frame = SuperFrame(rng.choice((0, 2**32 - 1, 2**32, -1)),
+                               tuple(slots))
+            try:
+                frame.validate()
+            except FrameError as expected:
+                raised += 1
+                with pytest.raises(FrameError) as got:
+                    encode(frame)
+                assert str(got.value) == str(expected)
+            else:
+                assert decode(encode(frame)) == frame
+        assert 0.2 < raised / 20_000 < 0.9  # both outcomes well covered
+
+    def test_bit_flips_decode_or_raise_frame_error(self):
+        rng = random.Random(0xB17)
+        rejected = 0
+        for _ in range(5_000):
+            raw = bytearray(encode(random_frame(rng)))
+            for _ in range(rng.randint(1, 3)):
+                bit = rng.randrange(len(raw) * 8)
+                raw[bit // 8] ^= 0x80 >> (bit % 8)
+            data = bytes(raw)
+            try:
+                frame = decode(data)
+            except FrameError:
+                rejected += 1
+                with pytest.raises(FrameError):
+                    reference_decode(data)
+            else:
+                assert encode(frame) == data
+                assert reference_decode(data) == frame
+        assert 0.1 < rejected / 5_000 < 0.9
+
+
+class TestOptimizedInterpreter:
+    def test_codec_checks_survive_dash_o(self):
+        # the codec's checks are explicit raises, not asserts, so they hold
+        # under `python -O` too
+        script = """
+import sys
+from uwoan.frame import FrameError, SlotPayload, SuperFrame, decode, encode
+if __debug__:
+    sys.exit("asserts are on")
+cases = [
+    lambda: encode(SuperFrame(1, (SlotPayload(1, 0, 36000, 0),))),
+    lambda: encode(SuperFrame(1, (SlotPayload(1, 0, 0, 0),
+                                  SlotPayload(1, 0, 0, 0)))),
+    lambda: decode(bytes.fromhex("00000001" "0001" "0000008ca0" "00000000")),
+    lambda: decode(bytes.fromhex("00000001" "0001" "0040000000" "00000001")),
+]
+for case in cases:
+    try:
+        case()
+    except FrameError:
+        continue
+    sys.exit("no FrameError")
+print("ok")
+"""
+        src = Path(uwoan.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr
 
 
 class TestFrameIndex:
