@@ -16,12 +16,11 @@ from typing import Iterable, Sequence
 
 from .frame import MovementMarker, SlotPayload, SlotStage, SuperFrame
 from .geometry import (
-    Bearing,
     DepthCode,
     DepthModel,
     GeometryError,
     Position,
-    bearing_from_to,
+    bearing_angles,
     distance,
     quantize_depth,
 )
@@ -60,6 +59,10 @@ _DEPTH_MATCHABLE = (HandshakeStage.ASSIGNED, HandshakeStage.CONFLICTED,
 
 class ProtocolError(RuntimeError):
     """Protocol bookkeeping violation (e.g. ID space exhausted)."""
+
+
+def _broken(nid: int, what: str) -> ProtocolError:
+    return ProtocolError(f"registry invariant broken: record {nid} {what}")
 
 
 @dataclass(frozen=True)
@@ -107,17 +110,17 @@ class NodeRecord:
     bs_angles: tuple[int, int] | None = None
 
 
-def _bearing_or_up(origin: Position, target: Position) -> Bearing:
+def _slot_angles(origin: Position, target: Position) -> tuple[int, int]:
+    """Slot-encoded bearing of `target` from `origin`, in centidegrees.
+
+    Azimuth wraps into 0..35999; elevation is offset by +90 degrees, so
+    it lies in 0..18000.  Coincident points read as straight up.
+    """
     try:
-        return bearing_from_to(origin, target)
+        azimuth, elevation = bearing_angles(origin, target)
     except GeometryError:
-        return Bearing(0.0, 90.0)
-
-
-def _to_centideg(bearing: Bearing) -> tuple[int, int]:
-    az = round(bearing.azimuth * 100.0) % 36000
-    el = min(18000, max(0, round((bearing.elevation + 90.0) * 100.0)))
-    return az, el
+        return 0, 18000
+    return round(azimuth * 100.0) % 36000, round((elevation + 90.0) * 100.0)
 
 
 def nearest_eligible_relay(records: Iterable[NodeRecord],
@@ -210,7 +213,7 @@ class BsState:
             new_ids.append(nid)
         if new_ids:
             self._recompute_conflicts(now)
-            self._assert_invariants()
+            self._check_invariants()
         return new_ids
 
     def update_decomposition(self, detections: Sequence[Detection],
@@ -251,7 +254,7 @@ class BsState:
             if now - anchor >= self.params.conflict_reset_after:
                 rec.reset_bit ^= 1
                 rec.last_reset_at = now
-        self._assert_invariants()
+        self._check_invariants()
 
     def _recompute_conflicts(self, now: float) -> None:
         counts: dict[int, int] = {}
@@ -307,8 +310,7 @@ class BsState:
             if stage is HandshakeStage.FAILED:
                 continue
             if rec.bs_angles is None:
-                rec.bs_angles = _to_centideg(
-                    _bearing_or_up(rec.sonar_position, bs_pos))
+                rec.bs_angles = _slot_angles(rec.sonar_position, bs_pos)
             if stage in _DEPTH_MATCHABLE:
                 az, el = rec.bs_angles
                 slots.append(SlotPayload(
@@ -327,8 +329,8 @@ class BsState:
             elif stage is HandshakeStage.ACCESSED:
                 if rec.relay_of is not None:
                     partner = self.registry[rec.relay_of]
-                    az, el = _to_centideg(_bearing_or_up(
-                        rec.sonar_position, partner.sonar_position))
+                    az, el = _slot_angles(rec.sonar_position,
+                                          partner.sonar_position)
                     slots.append(SlotPayload(
                         rec.network_id, rec.depth_code.bucket, az, el,
                         SlotStage.RELAY_RX, partner_id=partner.network_id))
@@ -339,8 +341,8 @@ class BsState:
                         SlotStage.CONFIRM))
             elif stage is HandshakeStage.RELAY_PENDING:
                 relay = self.registry[rec.relayed_by]
-                az, el = _to_centideg(_bearing_or_up(
-                    rec.sonar_position, relay.sonar_position))
+                az, el = _slot_angles(rec.sonar_position,
+                                      relay.sonar_position)
                 slots.append(SlotPayload(
                     rec.network_id, rec.depth_code.bucket, az, el,
                     SlotStage.RELAY_TX, partner_id=relay.network_id))
@@ -364,8 +366,10 @@ class BsState:
                 self._release_relay(rec)
             rec.stage = HandshakeStage.CONFIRMING
             rec.via_relay = via_relay
-            assert rec.relayed_by is None or \
-                self.registry[rec.relayed_by].relay_of == rec.network_id
+            if rec.relayed_by is not None and \
+                    self.registry[rec.relayed_by].relay_of != rec.network_id:
+                raise _broken(rec.network_id, f"relayed by {rec.relayed_by}, "
+                                              "which does not name it")
         elif rec.stage in (HandshakeStage.CONFIRMING, HandshakeStage.ACCESSED):
             self.duplicate_beams += 1
         else:
@@ -396,7 +400,7 @@ class BsState:
                 if rec.retries_remaining <= 0:
                     self._release_relay(rec)
                     self._fail(rec)
-        self._assert_invariants()
+        self._check_invariants()
 
     def _release_relay(self, rec: NodeRecord) -> None:
         if rec.relayed_by is not None:
@@ -412,22 +416,42 @@ class BsState:
 
     # -- invariants -----------------------------------------------------------
 
-    def _assert_invariants(self) -> None:
+    def _check_invariants(self) -> None:
+        """Raise ProtocolError naming the first record that breaks a rule.
+
+        Explicit raises, not asserts, so the checks hold under `python -O`.
+        """
         seen_relays: set[int] = set()
-        for nid, rec in self.registry.items():
-            assert nid == rec.network_id
-            assert self._by_track[rec.track_key] == nid
-            if rec.stage is HandshakeStage.ACCESSED:
-                assert rec.access_time is not None
-            if rec.conflict_flag:
-                assert rec.stage is HandshakeStage.CONFLICTED
+        registry = self.registry
+        for nid, rec in registry.items():
+            if rec.network_id != nid:
+                raise _broken(nid, f"holds network ID {rec.network_id}")
+            if self._by_track.get(rec.track_key) != nid:
+                raise _broken(nid, f"track {rec.track_key} maps elsewhere")
+            if rec.stage is HandshakeStage.ACCESSED \
+                    and rec.access_time is None:
+                raise _broken(nid, "accessed without an access time")
+            if rec.conflict_flag \
+                    and rec.stage is not HandshakeStage.CONFLICTED:
+                raise _broken(nid, f"flags a conflict in stage "
+                                   f"{rec.stage.name}")
             if rec.relay_of is not None:
-                assert rec.relay_of not in seen_relays  # fan-in <= 1
+                if rec.relay_of in seen_relays:
+                    raise _broken(nid, f"second relay for {rec.relay_of}")
                 seen_relays.add(rec.relay_of)
-                assert rec.stage is HandshakeStage.ACCESSED
-                assert not rec.via_relay  # chains stay at two hops
-                assert self.registry[rec.relay_of].relayed_by == nid
+                if rec.stage is not HandshakeStage.ACCESSED:
+                    raise _broken(nid, f"relays in stage {rec.stage.name}")
+                if rec.via_relay:
+                    raise _broken(nid, "relays while itself relayed")
+                partner = registry.get(rec.relay_of)
+                if partner is None or partner.relayed_by != nid:
+                    raise _broken(nid, f"relays for {rec.relay_of}, "
+                                       "which does not name it")
             if rec.relayed_by is not None:
-                relay = self.registry[rec.relayed_by]
-                assert relay.stage is HandshakeStage.ACCESSED
-                assert relay.relay_of == nid
+                relay = registry.get(rec.relayed_by)
+                if relay is None or relay.stage is not HandshakeStage.ACCESSED:
+                    raise _broken(nid, f"relayed by {rec.relayed_by}, "
+                                       "which is not accessed")
+                if relay.relay_of != nid:
+                    raise _broken(nid, f"relayed by {rec.relayed_by}, "
+                                       "which does not name it")

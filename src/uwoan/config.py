@@ -90,6 +90,11 @@ class SimConfig:
         need(c.n_uwn >= 0, f"n_uwn must be >= 0, got {c.n_uwn}")
         for name in ("region_east_m", "region_north_m", "region_depth_m"):
             need(getattr(c, name) > 0, f"{name} must be positive")
+        # distances square coordinate differences, and float ** raises
+        # OverflowError where * gives inf
+        e, n, d = c.region_east_m, c.region_north_m, c.region_depth_m
+        need(math.isfinite(e * e + n * n + d * d),
+             "region too large: the squared diagonal overflows a float")
         need(0 <= c.bs_east_m <= c.region_east_m,
              f"bs_east_m {c.bs_east_m} outside region")
         need(0 <= c.bs_north_m <= c.region_north_m,

@@ -26,6 +26,7 @@ __all__ = [
     "DepthCode",
     "DepthModel",
     "distance",
+    "bearing_angles",
     "bearing_from_to",
     "unit_vector",
     "angle_between",
@@ -126,24 +127,37 @@ def distance(a: Position, b: Position) -> float:
                      + (b.depth - a.depth) ** 2)
 
 
-def bearing_from_to(origin: Position, target: Position) -> Bearing:
-    """Bearing under which `target` is seen from `origin`.
+def bearing_angles(origin: Position,
+                   target: Position) -> tuple[float, float]:
+    """(azimuth, elevation) in degrees of `target` as seen from `origin`.
 
-    Raises GeometryError for coincident points (degenerate bearing).
+    The values are canonical, as `Bearing` holds them: azimuth in [0, 360),
+    and azimuth 0 at elevation +-90.  Raises GeometryError for coincident
+    points (degenerate bearing).
     """
     de = target.east - origin.east
     dn = target.north - origin.north
     rise = origin.depth - target.depth  # positive toward the surface
     run = math.hypot(de, dn)
-    if run == 0.0 and rise == 0.0:
-        raise GeometryError("degenerate bearing between coincident points")
     if run == 0.0:
-        return Bearing(0.0, 90.0 if rise > 0 else -90.0)
+        if rise == 0.0:
+            raise GeometryError("degenerate bearing between coincident points")
+        return 0.0, 90.0 if rise > 0 else -90.0
+    elevation = math.degrees(math.atan2(rise, run))
+    if elevation == 90.0 or elevation == -90.0:
+        return 0.0, elevation  # canonical azimuth, as Bearing sets it
     azimuth = math.degrees(math.atan2(de, dn)) % 360.0
     if azimuth >= 360.0:  # guard the float wrap at exactly 360
         azimuth = 0.0
-    elevation = math.degrees(math.atan2(rise, run))
-    return Bearing(azimuth, elevation)
+    return azimuth, elevation
+
+
+def bearing_from_to(origin: Position, target: Position) -> Bearing:
+    """Bearing under which `target` is seen from `origin`.
+
+    Raises GeometryError for coincident points (degenerate bearing).
+    """
+    return Bearing(*bearing_angles(origin, target))
 
 
 def unit_vector(bearing: Bearing) -> tuple[float, float, float]:

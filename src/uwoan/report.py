@@ -93,6 +93,9 @@ def report_from_json(text: str) -> SimReport:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ReportError(f"invalid report JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ReportError("invalid report structure: top level is "
+                          f"{type(payload).__name__}, not an object")
     try:
         nodes = tuple(NodeOutcome(**n) for n in payload.pop("nodes"))
         edges = tuple(TopologyEdge(e["from"], e["to"], e["hop"])

@@ -9,6 +9,7 @@ clip at the region boundaries.
 
 from __future__ import annotations
 
+import math
 from random import Random
 
 from .config import SimConfig
@@ -57,6 +58,26 @@ class World:
         limit = self.region[2]
         return limit if depth > limit else depth
 
+    def _coords(self, body: _Body, t: float) -> tuple[float, float, float]:
+        # clip to the region; depth clips exactly as depth_of does
+        region = self.region
+        east = body.east0 + self.current[0] * t
+        if east < 0.0:
+            east = 0.0
+        if east > region[0]:
+            east = region[0]
+        north = body.north0 + self.current[1] * t
+        if north < 0.0:
+            north = 0.0
+        if north > region[1]:
+            north = region[1]
+        depth = body.depth_ref + body.v_down * (t - body.ref_time)
+        if depth < 0.0:
+            depth = 0.0
+        elif depth > region[2]:
+            depth = region[2]
+        return east, north, depth
+
     def position_of(self, i: int, t: float) -> Position:
         body = self.bodies[i]
         if body.v_down == 0.0 and not self.drifting:
@@ -64,11 +85,7 @@ class World:
                 body.cached_pos = Position(body.east0, body.north0,
                                            body.depth_ref)
             return body.cached_pos
-        east = body.east0 + self.current[0] * t
-        north = body.north0 + self.current[1] * t
-        east = min(max(east, 0.0), self.region[0])
-        north = min(max(north, 0.0), self.region[1])
-        return Position(east, north, self.depth_of(i, t))
+        return Position(*self._coords(body, t))
 
     def bs_distance_of(self, i: int, t: float) -> float:
         body = self.bodies[i]
@@ -77,7 +94,11 @@ class World:
                 body.cached_bs_dist = distance(self.bs_position,
                                                self.position_of(i, t))
             return body.cached_bs_dist
-        return distance(self.bs_position, self.position_of(i, t))
+        east, north, depth = self._coords(body, t)
+        bs = self.bs_position
+        # distance(bs_position, pos)'s operand order, so the bits agree
+        return math.sqrt((east - bs.east) ** 2 + (north - bs.north) ** 2
+                         + (depth - bs.depth) ** 2)
 
     def set_vertical_velocity(self, i: int, v: float, now: float) -> None:
         body = self.bodies[i]

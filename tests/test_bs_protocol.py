@@ -1,18 +1,30 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import uwoan
 from uwoan.base_station import (
     BsParams,
     BsState,
     Detection,
     HandshakeStage,
     ProtocolError,
+    _slot_angles,
     nearest_eligible_relay,
 )
 from uwoan.frame import MovementMarker, SlotStage
-from uwoan.geometry import Position, bearing_from_to, quantize_depth
+from uwoan.geometry import (
+    Bearing,
+    GeometryError,
+    Position,
+    bearing_from_to,
+    quantize_depth,
+)
 
 BS_POS = Position(100.0, 100.0, 0.0)
 
@@ -371,3 +383,133 @@ class TestRelaySelectionOracle:
                 assert got is None
             else:
                 assert got is best[2]
+
+
+def relay_pair():
+    """Record 1 relay-pending through record 2; record 3 accessed and free."""
+    bs = make_bs(direct_retries=1)
+    bs.allocate(scan(bs, [Position(30, 40, 120), Position(90, 90, 60),
+                          Position(150, 150, 20)]), 0.0)
+    bs.compose_superframe(0.1)
+    walk_to_accessed(bs, 2, 0.3)
+    walk_to_accessed(bs, 3, 0.3)
+    bs.handle_timeouts(2.0)
+    assert (bs.registry[1].relayed_by, bs.registry[2].relay_of) == (2, 1)
+    return bs
+
+
+class TestInvariants:
+    @pytest.mark.parametrize("corrupt,needle", [
+        (lambda bs: setattr(bs.registry[1], "network_id", 7),
+         "record 1 holds network ID 7"),
+        (lambda bs: bs._by_track.__setitem__(0, 2),
+         "record 1 track 0 maps elsewhere"),
+        (lambda bs: setattr(bs.registry[3], "access_time", None),
+         "record 3 accessed without"),
+        (lambda bs: setattr(bs.registry[1], "conflict_flag", True),
+         "record 1 flags a conflict in stage RELAY_PENDING"),
+        (lambda bs: setattr(bs.registry[3], "relay_of", 1),
+         "record 3 second relay for 1"),
+        (lambda bs: setattr(bs.registry[1], "relay_of", 3),
+         "record 1 relays in stage RELAY_PENDING"),
+        (lambda bs: setattr(bs.registry[2], "via_relay", True),
+         "record 2 relays while itself relayed"),
+        (lambda bs: setattr(bs.registry[1], "relayed_by", None),
+         "record 2 relays for 1, which does not name it"),
+        (lambda bs: setattr(bs.registry[2], "stage",
+                            HandshakeStage.CONFIRMING),
+         "record 1 relayed by 2, which is not accessed"),
+        (lambda bs: setattr(bs.registry[2], "relay_of", None),
+         "record 1 relayed by 2, which does not name it"),
+    ])
+    def test_corrupt_registry_raises_naming_the_record(self, corrupt, needle):
+        bs = relay_pair()
+        corrupt(bs)
+        with pytest.raises(ProtocolError, match=needle):
+            bs.handle_timeouts(3.0)
+
+    def test_beam_through_a_released_relay_raises(self):
+        bs = relay_pair()
+        bs.registry[2].relay_of = None
+        with pytest.raises(ProtocolError, match="record 1 relayed by 2"):
+            bs.on_optical_arrival(1, via_relay=True, now=2.4)
+
+    def test_checks_survive_dash_o(self):
+        script = """
+import random
+import sys
+from uwoan.base_station import BsParams, BsState, ProtocolError
+from uwoan.geometry import Position
+if __debug__:
+    sys.exit("asserts are on")
+bs = BsState(BsParams(bs_position=Position(100.0, 100.0, 0.0)))
+dets = bs.sonar_scan([(0, Position(30, 40, 120)), (1, Position(90, 90, 60))],
+                     random.Random(0))
+bs.allocate(dets, 0.0)
+bs.compose_superframe(0.1)
+bs.on_optical_arrival(2, via_relay=False, now=0.3)
+bs.compose_superframe(1.1)
+bs.registry[2].relay_of = 1  # record 1 does not name 2 as its relay
+try:
+    bs.handle_timeouts(2.0)
+except ProtocolError as exc:
+    print(exc)
+"""
+        src = Path(uwoan.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "record 2 relays for 1" in done.stdout
+
+
+def reference_slot_angles(origin, target):
+    """Slot angles as Bearing objects and the original quantization give."""
+    try:
+        bearing = bearing_from_to(origin, target)
+    except GeometryError:
+        bearing = Bearing(0.0, 90.0)
+    az = round(bearing.azimuth * 100.0) % 36000
+    el = min(18000, max(0, round((bearing.elevation + 90.0) * 100.0)))
+    return az, el
+
+
+class TestSlotAngles:
+    EDGE_CASES = [
+        ((10, 20, 30), (10, 20, 30)),           # coincident: straight up
+        ((10, 20, 30), (10, 20, 5)),            # directly above
+        ((10, 20, 30), (10, 20, 55)),           # directly below
+        ((0, 0, 10), (0, 50, 10)),              # due north
+        ((0, 0, 10), (50, 0, 10)),              # due east
+        ((0, 50, 10), (0, 0, 10)),              # due south
+        ((50, 0, 10), (0, 0, 10)),              # due west
+        ((0, 0, 10), (1e-300, 0, 5)),           # elevation exactly +90
+        ((0, 0, 10), (0, -1e-300, 15)),         # elevation exactly -90
+        ((0, 0, 10), (-1e-5, 100, 10)),         # azimuth rounds to 36000
+        ((0, 0, 10), (-1e-300, 1, 10)),         # azimuth wraps to 360.0
+        ((100, 100, 0), (100, 100, 0)),         # a node at the BS itself
+    ]
+
+    @pytest.mark.parametrize("origin,target", EDGE_CASES)
+    def test_edge_cases(self, origin, target):
+        a, b = Position(*origin), Position(*target)
+        assert _slot_angles(a, b) == reference_slot_angles(a, b)
+
+    def test_edge_case_values(self):
+        pos = [(Position(*o), Position(*t)) for o, t in self.EDGE_CASES]
+        got = [_slot_angles(a, b) for a, b in pos]
+        assert got[:9] == [(0, 18000), (0, 18000), (0, 0), (0, 9000),
+                           (9000, 9000), (18000, 9000), (27000, 9000),
+                           (0, 18000), (0, 0)]
+        assert got[9][0] == 0 and got[10] == (0, 9000)
+
+    def test_matches_reference_on_random_pairs(self):
+        rng = random.Random(7)
+        for k in range(20_000):
+            if k % 2:
+                # a small grid makes shared axes and coincident points common
+                coords = [float(rng.randint(0, 2)) for _ in range(6)]
+            else:
+                coords = [rng.uniform(0.0, 200.0) for _ in range(6)]
+            a, b = Position(*coords[:3]), Position(*coords[3:])
+            assert _slot_angles(a, b) == reference_slot_angles(a, b), (a, b)

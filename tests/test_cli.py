@@ -172,3 +172,9 @@ class TestTopoCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{]")
         assert main(["topo", "--report", str(bad)]) == 2
+
+    def test_non_object_report_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('"x"')
+        assert main(["topo", "--report", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -1,8 +1,11 @@
 import math
+import random
+from dataclasses import fields
 
 import pytest
 
 from uwoan.config import ConfigError, SimConfig, load_config, parse_config
+from uwoan.engine import run
 
 
 class TestDefaults:
@@ -98,6 +101,8 @@ class TestValidation:
         (dict(depth_resolution_surface_m=0.001,
               depth_resolution_gradient=0.0), "depth code"),
         (dict(t_max_s=1e10), "frame_seq"),
+        (dict(region_east_m=1e300), "squared diagonal"),
+        (dict(region_north_m=1e154, region_depth_m=1e154), "squared diagonal"),
     ])
     def test_rejects(self, kwargs, needle):
         with pytest.raises(ConfigError, match=needle):
@@ -113,3 +118,48 @@ class TestValidation:
         # v_min = 0 models nodes that may hold station during a draw
         cfg = SimConfig(v_min_mps=0.0)
         assert cfg.v_min_mps == 0.0
+
+
+class TestConfigFuzz:
+    FLOATS = (0.0, -1.0, 1e-300, 1e-9, 1e-3, 0.5, 1.0, 2.0, 100.0, 1e6,
+              1e300, math.inf)
+    INTS = (0, -1, 1, 2, 60, 2**31)
+    N_UWN = (-1, 0, 1, 2, 60)  # capped: run cost grows with the node count
+
+    def draw(self, rng):
+        overrides = {}
+        for f in rng.sample(fields(SimConfig), rng.randint(1, 8)):
+            if f.name == "n_uwn":
+                overrides[f.name] = rng.choice(self.N_UWN)
+            elif f.type == "bool":
+                overrides[f.name] = rng.choice((True, False))
+            elif f.type == "int":
+                overrides[f.name] = rng.choice(self.INTS)
+            else:
+                overrides[f.name] = rng.choice(self.FLOATS)
+        return overrides
+
+    def test_valid_configs_run_clean(self):
+        # a config either fails validation or runs to a consistent report;
+        # any other exception fails the test
+        rng = random.Random(2109)
+        rejected = ran = 0
+        for _ in range(200):
+            overrides = self.draw(rng)
+            try:
+                cfg = SimConfig(**overrides)
+            except ConfigError:
+                rejected += 1
+                continue
+            # validation admits up to 2**32 periods, which can take days;
+            # pings come once a period from t = 0, so cap the periods
+            if cfg.t_max_s / cfg.superframe_period_s > 60:
+                continue
+            rep = run(cfg)
+            counts = (rep.n_accessed, rep.n_failed, rep.n_dormant,
+                      rep.n_unresolved)
+            assert sum(counts) == cfg.n_uwn, overrides
+            assert 0.0 <= rep.access_rate <= 1.0, overrides
+            assert 0.0 <= rep.dual_hop_rate <= 1.0, overrides
+            ran += 1
+        assert rejected >= 100 and ran >= 30  # neither side is vacuous

@@ -6,7 +6,7 @@ import pytest
 from uwoan.base_station import HandshakeStage
 from uwoan.config import SimConfig
 from uwoan.engine import Simulation, run, simulate, trace
-from uwoan.geometry import Position
+from uwoan.geometry import Position, distance
 from uwoan.node import Lifecycle
 from uwoan.world import World, generate
 
@@ -312,6 +312,51 @@ class TestWorldGeneration:
                 counts[k] += 1
             _, p = chisquare(counts)
             assert p > 1e-3, f"{axis} marginal failed uniformity: p={p}"
+
+
+class TestWorldKinematics:
+    REGION = (200.0, 150.0, 100.0)
+
+    @staticmethod
+    def reference_position(world, i, t):
+        """The position as min/max clamps and depth_of give it."""
+        body = world.bodies[i]
+        east = min(max(body.east0 + world.current[0] * t, 0.0),
+                   world.region[0])
+        north = min(max(body.north0 + world.current[1] * t, 0.0),
+                    world.region[1])
+        return Position(east, north, world.depth_of(i, t))
+
+    def test_float_paths_match_positions(self):
+        rng = random.Random(11)
+        walls = set()
+        for current in ((0.0, 0.0), (1.5, 0.8), (-1.5, -0.8)):
+            world = World(Position(100.0, 75.0, 0.0),
+                          [Position(rng.uniform(0.0, 200.0),
+                                    rng.uniform(0.0, 150.0),
+                                    rng.uniform(0.0, 100.0))
+                           for _ in range(40)],
+                          self.REGION, current)
+            for step in range(60):
+                t = step * 2.5 + rng.random()
+                for i in range(world.n):
+                    if rng.random() < 0.2:
+                        v = rng.choice((0.0, -3.0, 3.0, rng.uniform(-1, 1)))
+                        world.set_vertical_velocity(i, v, t)
+                    pos = world.position_of(i, t)
+                    assert pos == self.reference_position(world, i, t)
+                    assert world.bs_distance_of(i, t) \
+                        == distance(world.bs_position, pos)
+                    walls.update(
+                        wall for wall, hit in (
+                            ("west", pos.east == 0.0),
+                            ("east", pos.east == 200.0),
+                            ("south", pos.north == 0.0),
+                            ("north", pos.north == 150.0),
+                            ("surface", pos.depth == 0.0),
+                            ("floor", pos.depth == 100.0)) if hit)
+        assert walls == {"west", "east", "south", "north", "surface",
+                         "floor"}
 
 
 class TestReceiverFieldOfView:

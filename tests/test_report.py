@@ -37,6 +37,11 @@ class TestSerialization:
         with pytest.raises(ReportError):
             report_from_json("{}")
 
+    @pytest.mark.parametrize("text", ['"x"', "5", "null", "[1]"])
+    def test_rejects_non_object_top_level(self, text):
+        with pytest.raises(ReportError, match="top level"):
+            report_from_json(text)
+
 
 class TestAggregate:
     def test_single_report_equals_itself(self):
