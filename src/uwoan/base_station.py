@@ -12,9 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .frame import MovementMarker, SlotPayload, SlotStage, SuperFrame
+from .frame import (
+    MARKER_DIVING,
+    MARKER_NONE,
+    MARKER_RISING,
+    SLOT_ASSIGN,
+    SLOT_CONFIRM,
+    SLOT_RELAY_RX,
+    SLOT_RELAY_TX,
+    MovementMarker,
+    SlotPayload,
+    SuperFrame,
+)
 from .geometry import (
     DepthCode,
     DepthModel,
@@ -28,6 +39,13 @@ from .geometry import (
 __all__ = [
     "ProtocolError",
     "HandshakeStage",
+    "STAGE_ASSIGNED",
+    "STAGE_CONFLICTED",
+    "STAGE_AWAITING_BEAM",
+    "STAGE_CONFIRMING",
+    "STAGE_ACCESSED",
+    "STAGE_RELAY_PENDING",
+    "STAGE_FAILED",
     "BsParams",
     "Detection",
     "NodeRecord",
@@ -48,13 +66,24 @@ class HandshakeStage(Enum):
     RELAY_PENDING = "relay_pending"
     FAILED = "failed"
 
+
+# HandshakeStage members bound once: on Python 3.10 and 3.11 every
+# `HandshakeStage.X` read goes through EnumType.__getattr__, about ten
+# times the cost of a global, and the registry passes below run per record
+STAGE_ASSIGNED = HandshakeStage.ASSIGNED
+STAGE_CONFLICTED = HandshakeStage.CONFLICTED
+STAGE_AWAITING_BEAM = HandshakeStage.AWAITING_BEAM
+STAGE_CONFIRMING = HandshakeStage.CONFIRMING
+STAGE_ACCESSED = HandshakeStage.ACCESSED
+STAGE_RELAY_PENDING = HandshakeStage.RELAY_PENDING
+STAGE_FAILED = HandshakeStage.FAILED
+
 # sonar depth deltas smaller than this read as "not moving"
 _MOTION_EPS = 0.01
 
 # record stages whose slots are depth-matchable (stage ASSIGN on the wire);
 # only these participate in depth-conflict bookkeeping
-_DEPTH_MATCHABLE = (HandshakeStage.ASSIGNED, HandshakeStage.CONFLICTED,
-                    HandshakeStage.AWAITING_BEAM)
+_DEPTH_MATCHABLE = (STAGE_ASSIGNED, STAGE_CONFLICTED, STAGE_AWAITING_BEAM)
 
 
 class ProtocolError(RuntimeError):
@@ -80,8 +109,7 @@ class BsParams:
     region_depth: float = 200.0
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     """One sonar return: opaque track key, measured position, depth code."""
 
     track_key: int
@@ -134,7 +162,7 @@ def nearest_eligible_relay(records: Iterable[NodeRecord],
     best: NodeRecord | None = None
     best_key: tuple[float, int] | None = None
     for rec in records:
-        if rec.stage is not HandshakeStage.ACCESSED:
+        if rec.stage is not STAGE_ACCESSED:
             continue
         if rec.relay_of is not None or rec.via_relay:
             continue
@@ -207,7 +235,7 @@ class BsState:
             self.registry[nid] = NodeRecord(
                 network_id=nid, track_key=det.track_key,
                 sonar_position=det.position, depth_code=det.depth_code,
-                stage=HandshakeStage.ASSIGNED,
+                stage=STAGE_ASSIGNED,
                 retries_remaining=self.params.direct_retries)
             self._by_track[det.track_key] = nid
             new_ids.append(nid)
@@ -234,11 +262,11 @@ class BsState:
             new = det.position
             delta = new.depth - old.depth
             if delta > _MOTION_EPS:
-                rec.observed_motion = MovementMarker.DIVING
+                rec.observed_motion = MARKER_DIVING
             elif delta < -_MOTION_EPS:
-                rec.observed_motion = MovementMarker.RISING
+                rec.observed_motion = MARKER_RISING
             else:
-                rec.observed_motion = MovementMarker.NONE
+                rec.observed_motion = MARKER_NONE
             if (new.east != old.east or new.north != old.north
                     or new.depth != old.depth):
                 rec.sonar_position = new
@@ -247,7 +275,7 @@ class BsState:
                 rec.depth_code = det.depth_code
         self._recompute_conflicts(now)
         for rec in self.registry.values():
-            if rec.stage is not HandshakeStage.CONFLICTED:
+            if rec.stage is not STAGE_CONFLICTED:
                 continue
             anchor = rec.conflict_since if rec.last_reset_at is None \
                 else rec.last_reset_at
@@ -264,14 +292,14 @@ class BsState:
             if rec.stage in _DEPTH_MATCHABLE:
                 counts[rec.depth_code.bucket] = \
                     counts.get(rec.depth_code.bucket, 0) + 1
-                if rec.stage is HandshakeStage.CONFLICTED:
-                    if rec.observed_motion is MovementMarker.DIVING:
+                if rec.stage is STAGE_CONFLICTED:
+                    if rec.observed_motion is MARKER_DIVING:
                         diving.add(rec.depth_code.bucket)
-                    elif rec.observed_motion is MovementMarker.RISING:
+                    elif rec.observed_motion is MARKER_RISING:
                         rising.add(rec.depth_code.bucket)
         for rec in self.registry.values():
             bucket = rec.depth_code.bucket
-            if rec.stage is HandshakeStage.CONFLICTED:
+            if rec.stage is STAGE_CONFLICTED:
                 # directional guard band: a conflicted neighbor one code
                 # away and moving toward this bucket could drift across the
                 # boundary before the assignment lands and shadow the slot,
@@ -279,7 +307,7 @@ class BsState:
                 if counts[bucket] == 1 \
                         and bucket - 1 not in diving \
                         and bucket + 1 not in rising:
-                    rec.stage = HandshakeStage.ASSIGNED
+                    rec.stage = STAGE_ASSIGNED
                     rec.conflict_flag = False
                     rec.conflict_since = None
                     rec.last_reset_at = None
@@ -287,7 +315,7 @@ class BsState:
             elif rec.stage in _DEPTH_MATCHABLE and counts[bucket] > 1:
                 # a mover collided into this code: the slot is ambiguous
                 # again, even if it was already broadcast conflict-free
-                rec.stage = HandshakeStage.CONFLICTED
+                rec.stage = STAGE_CONFLICTED
                 rec.conflict_flag = True
                 rec.conflict_since = now
                 rec.last_reset_at = None
@@ -307,7 +335,7 @@ class BsState:
         slots: list[SlotPayload] = []
         for rec in self.registry.values():
             stage = rec.stage
-            if stage is HandshakeStage.FAILED:
+            if stage is STAGE_FAILED:
                 continue
             if rec.bs_angles is None:
                 rec.bs_angles = _slot_angles(rec.sonar_position, bs_pos)
@@ -315,37 +343,37 @@ class BsState:
                 az, el = rec.bs_angles
                 slots.append(SlotPayload(
                     rec.network_id, rec.depth_code.bucket, az, el,
-                    SlotStage.ASSIGN, rec.conflict_flag,
+                    SLOT_ASSIGN, rec.conflict_flag,
                     rec.observed_motion, rec.reset_bit))
-                if stage is HandshakeStage.ASSIGNED:
-                    rec.stage = HandshakeStage.AWAITING_BEAM
-            elif stage is HandshakeStage.CONFIRMING:
+                if stage is STAGE_ASSIGNED:
+                    rec.stage = STAGE_AWAITING_BEAM
+            elif stage is STAGE_CONFIRMING:
                 az, el = rec.bs_angles
                 slots.append(SlotPayload(
                     rec.network_id, rec.depth_code.bucket, az, el,
-                    SlotStage.CONFIRM))
-                rec.stage = HandshakeStage.ACCESSED
+                    SLOT_CONFIRM))
+                rec.stage = STAGE_ACCESSED
                 rec.access_time = now
-            elif stage is HandshakeStage.ACCESSED:
+            elif stage is STAGE_ACCESSED:
                 if rec.relay_of is not None:
                     partner = self.registry[rec.relay_of]
                     az, el = _slot_angles(rec.sonar_position,
                                           partner.sonar_position)
                     slots.append(SlotPayload(
                         rec.network_id, rec.depth_code.bucket, az, el,
-                        SlotStage.RELAY_RX, partner_id=partner.network_id))
+                        SLOT_RELAY_RX, partner_id=partner.network_id))
                 else:
                     az, el = rec.bs_angles
                     slots.append(SlotPayload(
                         rec.network_id, rec.depth_code.bucket, az, el,
-                        SlotStage.CONFIRM))
-            elif stage is HandshakeStage.RELAY_PENDING:
+                        SLOT_CONFIRM))
+            elif stage is STAGE_RELAY_PENDING:
                 relay = self.registry[rec.relayed_by]
                 az, el = _slot_angles(rec.sonar_position,
                                       relay.sonar_position)
                 slots.append(SlotPayload(
                     rec.network_id, rec.depth_code.bucket, az, el,
-                    SlotStage.RELAY_TX, partner_id=relay.network_id))
+                    SLOT_RELAY_TX, partner_id=relay.network_id))
         frame = SuperFrame(self.next_frame_seq, tuple(slots))
         self.next_frame_seq += 1
         return frame
@@ -359,18 +387,18 @@ class BsState:
         if rec is None:
             self.unknown_beams += 1
             return
-        if rec.stage in (HandshakeStage.AWAITING_BEAM,
-                         HandshakeStage.RELAY_PENDING):
-            if rec.stage is HandshakeStage.RELAY_PENDING and not via_relay:
+        stage = rec.stage
+        if stage is STAGE_AWAITING_BEAM or stage is STAGE_RELAY_PENDING:
+            if stage is STAGE_RELAY_PENDING and not via_relay:
                 # direct path recovered after all; release the relay
                 self._release_relay(rec)
-            rec.stage = HandshakeStage.CONFIRMING
+            rec.stage = STAGE_CONFIRMING
             rec.via_relay = via_relay
             if rec.relayed_by is not None and \
                     self.registry[rec.relayed_by].relay_of != rec.network_id:
                 raise _broken(rec.network_id, f"relayed by {rec.relayed_by}, "
                                               "which does not name it")
-        elif rec.stage in (HandshakeStage.CONFIRMING, HandshakeStage.ACCESSED):
+        elif stage is STAGE_CONFIRMING or stage is STAGE_ACCESSED:
             self.duplicate_beams += 1
         else:
             self.unknown_beams += 1
@@ -383,7 +411,7 @@ class BsState:
         node and release its slot.
         """
         for rec in list(self.registry.values()):
-            if rec.stage is HandshakeStage.AWAITING_BEAM:
+            if rec.stage is STAGE_AWAITING_BEAM:
                 rec.retries_remaining -= 1
                 if rec.retries_remaining > 0:
                     continue
@@ -391,11 +419,11 @@ class BsState:
                 if relay is None:
                     self._fail(rec)
                 else:
-                    rec.stage = HandshakeStage.RELAY_PENDING
+                    rec.stage = STAGE_RELAY_PENDING
                     rec.retries_remaining = self.params.relay_retries
                     rec.relayed_by = relay.network_id
                     relay.relay_of = rec.network_id
-            elif rec.stage is HandshakeStage.RELAY_PENDING:
+            elif rec.stage is STAGE_RELAY_PENDING:
                 rec.retries_remaining -= 1
                 if rec.retries_remaining <= 0:
                     self._release_relay(rec)
@@ -410,7 +438,7 @@ class BsState:
             rec.relayed_by = None
 
     def _fail(self, rec: NodeRecord) -> None:
-        rec.stage = HandshakeStage.FAILED
+        rec.stage = STAGE_FAILED
         rec.conflict_flag = False
         rec.relayed_by = None
 
@@ -428,18 +456,18 @@ class BsState:
                 raise _broken(nid, f"holds network ID {rec.network_id}")
             if self._by_track.get(rec.track_key) != nid:
                 raise _broken(nid, f"track {rec.track_key} maps elsewhere")
-            if rec.stage is HandshakeStage.ACCESSED \
+            if rec.stage is STAGE_ACCESSED \
                     and rec.access_time is None:
                 raise _broken(nid, "accessed without an access time")
             if rec.conflict_flag \
-                    and rec.stage is not HandshakeStage.CONFLICTED:
+                    and rec.stage is not STAGE_CONFLICTED:
                 raise _broken(nid, f"flags a conflict in stage "
                                    f"{rec.stage.name}")
             if rec.relay_of is not None:
                 if rec.relay_of in seen_relays:
                     raise _broken(nid, f"second relay for {rec.relay_of}")
                 seen_relays.add(rec.relay_of)
-                if rec.stage is not HandshakeStage.ACCESSED:
+                if rec.stage is not STAGE_ACCESSED:
                     raise _broken(nid, f"relays in stage {rec.stage.name}")
                 if rec.via_relay:
                     raise _broken(nid, "relays while itself relayed")
@@ -449,7 +477,7 @@ class BsState:
                                        "which does not name it")
             if rec.relayed_by is not None:
                 relay = registry.get(rec.relayed_by)
-                if relay is None or relay.stage is not HandshakeStage.ACCESSED:
+                if relay is None or relay.stage is not STAGE_ACCESSED:
                     raise _broken(nid, f"relayed by {rec.relayed_by}, "
                                        "which is not accessed")
                 if relay.relay_of != nid:

@@ -26,6 +26,11 @@ class ConfigError(ValueError):
     """Invalid configuration file or parameter combination."""
 
 
+# most periods (sonar pings, movement intervals) one run may span: the
+# range of the 32-bit frame_seq
+_MAX_PERIODS = MAX_FRAME_SEQ + 1
+
+
 @dataclass(frozen=True)
 class SimConfig:
     # deployment
@@ -144,6 +149,20 @@ class SimConfig:
         need(frames <= MAX_FRAME_SEQ,
              f"t_max_s {c.t_max_s} spans {frames:.0f} superframes, more "
              f"than the 32-bit frame_seq counts")
+        # sonar pings come once a period from t = 0, whatever the frame
+        # offset.  Movement intervals are uniform on [move_duration_min_s,
+        # move_duration_max_s], so bounding by the maximum keeps their
+        # expected count per node within about twice this quotient.  Both
+        # stay within 2**32, so event times keep advancing and the run
+        # ends; ceil(x) <= 2**32 exactly when x <= 2**32.
+        pings = c.t_max_s / c.superframe_period_s
+        need(pings <= _MAX_PERIODS,
+             f"t_max_s {c.t_max_s} spans {pings:.4g} sonar pings of "
+             f"superframe_period_s {c.superframe_period_s}, more than 2**32")
+        moves = c.t_max_s / c.move_duration_max_s
+        need(moves <= _MAX_PERIODS,
+             f"t_max_s {c.t_max_s} spans {moves:.4g} movement intervals of "
+             f"move_duration_max_s {c.move_duration_max_s}, more than 2**32")
 
     # -- derived parameter bundles -----------------------------------------
 

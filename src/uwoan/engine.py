@@ -21,11 +21,12 @@ from heapq import heappop, heappush
 from random import Random
 
 from . import node as uwn
-from .base_station import MAX_NETWORK_ID, BsState, HandshakeStage
+from .base_station import MAX_NETWORK_ID, STAGE_ACCESSED, STAGE_FAILED, BsState
 from .channel import optical_received_power
 from .config import ConfigError, SimConfig
 from .frame import FrameIndex, decode, encode
 from .geometry import Bearing, Position, angle_between, unit_vector
+from .node import NODE_ACCESSED, NODE_CONFLICT_MOVING, NODE_DORMANT
 from .report import NodeOutcome, SimReport, TopologyEdge
 from .world import World, deploy
 
@@ -121,7 +122,7 @@ class Simulation:
         reach = self.cfg.acoustic_range_m
         speed = self.profile.sound_speed
         for i, _pos in snapshot:
-            if self.nodes[i].lifecycle is uwn.Lifecycle.DORMANT:
+            if self.nodes[i].lifecycle is NODE_DORMANT:
                 d = self.world.bs_distance_of(i, t)
                 if d <= reach:
                     delay = d / speed
@@ -140,14 +141,14 @@ class Simulation:
         the next ping, so an unaccessed node left over can match nothing.
         """
         for rec in self.bs.registry.values():
-            if rec.stage is not HandshakeStage.FAILED \
-                    and rec.stage is not HandshakeStage.ACCESSED:
+            if rec.stage is not STAGE_FAILED \
+                    and rec.stage is not STAGE_ACCESSED:
                 return False
         reach = self.cfg.acoustic_range_m
         for i, state in enumerate(self.nodes):
             if self.world.bodies[i].v_down != 0.0:
                 return False
-            if state.lifecycle is uwn.Lifecycle.ACCESSED:
+            if state.lifecycle is NODE_ACCESSED:
                 continue
             if self.world.bs_distance_of(i, 0.0) > reach:
                 continue
@@ -256,18 +257,20 @@ class Simulation:
 
     def _emit(self, src: int, emission: uwn.Emission, t: float) -> None:
         src_pos = self.world.position_of(src, t)
-        self._try_deliver(src, emission, src_pos, "bs", self.world.bs_position,
-                          None, math.pi / 2, t)
+        beam_dir = unit_vector(emission.bearing)  # one per beam, not receiver
+        self._try_deliver(src, emission, beam_dir, src_pos, "bs",
+                          self.world.bs_position, None, math.pi / 2, t)
         for j in self._duty_nodes:
             if j != src:
-                self._try_deliver(src, emission, src_pos, j,
+                self._try_deliver(src, emission, beam_dir, src_pos, j,
                                   self.world.position_of(j, t),
                                   self.nodes[j].relay_duty.receiver_bearing,
                                   self.budget.rx_fov_half_angle, t)
 
     def _try_deliver(self, src: int, emission: uwn.Emission,
-                     src_pos: Position, receiver, rx_pos: Position,
-                     rx_bearing: Bearing | None, fov: float, t: float) -> None:
+                     beam_dir: tuple[float, float, float], src_pos: Position,
+                     receiver, rx_pos: Position, rx_bearing: Bearing | None,
+                     fov: float, t: float) -> None:
         # geometry and link outcome are pure in the inputs below; identical
         # repeats (retries while nothing moved) hit the cache
         key = (src, receiver)
@@ -277,8 +280,8 @@ class Simulation:
                 and hit[2] == beam and hit[3] == rx_bearing:
             power = hit[4]
         else:
-            power = self._delivery_power(src_pos, beam, rx_pos, rx_bearing,
-                                         fov)
+            power = self._delivery_power(src_pos, beam_dir, rx_pos,
+                                         rx_bearing, fov)
             self._deliver_cache[key] = (src_pos, rx_pos, beam, rx_bearing,
                                         power)
         if power is None:
@@ -286,14 +289,15 @@ class Simulation:
         self._push(t, OPTICAL_ARRIVAL, receiver,
                    (src, emission.claimed_id, emission.relayed, power))
 
-    def _delivery_power(self, src_pos: Position, beam: Bearing,
+    def _delivery_power(self, src_pos: Position,
+                        beam_dir: tuple[float, float, float],
                         rx_pos: Position, rx_bearing: Bearing | None,
                         fov: float) -> float | None:
         disp = (rx_pos.east - src_pos.east, rx_pos.north - src_pos.north,
                 rx_pos.depth - src_pos.depth)
         if disp == (0.0, 0.0, 0.0):
             return None
-        if angle_between(unit_vector(beam), disp) \
+        if angle_between(beam_dir, disp) \
                 > self.budget.divergence_half_angle:
             return None  # receiver outside the beam cone
         # no receiver bearing: the base station, looking straight down
@@ -360,7 +364,7 @@ class Simulation:
         counts = {"accessed": 0, "failed": 0, "dormant": 0, "unresolved": 0}
         n_via = 0
         for i, state in enumerate(self.nodes):
-            if state.lifecycle is uwn.Lifecycle.CONFLICT_MOVING \
+            if state.lifecycle is NODE_CONFLICT_MOVING \
                     and state.conflict_entered_at is not None:
                 state.total_conflict_time += t_max - state.conflict_entered_at
                 state.conflict_entered_at = None
@@ -368,7 +372,7 @@ class Simulation:
             nid = None if rec is None else rec.network_id
             via = False
             relay_name = None
-            if state.lifecycle is uwn.Lifecycle.ACCESSED:
+            if state.lifecycle is NODE_ACCESSED:
                 outcome = "accessed"
                 if rec is not None and rec.via_relay and rec.relayed_by is not None:
                     via = True
@@ -378,9 +382,9 @@ class Simulation:
                     edges.append(TopologyEdge(f"u{i}", relay_name, 2))
                 else:
                     edges.append(TopologyEdge(f"u{i}", "bs", 1))
-            elif rec is not None and rec.stage is HandshakeStage.FAILED:
+            elif rec is not None and rec.stage is STAGE_FAILED:
                 outcome = "failed"
-            elif state.lifecycle is uwn.Lifecycle.DORMANT:
+            elif state.lifecycle is NODE_DORMANT:
                 outcome = "dormant"
             else:
                 outcome = "unresolved"

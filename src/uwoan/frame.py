@@ -30,6 +30,13 @@ __all__ = [
     "FrameError",
     "SlotStage",
     "MovementMarker",
+    "SLOT_ASSIGN",
+    "SLOT_CONFIRM",
+    "SLOT_RELAY_RX",
+    "SLOT_RELAY_TX",
+    "MARKER_NONE",
+    "MARKER_DIVING",
+    "MARKER_RISING",
     "SlotPayload",
     "SuperFrame",
     "FrameIndex",
@@ -64,6 +71,18 @@ class MovementMarker(IntEnum):
     NONE = 0
     DIVING = 1
     RISING = 2
+
+
+# members bound once: on Python 3.10 and 3.11 every `SlotStage.X` or
+# `MovementMarker.X` read goes through EnumType.__getattr__, about ten
+# times the cost of a global
+SLOT_ASSIGN = SlotStage.ASSIGN
+SLOT_CONFIRM = SlotStage.CONFIRM
+SLOT_RELAY_RX = SlotStage.RELAY_RX
+SLOT_RELAY_TX = SlotStage.RELAY_TX
+MARKER_NONE = MovementMarker.NONE
+MARKER_DIVING = MovementMarker.DIVING
+MARKER_RISING = MovementMarker.RISING
 
 
 @dataclass(slots=True)
@@ -105,7 +124,7 @@ class SlotPayload:
                 f"movement_marker {self.movement_marker} outside 0..2")
         if self.reset_bit != 0 and self.reset_bit != 1:
             raise FrameError(f"reset_bit {self.reset_bit} not a bit")
-        if self.stage >= SlotStage.RELAY_RX:
+        if self.stage >= SLOT_RELAY_RX:
             if self.partner_id == 0:
                 raise FrameError(
                     f"relay slot {self.network_id} without a partner_id")
@@ -141,7 +160,7 @@ class SuperFrame:
                 raise FrameError(f"duplicate network_id {slot.network_id}")
             ids.add(slot.network_id)
         for slot in self.slots:
-            if slot.stage in (SlotStage.RELAY_RX, SlotStage.RELAY_TX) \
+            if slot.stage in (SLOT_RELAY_RX, SLOT_RELAY_TX) \
                     and slot.partner_id not in ids:
                 raise FrameError(
                     f"relay slot {slot.network_id} names absent partner "
@@ -286,5 +305,5 @@ class FrameIndex:
         self.assign_by_code: dict[int, list[SlotPayload]] = {}
         for slot in frame.slots:
             self.by_id[slot.network_id] = slot
-            if slot.stage == SlotStage.ASSIGN:
+            if slot.stage == SLOT_ASSIGN:
                 self.assign_by_code.setdefault(slot.depth_code, []).append(slot)

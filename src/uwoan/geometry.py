@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "GeometryError",
@@ -38,48 +40,71 @@ class GeometryError(ValueError):
     """Degenerate or out-of-domain geometric input."""
 
 
-@dataclass(frozen=True)
-class Position:
-    """A point in the east/north/depth frame, meters. Depth grows downward."""
+# the value types below are tuples: construction and == run in C, and the
+# validating subclasses build their instance with one tuple.__new__ call
+_tuple_new = tuple.__new__
 
+
+class _PositionFields(NamedTuple):
     east: float
     north: float
     depth: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.east) and math.isfinite(self.north)
-                and math.isfinite(self.depth)):
+
+class Position(_PositionFields):
+    """A point in the east/north/depth frame, meters. Depth grows downward.
+
+    An immutable tuple of (east, north, depth), validated on construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, east: float, north: float, depth: float) -> Position:
+        if not (isfinite(east) and isfinite(north) and isfinite(depth)):
             raise GeometryError(
-                f"non-finite position ({self.east}, {self.north}, {self.depth})")
-        if self.depth < 0.0:
-            raise GeometryError(f"negative depth {self.depth}")
+                f"non-finite position ({east}, {north}, {depth})")
+        if depth < 0.0:
+            raise GeometryError(f"negative depth {depth}")
+        return _tuple_new(cls, (east, north, depth))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> Position:
+        return cls(*iterable)  # so _replace validates too
 
 
-@dataclass(frozen=True)
-class Bearing:
+class _BearingFields(NamedTuple):
+    azimuth: float
+    elevation: float
+
+
+class Bearing(_BearingFields):
     """An emission/reception direction: azimuth and elevation in degrees.
 
     Azimuth is measured clockwise from geomagnetic north in [0, 360);
     elevation in [-90, +90], positive toward the surface.  Vertical
-    bearings (elevation +-90) carry the canonical azimuth 0.
+    bearings (elevation +-90) carry the canonical azimuth 0.  An
+    immutable tuple of (azimuth, elevation), validated on construction.
     """
 
-    azimuth: float
-    elevation: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.azimuth) and math.isfinite(self.elevation)):
+    def __new__(cls, azimuth: float, elevation: float) -> Bearing:
+        if not (isfinite(azimuth) and isfinite(elevation)):
             raise GeometryError("non-finite bearing")
-        if not 0.0 <= self.azimuth < 360.0:
-            raise GeometryError(f"azimuth {self.azimuth} outside [0, 360)")
-        if not -90.0 <= self.elevation <= 90.0:
-            raise GeometryError(f"elevation {self.elevation} outside [-90, 90]")
-        if abs(self.elevation) == 90.0 and self.azimuth != 0.0:
-            object.__setattr__(self, "azimuth", 0.0)
+        if not 0.0 <= azimuth < 360.0:
+            raise GeometryError(f"azimuth {azimuth} outside [0, 360)")
+        if not -90.0 <= elevation <= 90.0:
+            raise GeometryError(f"elevation {elevation} outside [-90, 90]")
+        if abs(elevation) == 90.0 and azimuth != 0.0:
+            azimuth = 0.0
+        return _tuple_new(cls, (azimuth, elevation))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> Bearing:
+        return cls(*iterable)  # so _replace validates too
 
 
-@dataclass(frozen=True)
-class DepthCode:
+class DepthCode(NamedTuple):
     """Quantized depth: bucket index plus the sounder resolution there."""
 
     bucket: int

@@ -14,12 +14,31 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
+from typing import NamedTuple
 
-from .frame import FrameIndex, MovementMarker, SlotPayload, SlotStage, SuperFrame
+from .frame import (
+    MARKER_DIVING,
+    MARKER_NONE,
+    MARKER_RISING,
+    SLOT_ASSIGN,
+    SLOT_CONFIRM,
+    SLOT_RELAY_RX,
+    SLOT_RELAY_TX,
+    FrameIndex,
+    MovementMarker,
+    SlotPayload,
+    SuperFrame,
+)
 from .geometry import Bearing, DepthModel
 
 __all__ = [
     "Lifecycle",
+    "NODE_DORMANT",
+    "NODE_ACTIVATED",
+    "NODE_MATCHING",
+    "NODE_CONFLICT_MOVING",
+    "NODE_EMITTING",
+    "NODE_ACCESSED",
     "UwnParams",
     "RelayDuty",
     "Emission",
@@ -44,6 +63,17 @@ class Lifecycle(Enum):
     ACCESSED = "accessed"
 
 
+# Lifecycle members bound once: on Python 3.10 and 3.11 every
+# `Lifecycle.X` read goes through EnumType.__getattr__, about ten times
+# the cost of a global, and the handlers below run per node and per frame
+NODE_DORMANT = Lifecycle.DORMANT
+NODE_ACTIVATED = Lifecycle.ACTIVATED
+NODE_MATCHING = Lifecycle.MATCHING
+NODE_CONFLICT_MOVING = Lifecycle.CONFLICT_MOVING
+NODE_EMITTING = Lifecycle.EMITTING
+NODE_ACCESSED = Lifecycle.ACCESSED
+
+
 @dataclass(frozen=True)
 class UwnParams:
     """Movement and matching knobs of the node state machine."""
@@ -58,14 +88,12 @@ class UwnParams:
     region_depth: float = 200.0
 
 
-@dataclass(frozen=True)
-class RelayDuty:
+class RelayDuty(NamedTuple):
     partner_id: int
     receiver_bearing: Bearing
 
 
-@dataclass(frozen=True)
-class Emission:
+class Emission(NamedTuple):
     """An optical beam leaving a node: direction, claimed ID, relay flag."""
 
     bearing: Bearing
@@ -111,16 +139,16 @@ def slot_bearing(slot: SlotPayload) -> Bearing:
 
 def on_trigger(state: UwnState) -> None:
     """Wake a dormant node; idempotent in every other lifecycle."""
-    if state.lifecycle is Lifecycle.DORMANT:
-        state.lifecycle = Lifecycle.ACTIVATED
+    if state.lifecycle is NODE_DORMANT:
+        state.lifecycle = NODE_ACTIVATED
 
 
 def _own_marker(state: UwnState) -> MovementMarker:
     if state.vertical_velocity > 0.0:
-        return MovementMarker.DIVING
+        return MARKER_DIVING
     if state.vertical_velocity < 0.0:
-        return MovementMarker.RISING
-    return MovementMarker.NONE
+        return MARKER_RISING
+    return MARKER_NONE
 
 
 def draw_movement(rng: Random, params: UwnParams, depth: float,
@@ -168,20 +196,20 @@ def _start_movement(state: UwnState, params: UwnParams, rng: Random,
 def _bind(state: UwnState, slot: SlotPayload, now: float) -> Emission:
     state.matched_id = slot.network_id
     state.emission_bearing = slot_bearing(slot)
-    if state.lifecycle is Lifecycle.CONFLICT_MOVING:
+    if state.lifecycle is NODE_CONFLICT_MOVING:
         state.total_conflict_time += now - state.conflict_entered_at
         state.conflict_entered_at = None
         if state.vertical_velocity != 0.0:
             state.vertical_velocity = 0.0
             state.movement_deadline = None
             state.movement_epoch += 1
-    state.lifecycle = Lifecycle.EMITTING
+    state.lifecycle = NODE_EMITTING
     return Emission(state.emission_bearing, state.matched_id)
 
 
 def on_access(state: UwnState, now: float, params: UwnParams) -> None:
     """Confirmation received: mark accessed and head back to the original depth."""
-    state.lifecycle = Lifecycle.ACCESSED
+    state.lifecycle = NODE_ACCESSED
     state.access_time = now
     displacement = state.own_depth - state.original_depth
     if abs(displacement) > params.return_tolerance:
@@ -200,7 +228,7 @@ def on_movement_expiry(state: UwnState, params: UwnParams, rng: Random,
     A still-conflicted node draws a fresh speed and interval but keeps its
     heading; only a reset command (or a region boundary) turns it around.
     """
-    if state.lifecycle is Lifecycle.CONFLICT_MOVING:
+    if state.lifecycle is NODE_CONFLICT_MOVING:
         _start_movement(state, params, rng, now,
                         keep_direction=state.vertical_velocity)
     elif state.vertical_velocity != 0.0:
@@ -213,26 +241,26 @@ def match_frame_indexed(state: UwnState, index: FrameIndex, model: DepthModel,
                         params: UwnParams, rng: Random,
                         now: float) -> list[Emission]:
     """Process one decoded superframe; returns the beams to emit."""
-    if state.lifecycle is Lifecycle.DORMANT:
+    if state.lifecycle is NODE_DORMANT:
         return []
-    if state.lifecycle is Lifecycle.ACTIVATED:
-        state.lifecycle = Lifecycle.MATCHING
+    if state.lifecycle is NODE_ACTIVATED:
+        state.lifecycle = NODE_MATCHING
 
     if state.matched_id is not None:
         slot = index.by_id.get(state.matched_id)
         if slot is None:
             return []
-        if state.lifecycle is Lifecycle.EMITTING:
-            if slot.stage is SlotStage.CONFIRM:
+        if state.lifecycle is NODE_EMITTING:
+            if slot.stage is SLOT_CONFIRM:
                 on_access(state, now, params)
                 return []
-            if slot.stage in (SlotStage.ASSIGN, SlotStage.RELAY_TX):
+            if slot.stage in (SLOT_ASSIGN, SLOT_RELAY_TX):
                 # refreshed angles; RELAY_TX retargets the beam at the relay
                 state.emission_bearing = slot_bearing(slot)
                 return [Emission(state.emission_bearing, state.matched_id)]
             return []
-        if state.lifecycle is Lifecycle.ACCESSED \
-                and slot.stage is SlotStage.RELAY_RX:
+        if state.lifecycle is NODE_ACCESSED \
+                and slot.stage is SLOT_RELAY_RX:
             state.relay_duty = RelayDuty(slot.partner_id, slot_bearing(slot))
         return []
 
@@ -251,8 +279,8 @@ def match_frame_indexed(state: UwnState, index: FrameIndex, model: DepthModel,
     if len(candidates) == 1 and not candidates[0].conflict_flag:
         return [_bind(state, candidates[0], now)]
     # ambiguous or explicitly conflicted: keep (or start, or resume) moving
-    if state.lifecycle is not Lifecycle.CONFLICT_MOVING:
-        state.lifecycle = Lifecycle.CONFLICT_MOVING
+    if state.lifecycle is not NODE_CONFLICT_MOVING:
+        state.lifecycle = NODE_CONFLICT_MOVING
         state.conflict_entered_at = now
         _start_movement(state, params, rng, now)
     elif state.vertical_velocity == 0.0:
@@ -278,7 +306,7 @@ def forward_beam(state: UwnState, claimed_id: int) -> Emission | None:
     The caller is responsible for receiver field-of-view and link
     feasibility checks; this only enforces the relay binding.
     """
-    if state.lifecycle is not Lifecycle.ACCESSED or state.relay_duty is None:
+    if state.lifecycle is not NODE_ACCESSED or state.relay_duty is None:
         return None
     if claimed_id != state.relay_duty.partner_id:
         return None

@@ -51,6 +51,10 @@ class TestExitCodes:
         ("depth_resolution_surface_m = 0.001\n"
          "depth_resolution_gradient = 0\n", "depth code 200000"),
         ("t_max_s = inf\n", "t_max_s must be finite"),
+        ("superframe_period_s = 1e-300\nt_max_s = 1e-9\n"
+         "first_superframe_offset_s = 1e6\nn_uwn = 5\n", "sonar pings"),
+        ("move_duration_min_s = 1e-9\nmove_duration_max_s = 1e-9\n",
+         "move_duration_max_s"),
     ])
     def test_unrepresentable_config_exits_2_before_running(
             self, tmp_path, capsys, text, needle):

@@ -5,7 +5,9 @@ from dataclasses import fields
 import pytest
 
 from uwoan.config import ConfigError, SimConfig, load_config, parse_config
-from uwoan.engine import run
+from uwoan.engine import Simulation, run
+from uwoan.geometry import Position
+from uwoan.world import World
 
 
 class TestDefaults:
@@ -103,6 +105,16 @@ class TestValidation:
         (dict(t_max_s=1e10), "frame_seq"),
         (dict(region_east_m=1e300), "squared diagonal"),
         (dict(region_north_m=1e154, region_depth_m=1e154), "squared diagonal"),
+        # pings come once a period from t = 0, even with no frame before
+        # t_max_s, so the frame bound alone admitted this
+        (dict(superframe_period_s=1e-300, t_max_s=1e-9,
+              first_superframe_offset_s=1e6, n_uwn=5), "sonar pings"),
+        (dict(t_max_s=2.0**32 + 1.0, first_superframe_offset_s=2.0),
+         "sonar pings"),
+        (dict(move_duration_min_s=1e-9, move_duration_max_s=1e-9),
+         "move_duration_max_s"),
+        (dict(move_duration_min_s=1e-300, move_duration_max_s=1e-300),
+         "move_duration_max_s"),
     ])
     def test_rejects(self, kwargs, needle):
         with pytest.raises(ConfigError, match=needle):
@@ -113,6 +125,25 @@ class TestValidation:
         SimConfig(depth_resolution_surface_m=0.0125,
                   depth_resolution_gradient=0.0)
         SimConfig(t_max_s=2.0**32 - 1 + 0.1)
+
+    def test_movement_limit_is_inclusive(self):
+        # 50 / 2**32 is exact, so t_max_s spans exactly 2**32 intervals
+        SimConfig(move_duration_min_s=1e-9, move_duration_max_s=50.0 / 2**32)
+        with pytest.raises(ConfigError, match="move_duration_max_s"):
+            SimConfig(move_duration_min_s=1e-9,
+                      move_duration_max_s=math.nextafter(50.0 / 2**32, 0.0))
+
+    def test_tiny_minimum_duration_still_runs(self):
+        # durations are uniform on [min, max]: only the maximum is bounded
+        cfg = SimConfig(move_duration_min_s=1e-9, n_uwn=20, t_max_s=20.0)
+        rng = random.Random(3)
+        positions = [Position(rng.uniform(60.0, 140.0),
+                              rng.uniform(60.0, 140.0), 100.0)
+                     for _ in range(cfg.n_uwn)]
+        world = World(cfg.bs_position(), positions, (200.0, 200.0, 200.0))
+        rep = Simulation(cfg, seed=3, world=world).run()
+        assert rep.n_accessed + rep.n_failed + rep.n_dormant \
+            + rep.n_unresolved == 20
 
     def test_stationary_draw_allowed(self):
         # v_min = 0 models nodes that may hold station during a draw

@@ -426,6 +426,40 @@ class TestReceiverFieldOfView:
         assert len(delivered_misaligned) == 0
 
 
+class TestBeamVector:
+    def test_one_beam_unit_vector_per_emission(self, monkeypatch):
+        # the beam direction is the same for every receiver of an emission,
+        # so _emit computes it once; receiver boresights are separate calls
+        import uwoan.engine as engine_module
+
+        real_unit_vector = engine_module.unit_vector
+        calls = []
+
+        def counting_unit_vector(bearing):
+            calls.append(bearing)
+            return real_unit_vector(bearing)
+
+        per_emission = []  # (beam vector calls, receivers offered)
+        real_emit = Simulation._emit
+
+        def counting_emit(self, src, emission, t):
+            before = len(calls)
+            receivers = 1 + sum(j != src for j in self._duty_nodes)
+            real_emit(self, src, emission, t)
+            beam_calls = sum(b is emission.bearing for b in calls[before:])
+            per_emission.append((beam_calls, receivers))
+
+        monkeypatch.setattr(engine_module, "unit_vector", counting_unit_vector)
+        monkeypatch.setattr(Simulation, "_emit", counting_emit)
+        # drifting nodes move every period, so every delivery check misses
+        # the cache and reaches the beam-cone test
+        cfg = SimConfig(c0=0.151, current_east_mps=0.02)
+        for seed in range(3):
+            run(cfg, seed=seed)
+        assert {beam_calls for beam_calls, _ in per_emission} == {1}
+        assert any(receivers > 1 for _, receivers in per_emission)
+
+
 class TestConflictExcursionBound:
     def test_excursion_bounded_by_vmax_times_conflict_time(self):
         from uwoan.node import Lifecycle
