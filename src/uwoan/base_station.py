@@ -18,6 +18,7 @@ from .frame import (
     MARKER_DIVING,
     MARKER_NONE,
     MARKER_RISING,
+    MAX_NETWORK_ID,
     SLOT_ASSIGN,
     SLOT_CONFIRM,
     SLOT_RELAY_RX,
@@ -53,8 +54,6 @@ __all__ = [
     "nearest_eligible_relay",
     "MAX_NETWORK_ID",
 ]
-
-MAX_NETWORK_ID = 1023
 
 
 class HandshakeStage(Enum):

@@ -147,7 +147,7 @@ class SimConfig:
         frames = (c.t_max_s - c.first_superframe_offset_s) \
             / c.superframe_period_s
         need(frames <= MAX_FRAME_SEQ,
-             f"t_max_s {c.t_max_s} spans {frames:.0f} superframes, more "
+             f"t_max_s {c.t_max_s} spans {frames:.4g} superframes, more "
              f"than the 32-bit frame_seq counts")
         # sonar pings come once a period from t = 0, whatever the frame
         # offset.  Movement intervals are uniform on [move_duration_min_s,

@@ -24,7 +24,8 @@ from . import node as uwn
 from .base_station import MAX_NETWORK_ID, STAGE_ACCESSED, STAGE_FAILED, BsState
 from .channel import optical_received_power
 from .config import ConfigError, SimConfig
-from .frame import FrameIndex, decode, encode
+# decode is unused here; perfbench/tracing.py and its tests patch it
+from .frame import FrameIndex, decode, encode  # noqa: F401
 from .geometry import Bearing, Position, angle_between, unit_vector
 from .node import NODE_ACCESSED, NODE_CONFLICT_MOVING, NODE_DORMANT
 from .report import NodeOutcome, SimReport, TopologyEdge
@@ -184,9 +185,9 @@ class Simulation:
     def _on_superframe_tx(self, t: float) -> None:
         if self.bs.registry:
             frame = self.bs.compose_superframe(t)
-            payload = encode(frame)
-            # every receiver parses the same bytes, so parse them once here
-            index = FrameIndex(decode(payload))
+            payload = encode(frame)  # validates the frame, sizes the trace
+            # receivers share the composed slots; decode(payload) == frame
+            index = FrameIndex(frame)
             reach = self.cfg.acoustic_range_m
             speed = self.profile.sound_speed
             p_loss = self.cfg.p_frame_loss

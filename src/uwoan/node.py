@@ -240,7 +240,7 @@ def on_movement_expiry(state: UwnState, params: UwnParams, rng: Random,
 def match_frame_indexed(state: UwnState, index: FrameIndex, model: DepthModel,
                         params: UwnParams, rng: Random,
                         now: float) -> list[Emission]:
-    """Process one decoded superframe; returns the beams to emit."""
+    """Match one broadcast frame's shared, read-only slots; return beams."""
     if state.lifecycle is NODE_DORMANT:
         return []
     if state.lifecycle is NODE_ACTIVATED:

@@ -120,6 +120,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match=needle):
             SimConfig(**kwargs)
 
+    def test_superframe_count_message_is_short(self):
+        # the count is printed like the ping and movement counts, not as
+        # the hundreds of digits of an integer-formatted 5e301
+        cfg = SimConfig()
+        frames = (cfg.t_max_s - cfg.first_superframe_offset_s) / 1e-300
+        with pytest.raises(ConfigError, match="frame_seq") as caught:
+            SimConfig(superframe_period_s=1e-300)
+        message = str(caught.value)
+        assert f"spans {frames:.4g} superframes" in message
+        assert len(message) < 200
+
     def test_limits_are_inclusive(self):
         # 200 m at a 0.0125 m resolution is code 16000, within 14 bits
         SimConfig(depth_resolution_surface_m=0.0125,

@@ -1,13 +1,18 @@
+import dataclasses
 import math
+import operator
 import random
 
 import pytest
 
+from uwoan import engine
+from uwoan import node as uwn
 from uwoan.base_station import HandshakeStage
 from uwoan.config import SimConfig
 from uwoan.engine import Simulation, run, simulate, trace
-from uwoan.geometry import Position, distance
-from uwoan.node import Lifecycle
+from uwoan.frame import FrameIndex, SlotPayload, decode
+from uwoan.geometry import Position, bearing_from_to, distance
+from uwoan.node import Lifecycle, RelayDuty
 from uwoan.world import World, generate
 
 
@@ -488,3 +493,222 @@ class TestConflictExcursionBound:
             world = World(cfg.bs_position(), positions, (200.0, 200.0, 200.0))
             ProbedSim(cfg, seed=seed, world=world).run()
         assert violations == []
+
+
+# the paper's three water types (clear, coastal, turbid)
+WATER_TYPES = (0.056, 0.120, 0.151)
+
+# scenario -> (config overrides, co-depth placement); the placement is the
+# criterion-3 geometry scaled up, as in the benchmark's codepth workload
+SCENARIOS = {
+    "static": ({}, False),
+    "drift": ({"current_east_mps": 0.02}, False),
+    "codepth": ({"n_uwn": 20}, True),
+    "sonar_noise": ({"sonar_depth_noise_std_m": 3.0, "p_frame_loss": 0.1},
+                    False),
+}
+
+
+def codepth_world(cfg, seed):
+    """20 nodes at 100 m depth over the central 80 m square."""
+    rng = random.Random(seed)
+    return World(cfg.bs_position(),
+                 [Position(rng.uniform(60.0, 140.0), rng.uniform(60.0, 140.0),
+                           100.0) for _ in range(20)],
+                 (cfg.region_east_m, cfg.region_north_m, cfg.region_depth_m))
+
+
+def scenario_runs():
+    """(config, seed, world) over scenarios x water types x seeds 0-9.
+
+    A run mutates its world, so each one yielded is fresh.
+    """
+    for overrides, placed in SCENARIOS.values():
+        for c0 in WATER_TYPES:
+            cfg = SimConfig(c0=c0, **overrides)
+            for seed in range(10):
+                yield cfg, seed, codepth_world(cfg, seed) if placed else None
+
+
+SLOT_FIELDS = operator.attrgetter(
+    *(f.name for f in dataclasses.fields(SlotPayload)))
+
+
+def recorded_runs(monkeypatch, traced):
+    """Run every scenario with the engine's frame path recorded.
+
+    Yields (result, sent, seen, computed) per run: its SimResult, the
+    (frame, bytes) of every broadcast, every index a receiver matched and
+    how many delivery verdicts were computed.  `decode` raises throughout.
+    """
+    sent, seen, computed = [], {}, []
+    real_encode = engine.encode
+    real_match = uwn.match_frame_indexed
+    real_power = Simulation._delivery_power
+
+    def recording_encode(frame):
+        data = real_encode(frame)
+        sent.append((frame, data))
+        return data
+
+    def recording_match(state, index, *args):
+        seen[id(index)] = index
+        return real_match(state, index, *args)
+
+    def counted_power(self, *args):
+        computed.append(None)
+        return real_power(self, *args)
+
+    def no_decode(data):
+        raise AssertionError("the run loop decoded a frame")
+
+    monkeypatch.setattr(engine, "encode", recording_encode)
+    monkeypatch.setattr(engine, "decode", no_decode)
+    monkeypatch.setattr(uwn, "match_frame_indexed", recording_match)
+    monkeypatch.setattr(Simulation, "_delivery_power", counted_power)
+    for cfg, seed, world in scenario_runs():
+        result = simulate(cfg, seed, world, collect_trace=traced)
+        yield result, sent[:], list(seen.values()), len(computed)
+        sent.clear()
+        seen.clear()
+        computed.clear()
+
+
+@pytest.fixture(scope="module")
+def traced_runs():
+    # shared by the frame and the cache tests: traced runs cost the most
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return list(recorded_runs(monkeypatch, traced=True))
+
+
+class TestComposedFrame:
+    """Receivers match the frame the base station composed; nothing decodes.
+
+    The engine encodes each frame (validation and the trace byte count) and
+    indexes the composed object itself.  For every frame broadcast, the
+    bytes must decode back to it field by field with the same types: node
+    code compares stages and markers by identity, and an IntEnum slot
+    field holding a plain int would still compare equal.  Decoding after
+    the run also catches a receiver that wrote to a shared slot.
+    """
+
+    @staticmethod
+    def check_runs(runs):
+        frames = matches = 0
+        for _, sent, seen, _ in runs:
+            TestComposedFrame.check_broadcasts(sent, seen)
+            frames += len(sent)
+            matches += len(seen)
+        assert frames > 3000 and matches > 3000
+
+    @staticmethod
+    def check_broadcasts(sent, seen):
+        for frame, data in sent:
+            decoded = decode(data)
+            assert decoded == frame, frame.frame_seq
+            for got, composed in zip(decoded.slots, frame.slots):
+                got, composed = SLOT_FIELDS(got), SLOT_FIELDS(composed)
+                assert list(map(type, composed)) == list(map(type, got)), \
+                    composed
+            want, have = FrameIndex(decoded), FrameIndex(frame)
+            assert list(have.by_id.items()) == list(want.by_id.items())
+            assert list(have.assign_by_code.items()) \
+                == list(want.assign_by_code.items())
+        # every receiver was handed an index over the very slots encoded
+        encoded = {id(frame): frame for frame, _ in sent}
+        for index in seen:
+            frame = index.frame
+            assert encoded.get(id(frame)) is frame, frame.frame_seq
+            slot_ids = {id(slot) for slot in frame.slots}
+            indexed = list(index.by_id.values())
+            for group in index.assign_by_code.values():
+                indexed += group
+            assert all(id(slot) in slot_ids for slot in indexed)
+
+    def test_traced_runs(self, traced_runs):
+        self.check_runs(traced_runs)
+
+    def test_untraced_runs(self, monkeypatch):
+        self.check_runs(recorded_runs(monkeypatch, traced=False))
+
+
+class _NeverHits(dict):
+    """A delivery cache that stores every verdict and returns none."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def disable_delivery_cache(monkeypatch):
+    real_init = Simulation.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        self._deliver_cache = _NeverHits()
+
+    monkeypatch.setattr(Simulation, "__init__", init)
+
+
+class TestDeliveryCache:
+    """`_deliver_cache` must give exactly the verdicts of computing afresh."""
+
+    def test_runs_match_uncached_runs(self, traced_runs, monkeypatch):
+        disable_delivery_cache(monkeypatch)
+        computed = plain_computed = 0
+        for (cached, _, _, n), (plain, _, _, n_plain) in zip(
+                traced_runs, recorded_runs(monkeypatch, traced=True)):
+            assert cached == plain  # report and trace
+            computed += n
+            plain_computed += n_plain
+        assert computed < 0.9 * plain_computed  # the cache does hit
+
+    @staticmethod
+    def relay_scene():
+        """Node 0 beams at node 1, an accessed relay looking back at it."""
+        cfg = SimConfig(n_uwn=2, c0=0.056)
+        src = Position(100.0, 60.0, 120.0)
+        relay = Position(100.0, 100.0, 80.0)
+        sim = Simulation(cfg, seed=0, world=World(
+            cfg.bs_position(), [src, relay], (200.0, 200.0, 200.0)))
+        state = sim.nodes[1]
+        state.lifecycle = Lifecycle.ACCESSED
+        state.matched_id = 2
+        state.emission_bearing = bearing_from_to(relay, cfg.bs_position())
+        state.relay_duty = RelayDuty(1, bearing_from_to(relay, src))
+        sim._duty_nodes = [1]
+        return sim, uwn.Emission(bearing_from_to(src, relay), claimed_id=1)
+
+    @staticmethod
+    def change_between_beams(change, sim, beam):
+        """Make the change one clause of the hit test guards against.
+
+        Returns node 0's next beam; every change alters node 1's verdict.
+        """
+        if change == "source moves":
+            sim.world.set_vertical_velocity(0, 0.5, 1.0)
+        elif change == "receiver moves":
+            sim.world.set_vertical_velocity(1, 0.5, 1.0)
+        elif change == "receiver turns":  # to look along the beam, away
+            sim.nodes[1].relay_duty = RelayDuty(1, beam.bearing)
+        elif change == "beam turns":  # toward the base station
+            return beam._replace(bearing=bearing_from_to(
+                sim.world.position_of(0, 2.0), sim.world.bs_position))
+        return beam
+
+    @pytest.mark.parametrize("change", ["source moves", "receiver moves",
+                                        "beam turns", "receiver turns"])
+    def test_each_hit_clause_guards_a_change(self, change, monkeypatch):
+        def relay_deliveries():
+            sim, beam = self.relay_scene()
+            sim._emit(0, beam, 1.0)
+            sim._emit(0, self.change_between_beams(change, sim, beam), 2.0)
+            return [(t, power) for t, _, kind, receiver, (*_, power)
+                    in sorted(sim._heap)
+                    if kind == "OPTICAL_ARRIVAL" and receiver == 1]
+
+        cached = relay_deliveries()
+        disable_delivery_cache(monkeypatch)
+        plain = relay_deliveries()
+        # the first beam lands, and the second verdict differs from it
+        assert plain[0][0] == 1.0 and plain[1:] != [(2.0, plain[0][1])]
+        assert cached == plain
