@@ -336,10 +336,13 @@ class BsState:
             stage = rec.stage
             if stage is STAGE_FAILED:
                 continue
-            if rec.bs_angles is None:
-                rec.bs_angles = _slot_angles(rec.sonar_position, bs_pos)
+            # read once, so a cache that keeps nothing still gives angles
+            bs_angles = rec.bs_angles
+            if bs_angles is None:
+                bs_angles = rec.bs_angles = _slot_angles(rec.sonar_position,
+                                                         bs_pos)
             if stage in _DEPTH_MATCHABLE:
-                az, el = rec.bs_angles
+                az, el = bs_angles
                 slots.append(SlotPayload(
                     rec.network_id, rec.depth_code.bucket, az, el,
                     SLOT_ASSIGN, rec.conflict_flag,
@@ -347,7 +350,7 @@ class BsState:
                 if stage is STAGE_ASSIGNED:
                     rec.stage = STAGE_AWAITING_BEAM
             elif stage is STAGE_CONFIRMING:
-                az, el = rec.bs_angles
+                az, el = bs_angles
                 slots.append(SlotPayload(
                     rec.network_id, rec.depth_code.bucket, az, el,
                     SLOT_CONFIRM))
@@ -362,7 +365,7 @@ class BsState:
                         rec.network_id, rec.depth_code.bucket, az, el,
                         SLOT_RELAY_RX, partner_id=partner.network_id))
                 else:
-                    az, el = rec.bs_angles
+                    az, el = bs_angles
                     slots.append(SlotPayload(
                         rec.network_id, rec.depth_code.bucket, az, el,
                         SLOT_CONFIRM))

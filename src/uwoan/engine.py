@@ -84,14 +84,19 @@ class Simulation:
         self._next_tx = config.first_superframe_offset_s
         # once the network settles, the only observable tail activity is the
         # repeated per-frame delivery delays, which can be replayed exactly;
-        # anything that makes the tail non-repetitive disables the shortcut
+        # anything that makes the tail non-repetitive disables the shortcut.
+        # A drifting node may come into reach later, so a drifting world
+        # qualifies only when no position in its region box is out of reach
         self._may_fast_forward = (
             not collect_trace
-            and not self.world.drifting
             and config.p_frame_loss == 0.0
             and (config.first_superframe_offset_s
                  + config.acoustic_range_m / self.profile.sound_speed
-                 < config.superframe_period_s))
+                 < config.superframe_period_s)
+            and (not self.world.drifting
+                 or _box_in_reach(self.world, config.acoustic_range_m)))
+        # the ping time at which the settled tail was replayed, if it was
+        self.settled_at: float | None = None
         self._finished = False
 
     # -- plumbing ------------------------------------------------------------
@@ -115,7 +120,8 @@ class Simulation:
         if self.trace_lines is not None:
             self._trace(t, SONAR_PING, "bs",
                         f"detected={len(detections)} new={len(new_ids)}")
-        if self._may_fast_forward and self._quiescent():
+        if self._may_fast_forward and self._quiescent(t):
+            self.settled_at = t
             self._fast_forward_tail()
             self._heap.clear()  # nothing left can change the report
             return
@@ -132,14 +138,17 @@ class Simulation:
         self._push(t, TIMEOUT_CHECK)
         self._push(t + self.cfg.superframe_period_s, SONAR_PING)
 
-    def _quiescent(self) -> bool:
+    def _quiescent(self, t: float) -> bool:
         """True once no future event can change anything but delay tallies.
 
         Every record must be terminal (accessed or failed), every node
-        settled with zero vertical velocity, and every acoustically
-        reachable node already registered.  Terminal records put only
+        settled with zero vertical velocity, and every node in reach at
+        ping time `t` already registered.  Terminal records put only
         CONFIRM and RELAY_RX slots in a frame, and every frame lands before
         the next ping, so an unaccessed node left over can match nothing.
+        A static node's reach never changes, and a drifting world passes
+        the gate only if every node stays in reach, so none can come into
+        reach later and be registered.
         """
         for rec in self.bs.registry.values():
             if rec.stage is not STAGE_FAILED \
@@ -151,7 +160,7 @@ class Simulation:
                 return False
             if state.lifecycle is NODE_ACCESSED:
                 continue
-            if self.world.bs_distance_of(i, 0.0) > reach:
+            if self.world.bs_distance_of(i, t) > reach:
                 continue
             # registered nodes need no stage check: CONFIRMs land before a ping
             if self.bs.record_for_track(i) is None:
@@ -159,23 +168,62 @@ class Simulation:
         return True
 
     def _fast_forward_tail(self) -> None:
-        """Replay the settled tail's delivery delays in exact loop order."""
+        """Replay the settled tail's delivery delays in exact loop order.
+
+        The tail is inert.  Terminal records send only CONFIRM and
+        RELAY_RX slots.  A CONFIRM finds every node bound to its ID
+        accessed already.  A RELAY_RX re-sets
+        `relay_duty.receiver_bearing`, but no node emits a beam in the
+        tail, so no bearing is ever read.  Sonar re-scans move
+        `sonar_position` and clear `bs_angles`, which changes slot angles
+        but never a terminal stage.  Misdetection and depth-noise draws
+        consume the random stream, but nothing reads it afterwards.
+
+        What the report sees of the tail is `_delay_sum`, which the run
+        loop adds to as the heap pops each frame's arrivals.  So this walks
+        the transmit times as the loop builds them (from `_next_tx`, then
+        `t += period`) and sums each frame's `bs_distance_of(i, t) /
+        speed` in the heap's `(t + delay, i)` order, stopping at `t_max`
+        as SIM_END does.  Sorted by `(delay, i)`, the delays come out in
+        that order unless two of them, with descending node indices, round
+        to one arrival time; such a frame is re-sorted by its arrival
+        times.  A static world computes its delays once; a drifting world
+        recomputes them every frame, so wall clamping is replayed by
+        `World._coords`.
+        """
         if not self.bs.registry:
             return
+        world = self.world
         reach = self.cfg.acoustic_range_m
         speed = self.profile.sound_speed
-        distances = [self.world.bs_distance_of(i, 0.0)
-                     for i in range(self.world.n)]
-        deliveries = sorted(d / speed for d in distances if d <= reach)
         t = self._next_tx
         t_max = self.cfg.t_max_s
         period = self.cfg.superframe_period_s
+        # no arrival lands later than this; one ulp of it is the widest
+        # gap two delays can have and still round to one arrival time
+        tie_gap = math.ulp(t_max + reach / speed)
+        total, count = self._delay_sum, self._delay_count
+        delays: list[tuple[float, int]] | None = None
         while t < t_max:
-            for delay in deliveries:
-                if t + delay < t_max:  # the loop stops at SIM_END too
-                    self._delay_sum += delay
-                    self._delay_count += 1
+            if delays is None or world.drifting:
+                delays = []
+                for i in range(world.n):
+                    d = world.bs_distance_of(i, t)
+                    if d <= reach:
+                        delays.append((d / speed, i))
+                delays.sort()
+                may_tie = any(
+                    later[0] - first[0] <= tie_gap and first[1] > later[1]
+                    for first, later in zip(delays, delays[1:]))
+            frame = sorted(delays, key=lambda e: (t + e[0], e[1])) \
+                if may_tie else delays
+            for delay, _ in frame:
+                if t + delay >= t_max:  # the loop stops at SIM_END too
+                    break
+                total += delay
+                count += 1
             t += period
+        self._delay_sum, self._delay_count = total, count
 
     def _on_timeout_check(self, t: float) -> None:
         self.bs.handle_timeouts(t)
@@ -418,6 +466,21 @@ class Simulation:
             nodes=tuple(outcomes),
             edges=tuple(edges),
             config=self.cfg.to_dict())
+
+
+def _box_in_reach(world: World, reach: float) -> bool:
+    """True when no position in the region box is beyond `reach` of the BS.
+
+    Positions clip to the box, so the farthest corner bounds every node's
+    base-station distance.  The corner's distance keeps the operand order
+    of `World.bs_distance_of`; `** 2` goes through the C library's `pow`,
+    which need not round exactly, and the relative margin covers that.
+    """
+    bs = world.bs_position
+    east, north, depth = (
+        max((0.0 - b) ** 2, (limit - b) ** 2)
+        for b, limit in zip((bs.east, bs.north, bs.depth), world.region))
+    return math.sqrt(east + north + depth) * (1.0 + 1e-12) <= reach
 
 
 def simulate(config: SimConfig, seed: int | None = None,

@@ -124,6 +124,15 @@ class SlotPayload:
                 f"movement_marker {self.movement_marker} outside 0..2")
         if self.reset_bit != 0 and self.reset_bit != 1:
             raise FrameError(f"reset_bit {self.reset_bit} not a bit")
+        # receivers compare these by identity, so an equal int would never
+        # match; decode always yields members
+        if type(self.stage) is not SlotStage:
+            raise FrameError(f"slot {self.network_id} stage {self.stage!r} "
+                             f"is not a SlotStage member")
+        if type(self.movement_marker) is not MovementMarker:
+            raise FrameError(
+                f"slot {self.network_id} movement_marker "
+                f"{self.movement_marker!r} is not a MovementMarker member")
         if self.stage >= SLOT_RELAY_RX:
             if self.partner_id == 0:
                 raise FrameError(
@@ -197,7 +206,8 @@ def encode(frame: SuperFrame) -> bytes:
 
     One pass packs every slot behind a single range-and-partner test;
     only a slot that fails it goes through `SlotPayload.validate`, which
-    names the offending field.
+    names the offending field.  A stage or marker must be an Enum member,
+    as decode yields, not an equal int.
     """
     frame_seq, slots = frame.frame_seq, frame.slots
     if not 0 <= frame_seq <= MAX_FRAME_SEQ:
@@ -217,12 +227,13 @@ def encode(frame: SuperFrame) -> bytes:
         marker = slot.movement_marker
         reset = slot.reset_bit
         partner = slot.partner_id
-        if not (0 <= nid <= MAX_NETWORK_ID and 0 <= depth <= MAX_DEPTH_CODE
+        # a member's value is in range, so only the partner rule reads it
+        if not (type(stage) is SlotStage and type(marker) is MovementMarker
+                and 0 <= nid <= MAX_NETWORK_ID and 0 <= depth <= MAX_DEPTH_CODE
                 and 0 <= az <= MAX_AZIMUTH_CD and 0 <= el <= MAX_ELEVATION_CD
-                and 0 <= marker <= 2 and (reset == 0 or reset == 1)
-                and (0 <= stage <= 1 and partner == 0
-                     or 2 <= stage <= 3 and 0 < partner <= MAX_NETWORK_ID
-                     and partner != nid)):
+                and (reset == 0 or reset == 1)
+                and (partner == 0 if stage <= 1
+                     else 0 < partner <= MAX_NETWORK_ID and partner != nid)):
             slot.validate()
         if nid in ids:
             raise FrameError(f"duplicate network_id {nid}")

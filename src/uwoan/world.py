@@ -81,19 +81,22 @@ class World:
     def position_of(self, i: int, t: float) -> Position:
         body = self.bodies[i]
         if body.v_down == 0.0 and not self.drifting:
-            if body.cached_pos is None:
-                body.cached_pos = Position(body.east0, body.north0,
-                                           body.depth_ref)
-            return body.cached_pos
+            # read once, so a cache that keeps nothing still returns a value
+            pos = body.cached_pos
+            if pos is None:
+                pos = body.cached_pos = Position(body.east0, body.north0,
+                                                 body.depth_ref)
+            return pos
         return Position(*self._coords(body, t))
 
     def bs_distance_of(self, i: int, t: float) -> float:
         body = self.bodies[i]
         if body.v_down == 0.0 and not self.drifting:
-            if body.cached_bs_dist is None:
-                body.cached_bs_dist = distance(self.bs_position,
-                                               self.position_of(i, t))
-            return body.cached_bs_dist
+            dist = body.cached_bs_dist
+            if dist is None:
+                dist = body.cached_bs_dist = distance(self.bs_position,
+                                                      self.position_of(i, t))
+            return dist
         east, north, depth = self._coords(body, t)
         bs = self.bs_position
         # distance(bs_position, pos)'s operand order, so the bits agree

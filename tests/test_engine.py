@@ -96,47 +96,107 @@ class TestDeterminism:
             assert run(cfg) == simulate(cfg, collect_trace=True).report
 
 
+# the paper's three water types (clear, coastal, turbid)
+WATER_TYPES = (0.056, 0.120, 0.151)
+
+# (east, north) current in m/s and superframe period in s: along east,
+# along a diagonal, and strong enough that nodes reach the walls and stay
+# clamped there.  Repeated additions of a 0.9 s period round differently
+# from offset + k * period, which moves a fast-drifting node's bits
+DRIFTS = [((0.02, 0.0), 1.0), ((0.03, -0.02), 1.0), ((5.0, 0.0), 1.0),
+          ((-3.0, 4.0), 1.0), ((-3.0, 4.0), 0.9)]
+
+
 class TestFastForward:
-    @pytest.mark.parametrize("c0", [0.056, 0.120, 0.151])
-    def test_matches_plain_event_loop(self, c0, monkeypatch):
-        # replaying the settled tail must give exactly the report of the
-        # full event loop, float summation order included
+    """The settled-tail replay gives exactly the report of the full loop."""
+
+    @pytest.mark.parametrize("c0", WATER_TYPES)
+    def test_matches_plain_event_loop(self, c0, plain_loop):
+        # float summation order included; the caches, which static worlds
+        # hit most, are checked one by one in TestShortcuts
         cfg = SimConfig(c0=c0)
-        taken = []
-        replay = Simulation._fast_forward_tail
-
-        def counted(self):
-            taken.append(self.seed)
-            replay(self)
-
-        monkeypatch.setattr(Simulation, "_fast_forward_tail", counted)
-        fast = [run(cfg, seed) for seed in range(100)]
-        assert len(taken) > 50  # the shortcut is the common case
-        monkeypatch.setattr(Simulation, "_quiescent", lambda self: False)
-        plain = [run(cfg, seed) for seed in range(100)]
-        assert len(taken) == len(set(taken))
+        sims = [Simulation(cfg, seed) for seed in range(100)]
+        fast = [sim.run() for sim in sims]
+        # the shortcut is the common case
+        assert sum(sim.settled_at is not None for sim in sims) > 50
+        with plain_loop("fast_forward"):
+            plain = [run(cfg, seed) for seed in range(100)]
         assert fast == plain
 
+    @pytest.mark.parametrize("current, period", DRIFTS, ids=str)
+    def test_drifting_worlds_match_plain_event_loop(self, current, period,
+                                                    plain_loop):
+        east, north = current
+        runs = [(SimConfig(c0=c0, current_east_mps=east,
+                           current_north_mps=north,
+                           superframe_period_s=period), seed)
+                for c0 in WATER_TYPES for seed in range(4)]
+        sims = [Simulation(cfg, seed) for cfg, seed in runs]
+        fast = [sim.run() for sim in sims]
+        # a 200 m box lies within the 1000 m reach, so every run settles
+        assert all(sim.settled_at is not None for sim in sims)
+        with plain_loop():
+            plain = [run(cfg, seed) for cfg, seed in runs]
+        assert fast == plain
+
+    def test_arrivals_tied_out_of_index_order(self, plain_loop):
+        # the two delays differ, but at each frame time they round to one
+        # arrival time; the heap pops node 0 first, sorting by delay
+        # alone would sum node 1's delay first
+        cfg = SimConfig(n_uwn=2)
+
+        def world():
+            return World(cfg.bs_position(),
+                         [Position(100.0, 100.0, 50.0 + 7.105427357601002e-14),
+                          Position(130.0, 100.0, 40.0)],
+                         (cfg.region_east_m, cfg.region_north_m,
+                          cfg.region_depth_m))
+
+        sim = Simulation(cfg, seed=1, world=world())
+        fast = sim.run()
+        assert sim.settled_at is not None
+        with plain_loop():
+            plain = simulate(cfg, 1, world()).report
+        assert fast.avg_sound_delay_s == 0.03333333333333332
+        assert fast == plain
+
+    def test_node_drifting_into_reach_refuses_the_shortcut(self, plain_loop):
+        # node 0 settles early; node 1 starts 141 m out and drifts under
+        # the base station, in reach of 120 m from about t = 17 s on
+        cfg = SimConfig(n_uwn=2, acoustic_range_m=120.0,
+                        current_east_mps=2.0)
+
+        def world():
+            return World(cfg.bs_position(),
+                         [Position(190.0, 100.0, 50.0),
+                          Position(0.0, 100.0, 100.0)],
+                         (cfg.region_east_m, cfg.region_north_m,
+                          cfg.region_depth_m),
+                         (cfg.current_east_mps, cfg.current_north_mps))
+
+        sim = Simulation(cfg, seed=0, world=world())
+        fast = sim.run()
+        assert not sim._may_fast_forward and sim.settled_at is None
+        with plain_loop():
+            plain = simulate(cfg, 0, world()).report
+        assert fast == plain
+        assert [n.outcome for n in plain.nodes] == ["accessed", "accessed"]
+
     def test_node_whose_id_was_taken_does_not_block_the_shortcut(
-            self, monkeypatch):
+            self, plain_loop):
         # with 3 m of sonar depth noise, seed 18 records node 30 at node
         # 13's depth bucket: node 13 binds and confirms node 30's ID, so
         # that record is accessed while node 30 itself is still matching
         cfg = SimConfig(c0=0.056, sonar_depth_noise_std_m=3.0)
-        taken = []
-        replay = Simulation._fast_forward_tail
-        monkeypatch.setattr(Simulation, "_fast_forward_tail",
-                            lambda self: (taken.append(self.seed),
-                                          replay(self)))
         sim = Simulation(cfg, seed=18)
         fast = sim.run()
         rec = sim.bs.record_for_track(30)
         assert rec.stage is HandshakeStage.ACCESSED
         assert sim.nodes[30].lifecycle is Lifecycle.MATCHING
         assert sim.nodes[13].matched_id == rec.network_id
-        assert taken == [18]
-        monkeypatch.setattr(Simulation, "_quiescent", lambda self: False)
-        assert run(cfg, 18) == fast
+        assert sim.settled_at is not None
+        with plain_loop():
+            assert run(cfg, 18) == fast
 
 
 class TestCausality:
@@ -495,9 +555,6 @@ class TestConflictExcursionBound:
         assert violations == []
 
 
-# the paper's three water types (clear, coastal, turbid)
-WATER_TYPES = (0.056, 0.120, 0.151)
-
 # scenario -> (config overrides, co-depth placement); the placement is the
 # criterion-3 geometry scaled up, as in the benchmark's codepth workload
 SCENARIOS = {
@@ -518,15 +575,16 @@ def codepth_world(cfg, seed):
                  (cfg.region_east_m, cfg.region_north_m, cfg.region_depth_m))
 
 
-def scenario_runs():
-    """(config, seed, world) over scenarios x water types x seeds 0-9.
+def scenario_runs(names=tuple(SCENARIOS), seeds=range(10)):
+    """(config, seed, world) over scenarios x water types x seeds.
 
     A run mutates its world, so each one yielded is fresh.
     """
-    for overrides, placed in SCENARIOS.values():
+    for name in names:
+        overrides, placed = SCENARIOS[name]
         for c0 in WATER_TYPES:
             cfg = SimConfig(c0=c0, **overrides)
-            for seed in range(10):
+            for seed in seeds:
                 yield cfg, seed, codepth_world(cfg, seed) if placed else None
 
 
@@ -632,34 +690,18 @@ class TestComposedFrame:
         self.check_runs(recorded_runs(monkeypatch, traced=False))
 
 
-class _NeverHits(dict):
-    """A delivery cache that stores every verdict and returns none."""
-
-    def get(self, key, default=None):
-        return default
-
-
-def disable_delivery_cache(monkeypatch):
-    real_init = Simulation.__init__
-
-    def init(self, *args, **kwargs):
-        real_init(self, *args, **kwargs)
-        self._deliver_cache = _NeverHits()
-
-    monkeypatch.setattr(Simulation, "__init__", init)
-
-
 class TestDeliveryCache:
     """`_deliver_cache` must give exactly the verdicts of computing afresh."""
 
-    def test_runs_match_uncached_runs(self, traced_runs, monkeypatch):
-        disable_delivery_cache(monkeypatch)
+    def test_runs_match_uncached_runs(self, traced_runs, monkeypatch,
+                                      plain_loop):
         computed = plain_computed = 0
-        for (cached, _, _, n), (plain, _, _, n_plain) in zip(
-                traced_runs, recorded_runs(monkeypatch, traced=True)):
-            assert cached == plain  # report and trace
-            computed += n
-            plain_computed += n_plain
+        with plain_loop("deliver_cache"):
+            for (cached, _, _, n), (plain, _, _, n_plain) in zip(
+                    traced_runs, recorded_runs(monkeypatch, traced=True)):
+                assert cached == plain  # report and trace
+                computed += n
+                plain_computed += n_plain
         assert computed < 0.9 * plain_computed  # the cache does hit
 
     @staticmethod
@@ -697,7 +739,7 @@ class TestDeliveryCache:
 
     @pytest.mark.parametrize("change", ["source moves", "receiver moves",
                                         "beam turns", "receiver turns"])
-    def test_each_hit_clause_guards_a_change(self, change, monkeypatch):
+    def test_each_hit_clause_guards_a_change(self, change, plain_loop):
         def relay_deliveries():
             sim, beam = self.relay_scene()
             sim._emit(0, beam, 1.0)
@@ -707,8 +749,31 @@ class TestDeliveryCache:
                     if kind == "OPTICAL_ARRIVAL" and receiver == 1]
 
         cached = relay_deliveries()
-        disable_delivery_cache(monkeypatch)
-        plain = relay_deliveries()
+        with plain_loop("deliver_cache"):
+            plain = relay_deliveries()
         # the first beam lands, and the second verdict differs from it
         assert plain[0][0] == 1.0 and plain[1:] != [(2.0, plain[0][1])]
         assert cached == plain
+
+
+def shortcut_runs():
+    """Untraced reports and traced results: static, drift and codepth."""
+    def runs():
+        return scenario_runs(("static", "drift", "codepth"), seeds=range(2))
+    return ([simulate(cfg, seed, world).report for cfg, seed, world in runs()],
+            [simulate(cfg, seed, world, collect_trace=True)
+             for cfg, seed, world in runs()])
+
+
+@pytest.fixture(scope="module")
+def runs_with_shortcuts():
+    return shortcut_runs()
+
+
+class TestShortcuts:
+    """Turning any one shortcut off changes no report and no trace."""
+
+    def test_runs_match_with_shortcut_off(self, shortcut, runs_with_shortcuts,
+                                          plain_loop):
+        with plain_loop(shortcut):
+            assert shortcut_runs() == runs_with_shortcuts

@@ -204,6 +204,19 @@ class TestErrors:
         with pytest.raises(FrameError, match="unused partner"):
             SlotPayload(5, 0, 0, 0, partner_id=3).validate()
 
+    def test_plain_int_stage_or_marker_rejected(self):
+        # equal to a CONFIRM for ID 3, but receivers compare stages and
+        # markers by identity, so only members may go on the wire
+        plain = SlotPayload(3, 10, 0, 9000, 1)
+        assert plain == SlotPayload(3, 10, 0, 9000, SlotStage.CONFIRM)
+        with pytest.raises(FrameError,
+                           match="slot 3 stage 1 is not a SlotStage member"):
+            encode(SuperFrame(1, (plain,)))
+        with pytest.raises(FrameError, match="slot 3 movement_marker 2 is "
+                                             "not a MovementMarker member"):
+            encode(SuperFrame(1, (SlotPayload(3, 10, 0, 9000,
+                                              movement_marker=2),)))
+
     def test_nonzero_padding_rejected(self):
         raw = bytearray(encode(SuperFrame(1, (SlotPayload(1, 0, 0, 0),))))
         raw[-1] |= 0x01  # set the pad bit
@@ -225,9 +238,10 @@ class TestDifferential:
                     rng.choice((rng.randint(-2, 6), rng.randint(0, hi),
                                 rng.randint(hi - 2, hi + 2)))
                     for hi in limits)
+                # members, or ints just outside their ranges
                 slots.append(SlotPayload(
-                    nid, code, az, el, rng.randint(-1, 4),
-                    rng.random() < 0.5, rng.randint(-1, 3),
+                    nid, code, az, el, rng.choice((-1, *SlotStage, 4)),
+                    rng.random() < 0.5, rng.choice((-1, *MovementMarker, 3)),
                     rng.randint(-1, 2),
                     rng.choice((0, rng.randint(-2, 6),
                                 rng.randint(1021, 1025)))))
@@ -278,6 +292,9 @@ cases = [
     lambda: encode(SuperFrame(1, (SlotPayload(1, 0, 36000, 0),))),
     lambda: encode(SuperFrame(1, (SlotPayload(1, 0, 0, 0),
                                   SlotPayload(1, 0, 0, 0)))),
+    lambda: encode(SuperFrame(1, (SlotPayload(3, 10, 0, 9000, 1),))),
+    lambda: encode(SuperFrame(1, (SlotPayload(3, 10, 0, 9000,
+                                              movement_marker=2),))),
     lambda: decode(bytes.fromhex("00000001" "0001" "0000008ca0" "00000000")),
     lambda: decode(bytes.fromhex("00000001" "0001" "0040000000" "00000001")),
 ]

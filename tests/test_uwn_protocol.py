@@ -7,6 +7,8 @@ from uwoan.frame import (
     SlotPayload,
     SlotStage,
     SuperFrame,
+    decode,
+    encode,
 )
 from uwoan.geometry import Bearing, DepthModel
 from uwoan.node import (
@@ -122,6 +124,19 @@ class TestMatching:
                     MODEL, PARAMS, rng, 2.0)
         assert state.lifecycle is Lifecycle.ACCESSED
         assert state.access_time == 2.0
+
+    def test_confirm_needs_a_stage_member(self):
+        # an int equal to CONFIRM fails the identity test; encode rejects it
+        state = fresh_node(100.0, lifecycle=Lifecycle.EMITTING)
+        state.matched_id = 3
+        plain = SlotPayload(3, 10, 0, 9000, 1)
+        match_frame(state, mkframe(plain), MODEL, PARAMS, random.Random(8),
+                    1.0)
+        assert state.lifecycle is Lifecycle.EMITTING
+        member = decode(encode(mkframe(
+            SlotPayload(3, 10, 0, 9000, SlotStage.CONFIRM))))
+        match_frame(state, member, MODEL, PARAMS, random.Random(8), 2.0)
+        assert state.lifecycle is Lifecycle.ACCESSED
 
     def test_matched_id_never_changes_after_confirm(self):
         state = fresh_node(100.0)
