@@ -6,15 +6,15 @@ indistinguishable to the base station: that is exactly the conflict the
 decomposition movement resolves.
 """
 
-from uwoan import DepthModel, quantize_depth
+from uwoan import DepthModel
 
 model = DepthModel()  # 0.5 m at the surface, +0.5 m per 100 m of depth
 
 print("sounding resolution and bucket width by depth:")
 for depth in (0, 25, 50, 100, 150, 200):
-    code = quantize_depth(float(depth), model)
-    print(f"  {depth:5.0f} m: resolution {code.resolution_at_depth:4.2f} m, "
-          f"bucket #{code.bucket}")
+    z = float(depth)
+    print(f"  {depth:5.0f} m: resolution {model.resolution(z):4.2f} m, "
+          f"bucket #{model.bucket(z)}")
 print()
 
 print("two nodes near 100 m (resolution there is 1.0 m):")

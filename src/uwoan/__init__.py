@@ -26,13 +26,11 @@ from .frame import (
 )
 from .geometry import (
     Bearing,
-    DepthCode,
     DepthModel,
     GeometryError,
     Position,
     bearing_from_to,
     distance,
-    quantize_depth,
     unit_vector,
 )
 from .report import (
@@ -47,13 +45,13 @@ from .world import World, generate
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bearing", "ChannelError", "ConfigError", "DepthCode", "DepthModel",
+    "Bearing", "ChannelError", "ConfigError", "DepthModel",
     "FrameError", "GeometryError", "MovementMarker", "OpticalLinkBudget",
     "Position", "SimConfig", "SimReport", "Simulation", "SlotPayload",
     "SlotStage", "SuperFrame", "WaterProfile", "World",
     "acoustic_delay", "aggregate", "bearing_from_to", "decode", "distance",
     "encode", "export_topology", "generate", "load_config",
     "max_optical_range", "optical_received_power", "parse_config",
-    "path_transmittance", "quantize_depth", "report_from_json",
+    "path_transmittance", "report_from_json",
     "report_to_json", "run", "simulate", "trace", "unit_vector",
 ]

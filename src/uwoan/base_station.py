@@ -14,6 +14,7 @@ from enum import Enum
 from random import Random
 from typing import Iterable, NamedTuple, Sequence
 
+from .config import SimConfig
 from .frame import (
     MARKER_DIVING,
     MARKER_NONE,
@@ -27,15 +28,7 @@ from .frame import (
     SlotPayload,
     SuperFrame,
 )
-from .geometry import (
-    DepthCode,
-    DepthModel,
-    GeometryError,
-    Position,
-    bearing_angles,
-    distance,
-    quantize_depth,
-)
+from .geometry import GeometryError, Position, bearing_angles, distance
 
 __all__ = [
     "ProtocolError",
@@ -47,7 +40,6 @@ __all__ = [
     "STAGE_ACCESSED",
     "STAGE_RELAY_PENDING",
     "STAGE_FAILED",
-    "BsParams",
     "Detection",
     "NodeRecord",
     "BsState",
@@ -93,27 +85,12 @@ def _broken(nid: int, what: str) -> ProtocolError:
     return ProtocolError(f"registry invariant broken: record {nid} {what}")
 
 
-@dataclass(frozen=True)
-class BsParams:
-    """Base-station knobs: sonar model, retry budget, reset cadence."""
-
-    bs_position: Position
-    depth_model: DepthModel = DepthModel()
-    sonar_radius: float = 1000.0
-    p_misdetect: float = 0.0
-    depth_noise_std: float = 0.0
-    direct_retries: int = 5
-    relay_retries: int = 5
-    conflict_reset_after: float = 5.0
-    region_depth: float = 200.0
-
-
 class Detection(NamedTuple):
     """One sonar return: opaque track key, measured position, depth code."""
 
     track_key: int
     position: Position
-    depth_code: DepthCode
+    depth_code: int
 
 
 @dataclass
@@ -121,7 +98,7 @@ class NodeRecord:
     network_id: int
     track_key: int
     sonar_position: Position
-    depth_code: DepthCode
+    depth_code: int
     stage: HandshakeStage
     retries_remaining: int
     conflict_flag: bool = False
@@ -177,8 +154,11 @@ def nearest_eligible_relay(records: Iterable[NodeRecord],
 class BsState:
     """The base-station half of the initialization protocol."""
 
-    def __init__(self, params: BsParams) -> None:
-        self.params = params
+    def __init__(self, config: SimConfig) -> None:
+        self.cfg = config
+        # built once: SimConfig makes a new object per call
+        self.bs_position = config.bs_position()
+        self.depth_model = config.depth_model()
         self.registry: dict[int, NodeRecord] = {}
         self._by_track: dict[int, int] = {}
         self.next_network_id = 1
@@ -201,21 +181,22 @@ class BsState:
         water column) and quantized with the shared depth model; each
         return is independently dropped with probability p_misdetect.
         """
-        p = self.params
+        c = self.cfg
+        bs_pos, bucket = self.bs_position, self.depth_model.bucket
+        reach, p_miss = c.acoustic_range_m, c.p_misdetect
+        noise, floor = c.sonar_depth_noise_std_m, c.region_depth_m
         out: list[Detection] = []
         for track_key, pos in snapshot:
-            if distance(p.bs_position, pos) > p.sonar_radius:
+            if distance(bs_pos, pos) > reach:
                 continue
-            if p.p_misdetect > 0.0 and rng.random() < p.p_misdetect:
+            if p_miss > 0.0 and rng.random() < p_miss:
                 continue
-            if p.depth_noise_std > 0.0:
-                depth = min(p.region_depth, max(
-                    0.0, pos.depth + rng.gauss(0.0, p.depth_noise_std)))
+            if noise > 0.0:
+                depth = min(floor, max(0.0, pos.depth + rng.gauss(0.0, noise)))
                 measured = Position(pos.east, pos.north, depth)
             else:
                 depth, measured = pos.depth, pos
-            out.append(Detection(track_key, measured,
-                                 quantize_depth(depth, p.depth_model)))
+            out.append(Detection(track_key, measured, bucket(depth)))
         return out
 
     # -- allocation and decomposition --------------------------------------
@@ -235,7 +216,7 @@ class BsState:
                 network_id=nid, track_key=det.track_key,
                 sonar_position=det.position, depth_code=det.depth_code,
                 stage=STAGE_ASSIGNED,
-                retries_remaining=self.params.direct_retries)
+                retries_remaining=self.cfg.direct_retries)
             self._by_track[det.track_key] = nid
             new_ids.append(nid)
         if new_ids:
@@ -278,7 +259,7 @@ class BsState:
                 continue
             anchor = rec.conflict_since if rec.last_reset_at is None \
                 else rec.last_reset_at
-            if now - anchor >= self.params.conflict_reset_after:
+            if now - anchor >= self.cfg.conflict_reset_after_s:
                 rec.reset_bit ^= 1
                 rec.last_reset_at = now
         self._check_invariants()
@@ -289,15 +270,15 @@ class BsState:
         rising: set[int] = set()
         for rec in self.registry.values():
             if rec.stage in _DEPTH_MATCHABLE:
-                counts[rec.depth_code.bucket] = \
-                    counts.get(rec.depth_code.bucket, 0) + 1
+                bucket = rec.depth_code
+                counts[bucket] = counts.get(bucket, 0) + 1
                 if rec.stage is STAGE_CONFLICTED:
                     if rec.observed_motion is MARKER_DIVING:
-                        diving.add(rec.depth_code.bucket)
+                        diving.add(bucket)
                     elif rec.observed_motion is MARKER_RISING:
-                        rising.add(rec.depth_code.bucket)
+                        rising.add(bucket)
         for rec in self.registry.values():
-            bucket = rec.depth_code.bucket
+            bucket = rec.depth_code
             if rec.stage is STAGE_CONFLICTED:
                 # directional guard band: a conflicted neighbor one code
                 # away and moving toward this bucket could drift across the
@@ -310,7 +291,7 @@ class BsState:
                     rec.conflict_flag = False
                     rec.conflict_since = None
                     rec.last_reset_at = None
-                    rec.retries_remaining = self.params.direct_retries
+                    rec.retries_remaining = self.cfg.direct_retries
             elif rec.stage in _DEPTH_MATCHABLE and counts[bucket] > 1:
                 # a mover collided into this code: the slot is ambiguous
                 # again, even if it was already broadcast conflict-free
@@ -330,7 +311,7 @@ class BsState:
         Composing also advances stages: freshly assigned records start
         awaiting their beam, and confirmations mark the record accessed.
         """
-        bs_pos = self.params.bs_position
+        bs_pos = self.bs_position
         slots: list[SlotPayload] = []
         for rec in self.registry.values():
             stage = rec.stage
@@ -344,7 +325,7 @@ class BsState:
             if stage in _DEPTH_MATCHABLE:
                 az, el = bs_angles
                 slots.append(SlotPayload(
-                    rec.network_id, rec.depth_code.bucket, az, el,
+                    rec.network_id, rec.depth_code, az, el,
                     SLOT_ASSIGN, rec.conflict_flag,
                     rec.observed_motion, rec.reset_bit))
                 if stage is STAGE_ASSIGNED:
@@ -352,7 +333,7 @@ class BsState:
             elif stage is STAGE_CONFIRMING:
                 az, el = bs_angles
                 slots.append(SlotPayload(
-                    rec.network_id, rec.depth_code.bucket, az, el,
+                    rec.network_id, rec.depth_code, az, el,
                     SLOT_CONFIRM))
                 rec.stage = STAGE_ACCESSED
                 rec.access_time = now
@@ -362,19 +343,19 @@ class BsState:
                     az, el = _slot_angles(rec.sonar_position,
                                           partner.sonar_position)
                     slots.append(SlotPayload(
-                        rec.network_id, rec.depth_code.bucket, az, el,
+                        rec.network_id, rec.depth_code, az, el,
                         SLOT_RELAY_RX, partner_id=partner.network_id))
                 else:
                     az, el = bs_angles
                     slots.append(SlotPayload(
-                        rec.network_id, rec.depth_code.bucket, az, el,
+                        rec.network_id, rec.depth_code, az, el,
                         SLOT_CONFIRM))
             elif stage is STAGE_RELAY_PENDING:
                 relay = self.registry[rec.relayed_by]
                 az, el = _slot_angles(rec.sonar_position,
                                       relay.sonar_position)
                 slots.append(SlotPayload(
-                    rec.network_id, rec.depth_code.bucket, az, el,
+                    rec.network_id, rec.depth_code, az, el,
                     SLOT_RELAY_TX, partner_id=relay.network_id))
         frame = SuperFrame(self.next_frame_seq, tuple(slots))
         self.next_frame_seq += 1
@@ -422,7 +403,7 @@ class BsState:
                     self._fail(rec)
                 else:
                     rec.stage = STAGE_RELAY_PENDING
-                    rec.retries_remaining = self.params.relay_retries
+                    rec.retries_remaining = self.cfg.relay_retries
                     rec.relayed_by = relay.network_id
                     relay.relay_of = rec.network_id
             elif rec.stage is STAGE_RELAY_PENDING:

@@ -105,11 +105,15 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("--c-list is empty")
     if args.seeds <= 0:
         raise ConfigError(f"--seeds must be positive, got {args.seeds}")
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be positive, got {args.workers}")
     for c0 in c_values:
         replace(config, c0=c0)  # validate every coefficient up front
     tasks = [(config, c0, seed) for c0 in c_values for seed in range(args.seeds)]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # the pool starts every worker up front, so start no more than tasks
+    workers = min(args.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, tasks, chunksize=16))
     else:
         results = [_sweep_one(task) for task in tasks]

@@ -13,11 +13,9 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .base_station import BsParams
 from .channel import OpticalLinkBudget, WaterProfile
 from .frame import MAX_DEPTH_CODE, MAX_FRAME_SEQ
 from .geometry import DepthModel, Position
-from .node import UwnParams
 
 __all__ = ["ConfigError", "SimConfig", "load_config", "parse_config"]
 
@@ -164,7 +162,7 @@ class SimConfig:
              f"t_max_s {c.t_max_s} spans {moves:.4g} movement intervals of "
              f"move_duration_max_s {c.move_duration_max_s}, more than 2**32")
 
-    # -- derived parameter bundles -----------------------------------------
+    # -- derived objects: bs_position, water_profile, link_budget, depth_model
 
     def bs_position(self) -> Position:
         return Position(self.bs_east_m, self.bs_north_m, 0.0)
@@ -184,28 +182,6 @@ class SimConfig:
     def depth_model(self) -> DepthModel:
         return DepthModel(self.depth_resolution_surface_m,
                           self.depth_resolution_gradient)
-
-    def uwn_params(self) -> UwnParams:
-        return UwnParams(
-            v_min=self.v_min_mps, v_max=self.v_max_mps,
-            move_duration_min=self.move_duration_min_s,
-            move_duration_max=self.move_duration_max_s,
-            v_return=self.v_return_mps,
-            return_tolerance=self.return_tolerance_m,
-            match_on_motion_marker=self.match_on_motion_marker,
-            region_depth=self.region_depth_m)
-
-    def bs_params(self) -> BsParams:
-        return BsParams(
-            bs_position=self.bs_position(),
-            depth_model=self.depth_model(),
-            sonar_radius=self.acoustic_range_m,
-            p_misdetect=self.p_misdetect,
-            depth_noise_std=self.sonar_depth_noise_std_m,
-            direct_retries=self.direct_retries,
-            relay_retries=self.relay_retries,
-            conflict_reset_after=self.conflict_reset_after_s,
-            region_depth=self.region_depth_m)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -64,8 +64,7 @@ class Simulation:
         self.profile = config.water_profile()
         self.budget = config.link_budget()
         self.model = config.depth_model()
-        self.uwn_params = config.uwn_params()
-        self.bs = BsState(config.bs_params())
+        self.bs = BsState(config)
         self.nodes = [
             uwn.UwnState(node=i, original_depth=self.world.bodies[i].depth_ref)
             for i in range(self.world.n)
@@ -285,7 +284,7 @@ class Simulation:
         epoch_before = state.movement_epoch
         duty_before = state.relay_duty
         emissions = uwn.match_frame_indexed(state, index, self.model,
-                                            self.uwn_params, self.rng, t)
+                                            self.cfg, self.rng, t)
         self._sync_motion(i, t, epoch_before)
         if state.relay_duty is not None and duty_before is None:
             self._duty_nodes.append(i)
@@ -298,7 +297,7 @@ class Simulation:
             return  # superseded by a newer draw
         state.own_depth = self.world.depth_of(i, t)
         before = state.movement_epoch
-        uwn.on_movement_expiry(state, self.uwn_params, self.rng, t)
+        uwn.on_movement_expiry(state, self.cfg, self.rng, t)
         if self.trace_lines is not None:
             self._trace(t, MOVEMENT_EXPIRY, f"u{i}",
                         f"v={state.vertical_velocity!r}")

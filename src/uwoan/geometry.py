@@ -25,14 +25,12 @@ __all__ = [
     "GeometryError",
     "Position",
     "Bearing",
-    "DepthCode",
     "DepthModel",
     "distance",
     "bearing_angles",
     "bearing_from_to",
     "unit_vector",
     "angle_between",
-    "quantize_depth",
 ]
 
 
@@ -104,13 +102,6 @@ class Bearing(_BearingFields):
         return cls(*iterable)  # so _replace validates too
 
 
-class DepthCode(NamedTuple):
-    """Quantized depth: bucket index plus the sounder resolution there."""
-
-    bucket: int
-    resolution_at_depth: float
-
-
 @dataclass(frozen=True)
 class DepthModel:
     """Linear depth-sounding resolution delta(z) = delta0 + kappa*z."""
@@ -128,22 +119,17 @@ class DepthModel:
         return self.delta0 + self.kappa * depth
 
     def bucket(self, depth: float) -> int:
-        """Bucket index of a depth; monotone non-decreasing in depth."""
+        """Depth code of a depth: its bucket index, non-decreasing in depth.
+
+        Two depths share a code exactly when they are closer than the
+        local sounding resolution can tell apart.
+        """
         if depth < 0.0:
             raise GeometryError(f"negative depth {depth}")
         if self.kappa == 0.0:
             return int(depth / self.delta0)
         # closed form of integral_0^z dz'/(delta0 + kappa z')
         return int(math.log1p(self.kappa * depth / self.delta0) / self.kappa)
-
-
-def quantize_depth(depth: float, model: DepthModel) -> DepthCode:
-    """Quantize a depth under the given resolution model.
-
-    Two depths receive the same code exactly when they are closer than
-    the local sounding resolution allows distinguishing.
-    """
-    return DepthCode(model.bucket(depth), model.resolution(depth))
 
 
 def distance(a: Position, b: Position) -> float:

@@ -16,6 +16,7 @@ from enum import Enum
 from random import Random
 from typing import NamedTuple
 
+from .config import SimConfig
 from .frame import (
     MARKER_DIVING,
     MARKER_NONE,
@@ -39,7 +40,6 @@ __all__ = [
     "NODE_CONFLICT_MOVING",
     "NODE_EMITTING",
     "NODE_ACCESSED",
-    "UwnParams",
     "RelayDuty",
     "Emission",
     "UwnState",
@@ -72,20 +72,6 @@ NODE_MATCHING = Lifecycle.MATCHING
 NODE_CONFLICT_MOVING = Lifecycle.CONFLICT_MOVING
 NODE_EMITTING = Lifecycle.EMITTING
 NODE_ACCESSED = Lifecycle.ACCESSED
-
-
-@dataclass(frozen=True)
-class UwnParams:
-    """Movement and matching knobs of the node state machine."""
-
-    v_min: float = 0.05
-    v_max: float = 0.5
-    move_duration_min: float = 1.0
-    move_duration_max: float = 3.0
-    v_return: float = 0.5
-    return_tolerance: float = 0.1
-    match_on_motion_marker: bool = True
-    region_depth: float = 200.0
 
 
 class RelayDuty(NamedTuple):
@@ -151,7 +137,7 @@ def _own_marker(state: UwnState) -> MovementMarker:
     return MARKER_NONE
 
 
-def draw_movement(rng: Random, params: UwnParams, depth: float,
+def draw_movement(rng: Random, cfg: SimConfig, depth: float,
                   keep_direction: float = 0.0) -> tuple[float, float]:
     """Draw a random vertical movement: (signed velocity, duration).
 
@@ -167,10 +153,10 @@ def draw_movement(rng: Random, params: UwnParams, depth: float,
     dive = rng.random() < 0.5
     if keep_direction != 0.0:
         dive = keep_direction > 0.0
-    speed = rng.uniform(params.v_min, params.v_max)
-    duration = rng.uniform(params.move_duration_min, params.move_duration_max)
-    bound = params.v_max * params.move_duration_max
-    can_dive = depth + bound <= params.region_depth
+    speed = rng.uniform(cfg.v_min_mps, cfg.v_max_mps)
+    duration = rng.uniform(cfg.move_duration_min_s, cfg.move_duration_max_s)
+    bound = cfg.v_max_mps * cfg.move_duration_max_s
+    can_dive = depth + bound <= cfg.region_depth_m
     can_rise = depth - bound >= 0.0
     if dive and not can_dive and can_rise:
         dive = False
@@ -178,15 +164,15 @@ def draw_movement(rng: Random, params: UwnParams, depth: float,
         dive = True
     elif not can_dive and not can_rise:
         # degenerate shallow region: move toward the larger headroom, capped
-        dive = (params.region_depth - depth) >= depth
-        headroom = (params.region_depth - depth) if dive else depth
+        dive = (cfg.region_depth_m - depth) >= depth
+        headroom = (cfg.region_depth_m - depth) if dive else depth
         speed = min(speed, max(headroom, 0.0) / duration)
     return (speed if dive else -speed), duration
 
 
-def _start_movement(state: UwnState, params: UwnParams, rng: Random,
+def _start_movement(state: UwnState, cfg: SimConfig, rng: Random,
                     now: float, keep_direction: float = 0.0) -> None:
-    velocity, duration = draw_movement(rng, params, state.own_depth,
+    velocity, duration = draw_movement(rng, cfg, state.own_depth,
                                        keep_direction)
     state.vertical_velocity = velocity
     state.movement_deadline = now + duration
@@ -207,21 +193,21 @@ def _bind(state: UwnState, slot: SlotPayload, now: float) -> Emission:
     return Emission(state.emission_bearing, state.matched_id)
 
 
-def on_access(state: UwnState, now: float, params: UwnParams) -> None:
+def on_access(state: UwnState, now: float, cfg: SimConfig) -> None:
     """Confirmation received: mark accessed and head back to the original depth."""
     state.lifecycle = NODE_ACCESSED
     state.access_time = now
     displacement = state.own_depth - state.original_depth
-    if abs(displacement) > params.return_tolerance:
-        state.vertical_velocity = -math.copysign(params.v_return, displacement)
-        state.movement_deadline = now + abs(displacement) / params.v_return
+    if abs(displacement) > cfg.return_tolerance_m:
+        state.vertical_velocity = -math.copysign(cfg.v_return_mps, displacement)
+        state.movement_deadline = now + abs(displacement) / cfg.v_return_mps
     else:
         state.vertical_velocity = 0.0
         state.movement_deadline = None
     state.movement_epoch += 1
 
 
-def on_movement_expiry(state: UwnState, params: UwnParams, rng: Random,
+def on_movement_expiry(state: UwnState, cfg: SimConfig, rng: Random,
                        now: float) -> None:
     """A movement interval ended: continue while conflicted, stop otherwise.
 
@@ -229,7 +215,7 @@ def on_movement_expiry(state: UwnState, params: UwnParams, rng: Random,
     heading; only a reset command (or a region boundary) turns it around.
     """
     if state.lifecycle is NODE_CONFLICT_MOVING:
-        _start_movement(state, params, rng, now,
+        _start_movement(state, cfg, rng, now,
                         keep_direction=state.vertical_velocity)
     elif state.vertical_velocity != 0.0:
         state.vertical_velocity = 0.0
@@ -238,7 +224,7 @@ def on_movement_expiry(state: UwnState, params: UwnParams, rng: Random,
 
 
 def match_frame_indexed(state: UwnState, index: FrameIndex, model: DepthModel,
-                        params: UwnParams, rng: Random,
+                        cfg: SimConfig, rng: Random,
                         now: float) -> list[Emission]:
     """Match one broadcast frame's shared, read-only slots; return beams."""
     if state.lifecycle is NODE_DORMANT:
@@ -252,7 +238,7 @@ def match_frame_indexed(state: UwnState, index: FrameIndex, model: DepthModel,
             return []
         if state.lifecycle is NODE_EMITTING:
             if slot.stage is SLOT_CONFIRM:
-                on_access(state, now, params)
+                on_access(state, now, cfg)
                 return []
             if slot.stage in (SLOT_ASSIGN, SLOT_RELAY_TX):
                 # refreshed angles; RELAY_TX retargets the beam at the relay
@@ -269,7 +255,7 @@ def match_frame_indexed(state: UwnState, index: FrameIndex, model: DepthModel,
     candidates = index.assign_by_code.get(bucket)
     if not candidates:
         return []
-    if params.match_on_motion_marker:
+    if cfg.match_on_motion_marker:
         # only slots tracking our own motion state can be ours; this keeps
         # a drifting conflicted node from stealing a neighbor's assignment
         own = _own_marker(state)
@@ -282,22 +268,22 @@ def match_frame_indexed(state: UwnState, index: FrameIndex, model: DepthModel,
     if state.lifecycle is not NODE_CONFLICT_MOVING:
         state.lifecycle = NODE_CONFLICT_MOVING
         state.conflict_entered_at = now
-        _start_movement(state, params, rng, now)
+        _start_movement(state, cfg, rng, now)
     elif state.vertical_velocity == 0.0:
-        _start_movement(state, params, rng, now)
+        _start_movement(state, cfg, rng, now)
     else:
         for slot in candidates:
             if slot.reset_bit != state.last_reset_bit:
                 state.last_reset_bit = slot.reset_bit
-                _start_movement(state, params, rng, now)
+                _start_movement(state, cfg, rng, now)
                 break
     return []
 
 
 def match_frame(state: UwnState, frame: SuperFrame, model: DepthModel,
-                params: UwnParams, rng: Random, now: float) -> list[Emission]:
+                cfg: SimConfig, rng: Random, now: float) -> list[Emission]:
     """Convenience wrapper building the per-frame index on the fly."""
-    return match_frame_indexed(state, FrameIndex(frame), model, params, rng, now)
+    return match_frame_indexed(state, FrameIndex(frame), model, cfg, rng, now)
 
 
 def forward_beam(state: UwnState, claimed_id: int) -> Emission | None:

@@ -96,6 +96,10 @@ def report_from_json(text: str) -> SimReport:
     if not isinstance(payload, dict):
         raise ReportError("invalid report structure: top level is "
                           f"{type(payload).__name__}, not an object")
+    config = payload.get("config", {})
+    if not isinstance(config, dict):
+        raise ReportError("invalid report structure: config is "
+                          f"{type(config).__name__}, not an object")
     try:
         nodes = tuple(NodeOutcome(**n) for n in payload.pop("nodes"))
         edges = tuple(TopologyEdge(e["from"], e["to"], e["hop"])

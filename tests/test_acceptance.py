@@ -23,7 +23,6 @@ import pytest
 from scipy.integrate import quad
 
 from uwoan.base_station import (
-    BsParams,
     BsState,
     HandshakeStage,
     NodeRecord,
@@ -51,7 +50,6 @@ from uwoan.geometry import (
     Position,
     bearing_from_to,
     distance,
-    quantize_depth,
     unit_vector,
 )
 from uwoan.world import World
@@ -138,7 +136,7 @@ def test_criterion_3_decomposition_delay():
 
 
 def _random_registry(rng):
-    bs = BsState(BsParams(bs_position=Position(100, 100, 0)))
+    bs = BsState(SimConfig())
     n = rng.randint(2, 10)
     model = DepthModel()
     for i in range(n):
@@ -149,7 +147,7 @@ def _random_registry(rng):
                             HandshakeStage.CONFLICTED, HandshakeStage.FAILED))
         rec = NodeRecord(
             network_id=i + 1, track_key=i, sonar_position=pos,
-            depth_code=quantize_depth(depth, model), stage=stage,
+            depth_code=model.bucket(depth), stage=stage,
             retries_remaining=5,
             access_time=1.0 if stage is HandshakeStage.ACCESSED else None)
         if stage is HandshakeStage.ACCESSED:

@@ -9,7 +9,6 @@ import pytest
 
 import uwoan
 from uwoan.base_station import (
-    BsParams,
     BsState,
     Detection,
     HandshakeStage,
@@ -18,19 +17,11 @@ from uwoan.base_station import (
     nearest_eligible_relay,
 )
 from uwoan.frame import MovementMarker, SlotStage
-from uwoan.geometry import (
-    Bearing,
-    GeometryError,
-    Position,
-    bearing_from_to,
-    quantize_depth,
-)
-
-BS_POS = Position(100.0, 100.0, 0.0)
-
+from uwoan.config import SimConfig
+from uwoan.geometry import Bearing, GeometryError, Position, bearing_from_to
 
 def make_bs(**kw):
-    return BsState(BsParams(bs_position=BS_POS, **kw))
+    return BsState(SimConfig(**kw))
 
 
 def scan(bs, positions, rng=None):
@@ -57,10 +48,10 @@ class TestSonarScan:
 
     def test_nearby_depths_share_code(self):
         dets = scan(make_bs(), [Position(0, 0, 100.0), Position(5, 5, 100.3)])
-        assert dets[0].depth_code.bucket == dets[1].depth_code.bucket
+        assert dets[0].depth_code == dets[1].depth_code
 
     def test_out_of_radius_skipped(self):
-        bs = make_bs(sonar_radius=50.0)
+        bs = make_bs(acoustic_range_m=50.0)
         dets = scan(bs, [Position(100, 100, 10), Position(100, 100, 199)])
         assert [d.track_key for d in dets] == [0]
 
@@ -93,7 +84,7 @@ class TestAllocate:
     def test_id_space_exhaustion(self):
         bs = make_bs()
         dets = [Detection(i, Position(0, 0, float(i) / 10.0),
-                          quantize_depth(float(i) / 10.0, bs.params.depth_model))
+                          bs.depth_model.bucket(float(i) / 10.0))
                 for i in range(1025)]
         with pytest.raises(ProtocolError, match="exhausted"):
             bs.allocate(dets, now=0.0)
@@ -235,7 +226,7 @@ class TestTimeouts:
         rec = bs.registry[1]
         assert rec.stage is HandshakeStage.RELAY_PENDING
         assert rec.relayed_by == 3  # the 50 m candidate
-        assert rec.retries_remaining == bs.params.relay_retries
+        assert rec.retries_remaining == bs.cfg.relay_retries
 
     def test_no_candidates_fails_node(self):
         bs = make_bs(direct_retries=1)
@@ -263,7 +254,7 @@ class TestTimeouts:
         bs.handle_timeouts(1.0)
         assert bs.registry[1].stage is HandshakeStage.FAILED
         new = bs.allocate([Detection(42, Position(1, 1, 20),
-                                     quantize_depth(20, bs.params.depth_model))],
+                                     bs.depth_model.bucket(20))],
                           2.0)
         assert new == [2]
 
@@ -299,7 +290,7 @@ class TestDecomposition:
         assert not any(r.conflict_flag for r in bs.registry.values())
 
     def test_persistent_conflict_flips_reset_bit(self):
-        bs = make_bs(conflict_reset_after=5.0)
+        bs = make_bs(conflict_reset_after_s=5.0)
         bs.allocate(self.depth_pair(bs, 100.0, 100.0), 0.0)
         bs.update_decomposition(self.depth_pair(bs, 100.0, 100.1), 4.0)
         assert all(r.reset_bit == 0 for r in bs.registry.values())
@@ -438,11 +429,12 @@ class TestInvariants:
         script = """
 import random
 import sys
-from uwoan.base_station import BsParams, BsState, ProtocolError
+from uwoan.base_station import BsState, ProtocolError
+from uwoan.config import SimConfig
 from uwoan.geometry import Position
 if __debug__:
     sys.exit("asserts are on")
-bs = BsState(BsParams(bs_position=Position(100.0, 100.0, 0.0)))
+bs = BsState(SimConfig())
 dets = bs.sonar_scan([(0, Position(30, 40, 120)), (1, Position(90, 90, 60))],
                      random.Random(0))
 bs.allocate(dets, 0.0)

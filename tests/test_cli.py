@@ -3,9 +3,11 @@ import json
 
 import pytest
 
+from uwoan import cli
 from uwoan.base_station import BsState
 from uwoan.cli import main
 from uwoan.frame import SlotPayload, SuperFrame
+from uwoan.report import SimReport, report_to_json
 
 BASE_CFG = """
 n_uwn = 12
@@ -146,6 +148,56 @@ class TestSweepCommand:
               "--seeds", "3", "--out", str(par), "--workers", "2"])
         assert seq.read_bytes() == par.read_bytes()
 
+    @pytest.mark.parametrize("workers,seeds,pool_size", [
+        (5000, 1, None),  # one task: no pool at all
+        (5000, 3, 6),
+        (6, 3, 6),
+        (4, 3, 4),
+    ])
+    def test_pool_capped_at_task_count(self, cfg_file, tmp_path,
+                                       monkeypatch, workers, seeds,
+                                       pool_size):
+        # a stand-in pool that records its size and maps in-process, so no
+        # worker process is ever started, whatever the count asked for
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        c_list = "0.056" if seeds == 1 else "0.056,0.151"
+        seq = tmp_path / "seq.csv"
+        par = tmp_path / "par.csv"
+        main(["sweep", "--config", str(cfg_file), "--c-list", c_list,
+              "--seeds", str(seeds), "--out", str(seq)])
+        assert sizes == []
+        assert main(["sweep", "--config", str(cfg_file), "--c-list", c_list,
+                     "--seeds", str(seeds), "--out", str(par),
+                     "--workers", str(workers)]) == 0
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert seq.read_bytes() == par.read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_exit_2(self, cfg_file, tmp_path, capsys,
+                                        workers):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg_file), "--c-list", "0.056",
+                     "--seeds", "1", "--out", str(out),
+                     "--workers", workers]) == 2
+        assert capsys.readouterr().err \
+            == f"error: --workers must be positive, got {workers}\n"
+        assert not out.exists()
+
     def test_rows_sorted_by_c0_then_seed(self, cfg_file, tmp_path):
         out = tmp_path / "sorted.csv"
         main(["sweep", "--config", str(cfg_file), "--c-list", "0.151,0.056",
@@ -176,6 +228,16 @@ class TestTopoCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{]")
         assert main(["topo", "--report", str(bad)]) == 2
+
+    @pytest.mark.parametrize("config", [[1], None, "x"])
+    def test_non_object_config_exits_2(self, tmp_path, capsys, config):
+        payload = json.loads(report_to_json(
+            SimReport(0.056, 0, 0, 1.0, 0.0, 0.0, 0.0, 0, 0, 0, 0)))
+        payload["config"] = config
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["topo", "--report", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_non_object_report_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,13 +1,49 @@
+import ast
 import math
 import random
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import uwoan.config
 from uwoan.config import ConfigError, SimConfig, load_config, parse_config
 from uwoan.engine import Simulation, run
 from uwoan.geometry import Position
 from uwoan.world import World
+
+
+# modules that import SimConfig; config importing one would make a cycle
+PROTOCOL_MODULES = ("base_station", "node", "engine", "world")
+
+
+def imported_modules(source: str) -> list[str]:
+    """The last dotted part of every module a source file imports."""
+    found = []
+    for stmt in ast.walk(ast.parse(source)):
+        if isinstance(stmt, ast.Import):
+            found += [alias.name for alias in stmt.names]
+        elif isinstance(stmt, ast.ImportFrom):
+            if stmt.module is None:  # from . import x
+                found += [alias.name for alias in stmt.names]
+            else:
+                found.append(stmt.module)
+    return [name.rsplit(".", 1)[-1] for name in found]
+
+
+def test_config_imports_no_protocol_module():
+    source = Path(uwoan.config.__file__).read_text()
+    bad = [m for m in imported_modules(source) if m in PROTOCOL_MODULES]
+    assert bad == [], f"config.py imports {', '.join(bad)}"
+
+
+def test_import_guard_sees_each_form():
+    source = ("from .base_station import BsState\n"
+              "from . import node\n"
+              "import uwoan.engine\n"
+              "from uwoan.world import World\n")
+    assert imported_modules(source) \
+        == ["base_station", "node", "engine", "world"]
 
 
 class TestDefaults:
@@ -27,8 +63,6 @@ class TestDefaults:
         assert cfg.link_budget().divergence_half_angle \
             == pytest.approx(math.radians(1.0))
         assert cfg.depth_model().delta0 == 0.5
-        assert cfg.uwn_params().v_max == 0.5
-        assert cfg.bs_params().direct_retries == 5
 
     def test_to_dict_round_trip(self):
         cfg = SimConfig(seed=9, c0=0.12)

@@ -7,11 +7,16 @@ import pytest
 
 import uwoan
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# each demo's expected stdout, one file per demo stem
+EXPECTED = Path(__file__).resolve().parent / "data" / "demos"
 
 
 def test_demos_found():
     assert len(DEMOS) >= 6
+    assert sorted(p.stem for p in EXPECTED.glob("*.out")) \
+        == [p.stem for p in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
@@ -23,4 +28,4 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip()
+    assert done.stdout == (EXPECTED / f"{demo.stem}.out").read_text()

@@ -11,7 +11,6 @@ from uwoan.geometry import (
     Position,
     bearing_from_to,
     distance,
-    quantize_depth,
     unit_vector,
 )
 
@@ -123,7 +122,7 @@ class TestBearing:
 
 class TestDepthQuantization:
     def test_surface_bucket_zero(self):
-        assert quantize_depth(0.0, DepthModel(0.5, 0.005)).bucket == 0
+        assert DepthModel(0.5, 0.005).bucket(0.0) == 0
 
     def test_collision_within_resolution(self):
         # at 100 m the resolution is 1.0 m, so 100.0 and 100.3 collide
@@ -168,10 +167,6 @@ class TestDepthQuantization:
     def test_negative_depth_rejected(self):
         with pytest.raises(GeometryError):
             DepthModel().bucket(-0.1)
-
-    def test_resolution_recorded(self):
-        code = quantize_depth(100.0, DepthModel(0.5, 0.005))
-        assert code.resolution_at_depth == pytest.approx(1.0)
 
     def test_model_validation(self):
         with pytest.raises(GeometryError):

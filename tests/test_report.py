@@ -42,6 +42,13 @@ class TestSerialization:
         with pytest.raises(ReportError, match="top level"):
             report_from_json(text)
 
+    @pytest.mark.parametrize("config", [[1], None, "x"])
+    def test_rejects_non_object_config(self, config):
+        payload = json.loads(report_to_json(small_report()))
+        payload["config"] = config
+        with pytest.raises(ReportError, match="config is"):
+            report_from_json(json.dumps(payload))
+
 
 class TestAggregate:
     def test_single_report_equals_itself(self):

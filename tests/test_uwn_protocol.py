@@ -10,12 +10,12 @@ from uwoan.frame import (
     decode,
     encode,
 )
+from uwoan.config import SimConfig
 from uwoan.geometry import Bearing, DepthModel
 from uwoan.node import (
     Emission,
     Lifecycle,
     RelayDuty,
-    UwnParams,
     UwnState,
     draw_movement,
     forward_beam,
@@ -27,7 +27,7 @@ from uwoan.node import (
 )
 
 MODEL = DepthModel(0.5, 0.005)
-PARAMS = UwnParams()
+PARAMS = SimConfig()
 
 
 def el_cd(elevation_deg):
@@ -189,7 +189,7 @@ class TestMatching:
 
     def test_marker_gate_can_be_disabled(self):
         state = fresh_node(100.0)
-        params = UwnParams(match_on_motion_marker=False)
+        params = SimConfig(match_on_motion_marker=False)
         slot = mkslot(7, MODEL.bucket(100.0), marker=MovementMarker.DIVING)
         match_frame(state, mkframe(slot), MODEL, params, random.Random(10), 1.0)
         assert state.lifecycle is Lifecycle.EMITTING
@@ -227,21 +227,21 @@ class TestMatching:
 
 class TestDrawMovement:
     def test_degenerate_uniform(self):
-        params = UwnParams(v_min=0.5, v_max=0.5,
-                           move_duration_min=2.0, move_duration_max=2.0)
+        params = SimConfig(v_min_mps=0.5, v_max_mps=0.5,
+                           move_duration_min_s=2.0, move_duration_max_s=2.0)
         v, dt = draw_movement(random.Random(1), params, depth=100.0)
         assert abs(v) == pytest.approx(0.5)
         assert dt == pytest.approx(2.0)
 
     def test_surface_clips_rise_to_dive(self):
-        params = UwnParams()
+        params = SimConfig()
         rng = random.Random(0)
         for _ in range(200):
             v, _ = draw_movement(rng, params, depth=0.2)
             assert v > 0.0  # always diving this close to the surface
 
     def test_floor_clips_dive_to_rise(self):
-        params = UwnParams(region_depth=200.0)
+        params = SimConfig(region_depth_m=200.0)
         rng = random.Random(0)
         for _ in range(200):
             v, _ = draw_movement(rng, params, depth=199.5)
@@ -249,7 +249,7 @@ class TestDrawMovement:
 
     def test_mean_speed_matches_uniform_oracle(self):
         # Monte-Carlo oracle: mean of U(v_min, v_max) within 3 sigma
-        params = UwnParams(v_min=0.05, v_max=0.5)
+        params = SimConfig(v_min_mps=0.05, v_max_mps=0.5)
         rng = random.Random(42)
         n = 10_000
         speeds = [abs(draw_movement(rng, params, 100.0)[0]) for _ in range(n)]
@@ -260,7 +260,7 @@ class TestDrawMovement:
 
     def test_direction_roughly_balanced_midwater(self):
         rng = random.Random(7)
-        votes = sum(1 if draw_movement(rng, UwnParams(), 100.0)[0] > 0 else 0
+        votes = sum(1 if draw_movement(rng, SimConfig(), 100.0)[0] > 0 else 0
                     for _ in range(2000))
         assert 850 < votes < 1150
 

@@ -1,7 +1,7 @@
-"""The contract of the six per-event value types.
+"""The contract of the five per-event value types.
 
-`Position`, `Bearing`, `DepthCode`, `Detection`, `Emission` and
-`RelayDuty` are immutable tuples with named fields.  `Position` and
+`Position`, `Bearing`, `Detection`, `Emission` and `RelayDuty` are
+immutable tuples with named fields; a depth code is a plain int.  `Position` and
 `Bearing` validate on every construction path.  Their reprs are those of
 the frozen dataclasses they replaced.
 """
@@ -15,22 +15,20 @@ from pathlib import Path
 import pytest
 
 from uwoan.base_station import Detection
-from uwoan.geometry import Bearing, DepthCode, GeometryError, Position
+from uwoan.geometry import Bearing, GeometryError, Position
 from uwoan.node import Emission, RelayDuty
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 P = Position(1.5, -2.0, 3.25)
 B = Bearing(45.0, -10.5)
-DC = DepthCode(7, 0.535)
 
 
 def make_all():
     """One instance of each type, built from fresh objects every call."""
     p = Position(1.5, -2.0, 3.25)
     b = Bearing(45.0, -10.5)
-    dc = DepthCode(7, 0.535)
-    return [p, b, dc, Detection(3, p, dc), Emission(b, 4), RelayDuty(2, b)]
+    return [p, b, Detection(3, p, 7), Emission(b, 4), RelayDuty(2, b)]
 
 
 class TestValidation:
@@ -136,21 +134,20 @@ class TestValueSemantics:
     def test_unequal_values_differ(self):
         assert Position(1.5, -2.0, 3.25) != Position(1.5, -2.0, 3.5)
         assert Bearing(45.0, -10.5) != Bearing(45.0, -10.0)
-        assert DepthCode(7, 0.535) != DepthCode(8, 0.535)
-        assert Detection(3, P, DC) != Detection(4, P, DC)
+        assert Detection(3, P, 7) != Detection(4, P, 7)
+        assert Detection(3, P, 7) != Detection(3, P, 8)
         assert Emission(B, 4) != Emission(B, 4, relayed=True)
         assert RelayDuty(2, B) != RelayDuty(2, Bearing(45.0, 0.0))
 
     def test_field_names_order_and_defaults(self):
         assert Position._fields == ("east", "north", "depth")
         assert Bearing._fields == ("azimuth", "elevation")
-        assert DepthCode._fields == ("bucket", "resolution_at_depth")
         assert Detection._fields == ("track_key", "position", "depth_code")
         assert Emission._fields == ("bearing", "claimed_id", "relayed")
         assert RelayDuty._fields == ("partner_id", "receiver_bearing")
         assert Emission(B, 4).relayed is False
 
-    @pytest.mark.parametrize("index", range(6))
+    @pytest.mark.parametrize("index", range(5))
     def test_immutable(self, index):
         value = make_all()[index]
         field = value._fields[0]
@@ -164,10 +161,8 @@ class TestValueSemantics:
         assert [repr(v) for v in make_all()] == [
             "Position(east=1.5, north=-2.0, depth=3.25)",
             "Bearing(azimuth=45.0, elevation=-10.5)",
-            "DepthCode(bucket=7, resolution_at_depth=0.535)",
             "Detection(track_key=3, position=Position(east=1.5, north=-2.0, "
-            "depth=3.25), depth_code=DepthCode(bucket=7, "
-            "resolution_at_depth=0.535))",
+            "depth=3.25), depth_code=7)",
             "Emission(bearing=Bearing(azimuth=45.0, elevation=-10.5), "
             "claimed_id=4, relayed=False)",
             "RelayDuty(partner_id=2, receiver_bearing=Bearing(azimuth=45.0, "
@@ -191,7 +186,6 @@ class TestPickle:
         for value in make_all():
             again = pickle.loads(pickle.dumps(value))
             assert again == value and type(again) is type(value)
-        assert type(pickle.loads(pickle.dumps(DC))) is DepthCode
 
     def test_load_revalidates(self):
         # build invalid instances behind the constructor's back: loading
