@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -65,7 +66,8 @@ def _build_parser() -> _Parser:
                          help="number of seeds per coefficient (0..N-1)")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument("--workers", type=int, default=1,
-                         help="parallel worker processes")
+                         help="parallel worker processes, at most one per "
+                              "run and per usable CPU")
 
     p_topo = sub.add_parser("topo", help="export topology from a report file")
     p_topo.add_argument("--report", required=True, help="report JSON path")
@@ -95,6 +97,13 @@ def _sweep_one(task):
     return c0, seed, csv_row(report), report
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     try:
@@ -110,8 +119,9 @@ def _cmd_sweep(args) -> int:
     for c0 in c_values:
         replace(config, c0=c0)  # validate every coefficient up front
     tasks = [(config, c0, seed) for c0 in c_values for seed in range(args.seeds)]
-    # the pool starts every worker up front, so start no more than tasks
-    workers = min(args.workers, len(tasks))
+    # the pool starts every worker up front, so start no more than there
+    # are tasks, nor more than the CPUs this process may run on
+    workers = min(args.workers, len(tasks), _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, tasks, chunksize=16))

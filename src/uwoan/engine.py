@@ -10,7 +10,10 @@ still sequenced through the queue so causality is explicit.
 Per superframe period the base station re-scans (sonar ping), checks
 timeouts, composes and broadcasts the TDMA frame; nodes react to every
 arrival.  Emitted beams are delivered to any receiver that passes the
-pointing, link-budget, and field-of-view checks.
+pointing, link-budget, and field-of-view checks.  An untraced run offers
+a beam to a relay only if the relay would forward it: an arrival that the
+relay drops changes nothing a report shows, while the trace logs every
+physical arrival, so traced runs offer each beam to every relay.
 """
 
 from __future__ import annotations
@@ -80,6 +83,9 @@ class Simulation:
         # verdict is reused while both positions are the same objects and
         # both bearings have the same values
         self._deliver_cache: dict[tuple, tuple] = {}
+        # an untraced relay arrival only matters if the relay forwards it,
+        # so `_emit` skips relays whose partner is not the beam's claim
+        self._skip_idle_relays = not collect_trace
         self._next_tx = config.first_superframe_offset_s
         # once the network settles, the only observable tail activity is the
         # repeated per-frame delivery delays, which can be replayed exactly;
@@ -304,16 +310,28 @@ class Simulation:
         self._sync_motion(i, t, before)
 
     def _emit(self, src: int, emission: uwn.Emission, t: float) -> None:
+        # A relay forwards only a beam that claims its partner's ID when the
+        # arrival pops, at this same t.  Only an acoustic arrival can rebind
+        # the partner, and only one already queued at t pops first, so with
+        # nothing pending at t an untraced run skips the other relays.  Read
+        # before the base station's arrival below is queued at t.
+        heap = self._heap
+        idle_skip = self._skip_idle_relays and (not heap or heap[0][0] > t)
         src_pos = self.world.position_of(src, t)
         beam_dir = unit_vector(emission.bearing)  # one per beam, not receiver
         self._try_deliver(src, emission, beam_dir, src_pos, "bs",
                           self.world.bs_position, None, math.pi / 2, t)
+        claimed_id = emission.claimed_id
         for j in self._duty_nodes:
-            if j != src:
-                self._try_deliver(src, emission, beam_dir, src_pos, j,
-                                  self.world.position_of(j, t),
-                                  self.nodes[j].relay_duty.receiver_bearing,
-                                  self.budget.rx_fov_half_angle, t)
+            if j == src:
+                continue
+            duty = self.nodes[j].relay_duty
+            if idle_skip and duty.partner_id != claimed_id:
+                continue
+            self._try_deliver(src, emission, beam_dir, src_pos, j,
+                              self.world.position_of(j, t),
+                              duty.receiver_bearing,
+                              self.budget.rx_fov_half_angle, t)
 
     def _try_deliver(self, src: int, emission: uwn.Emission,
                      beam_dir: tuple[float, float, float], src_pos: Position,

@@ -33,6 +33,9 @@ SHORTCUTS = {
     "cached_bs_dist": (_Body, "cached_bs_dist", _forgetful(lambda: None)),
     # slot angles toward the base station are recomputed per frame
     "bs_angles": (NodeRecord, "bs_angles", _forgetful(lambda: None)),
+    # every beam is offered to every relay, as in a traced run
+    "idle_relays": (Simulation, "_skip_idle_relays",
+                    _forgetful(lambda: False)),
 }
 
 

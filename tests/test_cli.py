@@ -148,18 +148,22 @@ class TestSweepCommand:
               "--seeds", "3", "--out", str(par), "--workers", "2"])
         assert seq.read_bytes() == par.read_bytes()
 
-    @pytest.mark.parametrize("workers,seeds,pool_size", [
-        (5000, 1, None),  # one task: no pool at all
-        (5000, 3, 6),
-        (6, 3, 6),
-        (4, 3, 4),
+    @pytest.mark.parametrize("workers,seeds,cpus,pool_size", [
+        (5000, 1, 8, None),  # one task: no pool at all
+        (5000, 3, 8, 6),
+        (6, 3, 8, 6),
+        (4, 3, 8, 4),
+        (5000, 3, 2, 2),  # capped at the usable CPUs
+        (2, 3, 1, None),  # one CPU: no pool at all
     ])
     def test_pool_capped_at_task_count(self, cfg_file, tmp_path,
-                                       monkeypatch, workers, seeds,
+                                       monkeypatch, workers, seeds, cpus,
                                        pool_size):
         # a stand-in pool that records its size and maps in-process, so no
         # worker process is ever started, whatever the count asked for
         sizes = []
+        monkeypatch.setattr(cli.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -186,6 +190,14 @@ class TestSweepCommand:
                      "--workers", str(workers)]) == 0
         assert sizes == ([] if pool_size is None else [pool_size])
         assert seq.read_bytes() == par.read_bytes()
+
+    @pytest.mark.parametrize("cpu_count,usable", [(3, 3), (None, 1)])
+    def test_usable_cpus_without_affinity(self, monkeypatch, cpu_count,
+                                          usable):
+        # platforms without sched_getaffinity fall back to the CPU count
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpu_count)
+        assert cli._usable_cpus() == usable
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_nonpositive_workers_exit_2(self, cfg_file, tmp_path, capsys,

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import operator
 import random
+from heapq import heappop
 
 import pytest
 
@@ -10,7 +11,8 @@ from uwoan import node as uwn
 from uwoan.base_station import HandshakeStage
 from uwoan.config import SimConfig
 from uwoan.engine import Simulation, run, simulate, trace
-from uwoan.frame import FrameIndex, SlotPayload, decode
+from uwoan.frame import (FrameIndex, SlotPayload, SlotStage, SuperFrame,
+                         decode)
 from uwoan.geometry import Position, bearing_from_to, distance
 from uwoan.node import Lifecycle, RelayDuty
 from uwoan.world import World, generate
@@ -492,7 +494,8 @@ class TestReceiverFieldOfView:
 
 
 class TestBeamVector:
-    def test_one_beam_unit_vector_per_emission(self, monkeypatch):
+    def test_one_beam_unit_vector_per_emission(self, monkeypatch,
+                                               plain_loop):
         # the beam direction is the same for every receiver of an emission,
         # so _emit computes it once; receiver boresights are separate calls
         import uwoan.engine as engine_module
@@ -517,10 +520,12 @@ class TestBeamVector:
         monkeypatch.setattr(engine_module, "unit_vector", counting_unit_vector)
         monkeypatch.setattr(Simulation, "_emit", counting_emit)
         # drifting nodes move every period, so every delivery check misses
-        # the cache and reaches the beam-cone test
+        # the cache and reaches the beam-cone test; with idle relays offered
+        # too, as in a traced run, each beam has every relay as a receiver
         cfg = SimConfig(c0=0.151, current_east_mps=0.02)
-        for seed in range(3):
-            run(cfg, seed=seed)
+        with plain_loop("idle_relays"):
+            for seed in range(3):
+                run(cfg, seed=seed)
         assert {beam_calls for beam_calls, _ in per_emission} == {1}
         assert any(receivers > 1 for _, receivers in per_emission)
 
@@ -639,6 +644,13 @@ def traced_runs():
         return list(recorded_runs(monkeypatch, traced=True))
 
 
+@pytest.fixture(scope="module")
+def untraced_runs():
+    # shared by the frame and the idle-relay tests
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return list(recorded_runs(monkeypatch, traced=False))
+
+
 class TestComposedFrame:
     """Receivers match the frame the base station composed; nothing decodes.
 
@@ -686,8 +698,8 @@ class TestComposedFrame:
     def test_traced_runs(self, traced_runs):
         self.check_runs(traced_runs)
 
-    def test_untraced_runs(self, monkeypatch):
-        self.check_runs(recorded_runs(monkeypatch, traced=False))
+    def test_untraced_runs(self, untraced_runs):
+        self.check_runs(untraced_runs)
 
 
 class TestDeliveryCache:
@@ -705,13 +717,13 @@ class TestDeliveryCache:
         assert computed < 0.9 * plain_computed  # the cache does hit
 
     @staticmethod
-    def relay_scene():
+    def relay_scene(traced=False, src=Position(100.0, 60.0, 120.0)):
         """Node 0 beams at node 1, an accessed relay looking back at it."""
         cfg = SimConfig(n_uwn=2, c0=0.056)
-        src = Position(100.0, 60.0, 120.0)
         relay = Position(100.0, 100.0, 80.0)
         sim = Simulation(cfg, seed=0, world=World(
-            cfg.bs_position(), [src, relay], (200.0, 200.0, 200.0)))
+            cfg.bs_position(), [src, relay], (200.0, 200.0, 200.0)),
+            collect_trace=traced)
         state = sim.nodes[1]
         state.lifecycle = Lifecycle.ACCESSED
         state.matched_id = 2
@@ -754,6 +766,85 @@ class TestDeliveryCache:
         # the first beam lands, and the second verdict differs from it
         assert plain[0][0] == 1.0 and plain[1:] != [(2.0, plain[0][1])]
         assert cached == plain
+
+
+class TestIdleRelays:
+    """Untraced runs offer a beam only to the relay that would forward it."""
+
+    @staticmethod
+    def offers(sim, receiver=1):
+        """(time, claimed ID) of every beam queued for `receiver`."""
+        return [(t, beam[1]) for t, _, kind, to, beam in sorted(sim._heap)
+                if kind == "OPTICAL_ARRIVAL" and to == receiver]
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("src,reaches_bs", [
+        (Position(100.0, 60.0, 120.0), False),
+        # right below the relay, the beam reaches the base station too, and
+        # its arrival is queued at the same instant before node 1's
+        (Position(100.0, 100.0, 120.0), True),
+    ], ids=["beside", "below"])
+    def test_only_the_partner_beam_is_offered(self, traced, src,
+                                              reaches_bs, plain_loop):
+        def offered(claimed_id):
+            sim, beam = TestDeliveryCache.relay_scene(traced, src)
+            sim._emit(0, beam._replace(claimed_id=claimed_id), 1.0)
+            assert self.offers(sim, "bs") \
+                == ([(1.0, claimed_id)] if reaches_bs else [])
+            return self.offers(sim)
+
+        # node 1 relays for ID 1; ID 3 is not its partner
+        with plain_loop("idle_relays"):
+            assert offered(1) == [(1.0, 1)] and offered(3) == [(1.0, 3)]
+        assert offered(1) == [(1.0, 1)]
+        # the trace logs every physical arrival
+        assert offered(3) == ([(1.0, 3)] if traced else [])
+
+    def test_partner_rebound_at_the_same_instant(self, plain_loop):
+        # node 1 relays for ID 7 until a frame arrival already queued at the
+        # beam's instant names ID 1, node 0's claim, as its partner
+        sim, _ = TestDeliveryCache.relay_scene()
+        toward_src = sim.nodes[1].relay_duty.receiver_bearing
+        slot = SlotPayload(2, 0, round(toward_src.azimuth * 100) % 36000,
+                           round((toward_src.elevation + 90.0) * 100),
+                           SlotStage.RELAY_RX, partner_id=1)
+        arrival = ("frame", FrameIndex(SuperFrame(0, (slot,))), 80.0, 0.05)
+
+        def emit_after_rebind_queued():
+            sim, beam = TestDeliveryCache.relay_scene()
+            sim.nodes[1].relay_duty = RelayDuty(7, toward_src)
+            sim._push(1.0, engine.ACOUSTIC_ARRIVAL, 1, arrival)
+            sim._emit(0, beam, 1.0)
+            return sim
+
+        sim = emit_after_rebind_queued()
+        with plain_loop("idle_relays"):
+            assert sim._heap == emit_after_rebind_queued()._heap
+        assert self.offers(sim) == [(1.0, 1)]
+        # the offer counts: popped after the rebind, node 1 forwards it
+        to_bs = []
+        while sim._heap:
+            t, _, kind, receiver, payload = heappop(sim._heap)
+            if kind == engine.ACOUSTIC_ARRIVAL:
+                sim._on_acoustic_arrival(t, receiver, payload)
+            elif receiver == 1:
+                sim._on_optical_arrival(t, receiver, payload)
+            else:
+                to_bs.append(payload)
+        assert sim.nodes[1].relay_duty.partner_id == 1
+        assert [(src, claim, relayed) for src, claim, relayed, _ in to_bs] \
+            == [(1, 1, True)]
+
+    def test_runs_match_and_skip_most_checks(self, untraced_runs,
+                                            monkeypatch, plain_loop):
+        computed = plain_computed = 0
+        with plain_loop("idle_relays"):
+            for (skipping, _, _, n), (plain, _, _, n_plain) in zip(
+                    untraced_runs, recorded_runs(monkeypatch, traced=False)):
+                assert skipping == plain
+                computed += n
+                plain_computed += n_plain
+        assert computed < 0.5 * plain_computed
 
 
 def shortcut_runs():
