@@ -165,6 +165,11 @@ class BsState:
         self.next_frame_seq = 0
         self.unknown_beams = 0
         self.duplicate_beams = 0
+        # a settled record's return folds to nothing while no draw rides on
+        # it, so the scan skips it; `settled_returns` counts the last skips
+        self._skip_settled = (config.sonar_depth_noise_std_m == 0.0
+                              and config.p_misdetect == 0.0)
+        self.settled_returns = 0
 
     def record_for_track(self, track_key: int) -> NodeRecord | None:
         """The record registered for a sonar track, or None if never seen."""
@@ -180,13 +185,34 @@ class BsState:
         Depth is measured (optionally with Gaussian noise, clipped to the
         water column) and quantized with the shared depth model; each
         return is independently dropped with probability p_misdetect.
+
+        With neither noise nor misdetection, a return is skipped when its
+        record is accessed or failed (both final), observed no motion and
+        holds this very `Position` object: folding it would change nothing,
+        since a final stage never refreshes its depth code, and no random
+        draw is skipped with it.  Such a record was detected at this
+        position before, so it is in reach; `settled_returns` counts the
+        skipped returns, which are detections all the same.
         """
         c = self.cfg
         bs_pos, bucket = self.bs_position, self.depth_model.bucket
         reach, p_miss = c.acoustic_range_m, c.p_misdetect
         noise, floor = c.sonar_depth_noise_std_m, c.region_depth_m
+        skip_settled = self._skip_settled
+        by_track, registry = self._by_track, self.registry
+        skipped = 0
         out: list[Detection] = []
         for track_key, pos in snapshot:
+            if skip_settled:
+                nid = by_track.get(track_key)
+                if nid is not None:
+                    rec = registry[nid]
+                    if rec.sonar_position is pos \
+                            and rec.observed_motion is MARKER_NONE \
+                            and (rec.stage is STAGE_ACCESSED
+                                 or rec.stage is STAGE_FAILED):
+                        skipped += 1
+                        continue
             if distance(bs_pos, pos) > reach:
                 continue
             if p_miss > 0.0 and rng.random() < p_miss:
@@ -197,6 +223,7 @@ class BsState:
             else:
                 depth, measured = pos.depth, pos
             out.append(Detection(track_key, measured, bucket(depth)))
+        self.settled_returns = skipped
         return out
 
     # -- allocation and decomposition --------------------------------------
@@ -247,9 +274,11 @@ class BsState:
                 rec.observed_motion = MARKER_RISING
             else:
                 rec.observed_motion = MARKER_NONE
+            # kept even when equal, so a static body's next return is this
+            # object and `sonar_scan` can skip it; equal values, equal angles
+            rec.sonar_position = new
             if (new.east != old.east or new.north != old.north
                     or new.depth != old.depth):
-                rec.sonar_position = new
                 rec.bs_angles = None
             if rec.stage in _DEPTH_MATCHABLE:
                 rec.depth_code = det.depth_code

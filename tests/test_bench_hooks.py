@@ -9,7 +9,10 @@ list of targets (it patches nothing on import) and checks every name.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from uwoan import engine
+from uwoan.config import SimConfig
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -31,3 +34,24 @@ def test_every_patched_name_exists():
                        else hasattr(owner, attr))]
     assert missing == [], f"perfbench/tracing.py patches missing names: " \
                           f"{', '.join(missing)}"
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_heappop_pops_only_events(traced, monkeypatch):
+    # the tracer counts events by kind through `engine.heappop`, so any other
+    # heap the engine pops through that name would be counted as events
+    kinds = {engine.SONAR_PING, engine.SUPERFRAME_TX, engine.ACOUSTIC_ARRIVAL,
+             engine.OPTICAL_ARRIVAL, engine.MOVEMENT_EXPIRY,
+             engine.TIMEOUT_CHECK, engine.SIM_END}
+    popped = []
+    real = engine.heappop
+
+    def recording(heap):
+        item = real(heap)
+        popped.append(item[2])
+        return item
+
+    monkeypatch.setattr(engine, "heappop", recording)
+    engine.simulate(SimConfig(), seed=5, collect_trace=traced)
+    assert len(popped) > 100
+    assert set(popped) <= kinds, set(popped) - kinds

@@ -55,6 +55,38 @@ class TestSonarScan:
         dets = scan(bs, [Position(100, 100, 10), Position(100, 100, 199)])
         assert [d.track_key for d in dets] == [0]
 
+    @pytest.mark.parametrize("final", ["accessed", "failed"])
+    def test_settled_returns_fold_to_nothing(self, final):
+        # record 1 ends final, then its node dives 1 m and stops; record 2
+        # still awaits its beam.  A second state folds every return
+        still, dived = Position(30, 40, 120), Position(30, 40, 121)
+        waiting = Position(90, 90, 60)
+        skipping, folding = make_bs(), make_bs()
+        folding._skip_settled = False
+        for bs in (skipping, folding):
+            bs.allocate(scan(bs, [still, waiting]), 0.0)
+            bs.compose_superframe(0.1)
+            if final == "accessed":
+                walk_to_accessed(bs, 1, 0.5)
+            else:
+                bs._fail(bs.registry[1])
+        seen = []
+        for k, pos in enumerate([still, still, dived, dived, dived]):
+            for bs in (skipping, folding):
+                dets = scan(bs, [pos, waiting])
+                bs.update_decomposition(dets, 1.0 + k)
+                if bs is skipping:
+                    seen.append(([d.track_key for d in dets],
+                                 bs.settled_returns,
+                                 bs.registry[1].observed_motion.name))
+            assert skipping.registry == folding.registry
+        # the dive is folded as DIVING, and the same position once more to
+        # read NONE; only then does the record count as settled again
+        assert seen == [([1], 1, "NONE"), ([1], 1, "NONE"),
+                        ([0, 1], 0, "DIVING"), ([0, 1], 0, "NONE"),
+                        ([1], 1, "NONE")]
+        assert folding.settled_returns == 0
+
     def test_misdetection_drops_probabilistically(self):
         bs = make_bs(p_misdetect=0.5)
         rng = random.Random(33)

@@ -8,7 +8,7 @@ import pytest
 
 import uwoan.config
 from uwoan.config import ConfigError, SimConfig, load_config, parse_config
-from uwoan.engine import Simulation, run
+from uwoan.engine import Simulation, run, simulate
 from uwoan.geometry import Position
 from uwoan.world import World
 
@@ -216,8 +216,9 @@ class TestConfigFuzz:
         return overrides
 
     def test_valid_configs_run_clean(self):
-        # a config either fails validation or runs to a consistent report;
-        # any other exception fails the test
+        # a config either fails validation or runs to a consistent report,
+        # the same with and without the trace (and so without any of the
+        # untraced shortcuts); any other exception fails the test
         rng = random.Random(2109)
         rejected = ran = 0
         for _ in range(200):
@@ -237,5 +238,6 @@ class TestConfigFuzz:
             assert sum(counts) == cfg.n_uwn, overrides
             assert 0.0 <= rep.access_rate <= 1.0, overrides
             assert 0.0 <= rep.dual_hop_rate <= 1.0, overrides
+            assert rep == simulate(cfg, collect_trace=True).report, overrides
             ran += 1
         assert rejected >= 100 and ran >= 30  # neither side is vacuous

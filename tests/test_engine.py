@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import operator
 import random
@@ -8,12 +9,12 @@ import pytest
 
 from uwoan import engine
 from uwoan import node as uwn
-from uwoan.base_station import HandshakeStage
+from uwoan.base_station import BsState, HandshakeStage
 from uwoan.config import SimConfig
 from uwoan.engine import Simulation, run, simulate, trace
 from uwoan.frame import (FrameIndex, SlotPayload, SlotStage, SuperFrame,
                          decode)
-from uwoan.geometry import Position, bearing_from_to, distance
+from uwoan.geometry import Bearing, Position, bearing_from_to, distance
 from uwoan.node import Lifecycle, RelayDuty
 from uwoan.world import World, generate
 
@@ -845,6 +846,238 @@ class TestIdleRelays:
                 computed += n
                 plain_computed += n_plain
         assert computed < 0.5 * plain_computed
+
+
+class TestNearCoincidentBeams:
+    """A receiver a hair's breadth from the beam's source drops it cleanly.
+
+    At 1e-200 m the squared separation underflows to zero; at 3e-162 m it
+    does not, and at 2**-536 m the beam also hits and the spot area
+    underflows.  Traced runs offer the beam to the non-partner relay,
+    untraced runs skip it; both must go on to the same report.
+    """
+
+    @pytest.mark.parametrize("gap", [1e-200, 3e-162, 2.0 ** -536], ids=str)
+    def test_traced_and_untraced_runs_agree(self, gap):
+        def run_after_beam(traced):
+            cfg = SimConfig(n_uwn=2)
+            sim = Simulation(cfg, seed=0, collect_trace=traced, world=World(
+                cfg.bs_position(),
+                [Position(0.0, 0.0, 0.0), Position(0.0, 0.0, gap)],
+                (200.0, 200.0, 200.0)))
+            # node 1 relays for ID 40 and looks straight up at node 0
+            relay = sim.nodes[1]
+            relay.lifecycle = Lifecycle.ACCESSED
+            relay.matched_id = 2
+            relay.emission_bearing = Bearing(0.0, 90.0)
+            relay.relay_duty = RelayDuty(40, Bearing(0.0, 90.0))
+            sim._duty_nodes = [1]
+            # straight down, at node 1, claiming ID 1
+            sim._emit(0, uwn.Emission(Bearing(0.0, -90.0), claimed_id=1), 1.0)
+            offers = TestIdleRelays.offers(sim)
+            return sim.run(), offers
+
+        untraced, skipped = run_after_beam(False)
+        traced, offered = run_after_beam(True)
+        assert untraced == traced and skipped == []
+        assert offered == ([(1.0, 1)] if gap == 2.0 ** -536 else [])
+
+
+def arrival_tallies(make_sim):
+    """Run `make_sim()`; return its report and, on entry to every acoustic
+    arrival handler, (time, node, what, delay sum, delay count)."""
+    seen = []
+    real = Simulation._on_acoustic_arrival
+
+    def recording(self, t, i, payload):
+        seen.append((t, i, payload[0], self._delay_sum, self._delay_count))
+        real(self, t, i, payload)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Simulation, "_on_acoustic_arrival", recording)
+        report = make_sim().run()
+    return report, seen
+
+
+class TestInertArrivals:
+    """Untraced frame arrivals that change nothing are tallied off the queue.
+
+    Their delays must join `_delay_sum` exactly where the plain loop adds
+    them: the tally on entry to every arrival still handled matches the
+    plain loop's, and so does the report.
+    """
+
+    @staticmethod
+    def check_tallies(fast, plain):
+        (fast_report, fast_seen), (plain_report, plain_seen) = fast, plain
+        handled = {entry[:3] for entry in fast_seen}
+        assert fast_seen == [e for e in plain_seen if e[:3] in handled]
+        assert fast_report == plain_report
+        return {e[:3] for e in plain_seen} - handled  # the tallied arrivals
+
+    @pytest.mark.parametrize("inert_first", [True, False],
+                             ids=["inert-first", "live-first"])
+    def test_tied_with_a_live_arrival(self, inert_first, plain_loop):
+        # node x, accessed directly, lies 90 m + 2.4e-13 m from the base
+        # station; the relay's RELAY_RX slot keeps its arrivals live, 90 m
+        # out.  At most frame times both arrivals round to one float time,
+        # so they pop by sequence, that is by node index
+        cfg = SimConfig(n_uwn=3, c0=0.151)
+        x = Position(154.0, 100.0, 72.0 + 3e-13)
+        target, relay = Position(100, 100, 180), Position(100, 100, 90)
+        placed = [x, target, relay] if inert_first else [target, relay, x]
+
+        def make_sim():
+            return Simulation(cfg, seed=1, world=World(
+                cfg.bs_position(), placed, (200.0, 200.0, 200.0)))
+
+        # the replay would sum the tail in one go; keep it in the loop
+        with plain_loop("fast_forward"):
+            fast = arrival_tallies(make_sim)
+        with plain_loop("fast_forward", "inert_arrivals"):
+            plain = arrival_tallies(make_sim)
+        tallied = self.check_tallies(fast, plain)
+        ix, ir = placed.index(x), placed.index(relay)
+        assert [n.outcome for n in fast[0].nodes] == ["accessed"] * 3
+        assert fast[0].nodes[placed.index(target)].relay == f"u{ir}"
+        delay_x = distance(cfg.bs_position(), x) / 1500.0
+        delay_r = distance(cfg.bs_position(), relay) / 1500.0
+        # transmit times as the loop builds them, by repeated addition
+        frame_times = list(itertools.accumulate([0.1] + [1.0] * 49))
+        ties = [t for t in frame_times
+                if t + delay_x == t + delay_r and (t + delay_x, ix, "frame")
+                in tallied and (t + delay_r, ir, "frame") not in tallied]
+        assert delay_x != delay_r and len(ties) > 30
+
+    def test_trigger_tied_with_a_frame_arrival(self, plain_loop):
+        # node 0 drifts into the east wall at t = 5 s and stays there; node
+        # 1 drifts into the 120 m reach at t = 17 s.  With no frame offset,
+        # its trigger and node 0's frame arrival differ in delay but land
+        # at one float time, the trigger first: it was queued at the ping
+        cfg = SimConfig(n_uwn=2, acoustic_range_m=120.0,
+                        current_east_mps=2.0, first_superframe_offset_s=0.0)
+
+        def make_sim():
+            return Simulation(cfg, seed=0, world=World(
+                cfg.bs_position(),
+                [Position(190.0, 100.0, 66.0 + 1e-12),
+                 Position(0.0, 100.0, 100.0)],
+                (cfg.region_east_m, cfg.region_north_m, cfg.region_depth_m),
+                (cfg.current_east_mps, cfg.current_north_mps)))
+
+        fast = arrival_tallies(make_sim)
+        with plain_loop("inert_arrivals"):
+            plain = arrival_tallies(make_sim)
+        tallied = self.check_tallies(fast, plain)
+        world = make_sim().world
+        delay_0, delay_1 = (world.bs_distance_of(i, 17.0) / 1500.0
+                            for i in range(2))
+        t = 17.0 + delay_1
+        assert delay_0 != delay_1 and 17.0 + delay_0 == t
+        assert (t, 1, "trigger") not in tallied and (t, 0, "frame") in tallied
+        assert [n.outcome for n in fast[0].nodes] == ["accessed"] * 2
+
+    def test_pending_at_the_quiescent_ping(self, monkeypatch, plain_loop):
+        # the frames before the replay land wholly inert, so only the ping
+        # can add their delays; the replay must start from the same tally
+        at_replay = []
+        real_tally = Simulation._tally_until
+        real_replay = Simulation._fast_forward_tail
+
+        def flush(self, t, seq):
+            self.pending = len(self._inert)  # before the last flush
+            real_tally(self, t, seq)
+
+        def replay(self):
+            at_replay.append((getattr(self, "pending", 0), self._delay_sum,
+                              self._delay_count))
+            real_replay(self)
+
+        monkeypatch.setattr(Simulation, "_tally_until", flush)
+        monkeypatch.setattr(Simulation, "_fast_forward_tail", replay)
+        cfg = SimConfig()
+        fast = [run(cfg, seed) for seed in range(3)]
+        fast_at_replay, at_replay[:] = at_replay[:], []
+        with plain_loop("inert_arrivals"):
+            plain = [run(cfg, seed) for seed in range(3)]
+        assert fast == plain and len(at_replay) == 3
+        assert [tally for _, *tally in fast_at_replay] \
+            == [tally for _, *tally in at_replay]
+        assert all(pending == 0 for pending, *_ in at_replay)
+        assert all(pending >= cfg.n_uwn for pending, *_ in fast_at_replay)
+
+    def test_emitting_node_may_be_confirmed_before_a_relay_slot(
+            self, plain_loop):
+        # node 0 is bound to ID 1 and emitting.  A CONFIRM for it is still
+        # in flight when the next frame names ID 1 the relay of ID 2: the
+        # arrival must stay queued, for the node is accessed when it lands
+        def relay_slot_heeded():
+            cfg = SimConfig(n_uwn=2)
+            sim = Simulation(cfg, seed=0, world=World(
+                cfg.bs_position(),
+                [Position(100.0, 100.0, 90.0), Position(100.0, 100.0, 180.0)],
+                (200.0, 200.0, 200.0)))
+            bs = sim.bs
+            bs.allocate(bs.sonar_scan(
+                [(i, sim.world.position_of(i, 0.0)) for i in range(2)],
+                sim.rng), 0.0)
+            relay, target = bs.registry[1], bs.registry[2]
+            relay.stage, relay.access_time = HandshakeStage.ACCESSED, 0.5
+            relay.relay_of = 2
+            target.stage = HandshakeStage.RELAY_PENDING
+            target.relayed_by = 1
+            state = sim.nodes[0]
+            state.lifecycle, state.matched_id = Lifecycle.EMITTING, 1
+            confirm = SlotPayload(1, relay.depth_code, 0, 18000,
+                                  SlotStage.CONFIRM)
+            sim._push(1.01, engine.ACOUSTIC_ARRIVAL, 0,
+                      ("frame", FrameIndex(SuperFrame(0, (confirm,))),
+                       90.0, 0.06))
+            sim._on_superframe_tx(1.0)
+            while sim._heap[0][2] == engine.ACOUSTIC_ARRIVAL:
+                t, _, _, i, payload = heappop(sim._heap)
+                sim._on_acoustic_arrival(t, i, payload)
+            return state
+
+        with plain_loop("inert_arrivals"):
+            plain = relay_slot_heeded()
+        state = relay_slot_heeded()
+        assert state.lifecycle is Lifecycle.ACCESSED
+        assert state.relay_duty is not None \
+            and state.relay_duty.partner_id == 2
+        assert state == plain
+
+
+class TestSettledReturns:
+    """Sonar returns of settled records are skipped only where that is exact.
+
+    Depth noise and misdetection draw from the random stream for every
+    return in reach, so with either one nothing may be skipped.
+    """
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"p_misdetect": 0.05}, {"sonar_depth_noise_std_m": 3.0}],
+        ids=["plain", "misdetect", "noise"])
+    def test_skips_only_without_draws(self, overrides, monkeypatch,
+                                      plain_loop):
+        skipped = []
+        real = BsState.sonar_scan
+
+        def counting(self, snapshot, rng):
+            detections = real(self, snapshot, rng)
+            skipped.append(self.settled_returns)
+            return detections
+
+        monkeypatch.setattr(BsState, "sonar_scan", counting)
+        runs = [(SimConfig(c0=c0, **overrides), seed)
+                for c0 in WATER_TYPES for seed in range(3)]
+        fast = [simulate(cfg, seed, collect_trace=True) for cfg, seed in runs]
+        n_skipped = sum(skipped)
+        with plain_loop("settled_returns"):
+            plain = [simulate(cfg, seed, collect_trace=True)
+                     for cfg, seed in runs]
+        assert fast == plain
+        assert (n_skipped > 0) == (not overrides)
 
 
 def shortcut_runs():
