@@ -112,6 +112,10 @@ class NodeRecord:
     last_reset_at: float | None = None
     # encoded emission angles toward the BS, invalidated on position updates
     bs_angles: tuple[int, int] | None = None
+    # an accessed record's CONFIRM or RELAY_RX slot, sent again while its
+    # content stands: dropped when this record's or its relay partner's
+    # position changes value, and when a relay is bound or released
+    slot: SlotPayload | None = None
 
 
 def _slot_angles(origin: Position, target: Position) -> tuple[int, int]:
@@ -161,6 +165,9 @@ class BsState:
         self.depth_model = config.depth_model()
         self.registry: dict[int, NodeRecord] = {}
         self._by_track: dict[int, int] = {}
+        # the records neither accessed nor failed, in network-ID order; both
+        # of those stages are final, so the per-period passes skip them
+        self._live: dict[int, NodeRecord] = {}
         self.next_network_id = 1
         self.next_frame_seq = 0
         self.unknown_beams = 0
@@ -170,6 +177,11 @@ class BsState:
         self._skip_settled = (config.sonar_depth_noise_std_m == 0.0
                               and config.p_misdetect == 0.0)
         self.settled_returns = 0
+
+    @property
+    def settled(self) -> bool:
+        """True when every record is accessed or failed, both final."""
+        return not self._live
 
     def record_for_track(self, track_key: int) -> NodeRecord | None:
         """The record registered for a sonar track, or None if never seen."""
@@ -239,7 +251,7 @@ class BsState:
                     f"network ID space exhausted ({MAX_NETWORK_ID} IDs)")
             nid = self.next_network_id
             self.next_network_id += 1
-            self.registry[nid] = NodeRecord(
+            self.registry[nid] = self._live[nid] = NodeRecord(
                 network_id=nid, track_key=det.track_key,
                 sonar_position=det.position, depth_code=det.depth_code,
                 stage=STAGE_ASSIGNED,
@@ -280,10 +292,14 @@ class BsState:
             if (new.east != old.east or new.north != old.north
                     or new.depth != old.depth):
                 rec.bs_angles = None
+                rec.slot = None
+                if rec.relayed_by is not None:
+                    # the relay's RELAY_RX slot points at this position
+                    self.registry[rec.relayed_by].slot = None
             if rec.stage in _DEPTH_MATCHABLE:
                 rec.depth_code = det.depth_code
         self._recompute_conflicts(now)
-        for rec in self.registry.values():
+        for rec in self._live.values():
             if rec.stage is not STAGE_CONFLICTED:
                 continue
             anchor = rec.conflict_since if rec.last_reset_at is None \
@@ -297,7 +313,8 @@ class BsState:
         counts: dict[int, int] = {}
         diving: set[int] = set()
         rising: set[int] = set()
-        for rec in self.registry.values():
+        live = self._live.values()
+        for rec in live:
             if rec.stage in _DEPTH_MATCHABLE:
                 bucket = rec.depth_code
                 counts[bucket] = counts.get(bucket, 0) + 1
@@ -306,7 +323,7 @@ class BsState:
                         diving.add(bucket)
                     elif rec.observed_motion is MARKER_RISING:
                         rising.add(bucket)
-        for rec in self.registry.values():
+        for rec in live:
             bucket = rec.depth_code
             if rec.stage is STAGE_CONFLICTED:
                 # directional guard band: a conflicted neighbor one code
@@ -339,53 +356,61 @@ class BsState:
         third handshake; relay pairs get reciprocal receive/transmit slots.
         Composing also advances stages: freshly assigned records start
         awaiting their beam, and confirmations mark the record accessed.
+
+        An accessed record's CONFIRM or RELAY_RX slot is kept: every later
+        frame carries that same object while its content stands, and a
+        fresh object once it changes.  The run loop relies on this.  A
+        RELAY_RX slot that is the very object a relay already heeded
+        re-sets an equal duty, so its arrival changes nothing.
         """
         bs_pos = self.bs_position
+        registry = self.registry
         slots: list[SlotPayload] = []
-        for rec in self.registry.values():
+        for rec in registry.values():
+            slot = rec.slot
+            if slot is not None:
+                slots.append(slot)
+                continue
             stage = rec.stage
             if stage is STAGE_FAILED:
                 continue
-            # read once, so a cache that keeps nothing still gives angles
-            bs_angles = rec.bs_angles
-            if bs_angles is None:
-                bs_angles = rec.bs_angles = _slot_angles(rec.sonar_position,
-                                                         bs_pos)
-            if stage in _DEPTH_MATCHABLE:
-                az, el = bs_angles
-                slots.append(SlotPayload(
+            if stage is STAGE_ACCESSED and rec.relay_of is not None:
+                partner = registry[rec.relay_of]
+                az, el = _slot_angles(rec.sonar_position,
+                                      partner.sonar_position)
+                slot = rec.slot = SlotPayload(
                     rec.network_id, rec.depth_code, az, el,
-                    SLOT_ASSIGN, rec.conflict_flag,
-                    rec.observed_motion, rec.reset_bit))
-                if stage is STAGE_ASSIGNED:
-                    rec.stage = STAGE_AWAITING_BEAM
-            elif stage is STAGE_CONFIRMING:
-                az, el = bs_angles
-                slots.append(SlotPayload(
-                    rec.network_id, rec.depth_code, az, el,
-                    SLOT_CONFIRM))
-                rec.stage = STAGE_ACCESSED
-                rec.access_time = now
-            elif stage is STAGE_ACCESSED:
-                if rec.relay_of is not None:
-                    partner = self.registry[rec.relay_of]
-                    az, el = _slot_angles(rec.sonar_position,
-                                          partner.sonar_position)
-                    slots.append(SlotPayload(
-                        rec.network_id, rec.depth_code, az, el,
-                        SLOT_RELAY_RX, partner_id=partner.network_id))
-                else:
-                    az, el = bs_angles
-                    slots.append(SlotPayload(
-                        rec.network_id, rec.depth_code, az, el,
-                        SLOT_CONFIRM))
+                    SLOT_RELAY_RX, partner_id=partner.network_id)
             elif stage is STAGE_RELAY_PENDING:
-                relay = self.registry[rec.relayed_by]
+                relay = registry[rec.relayed_by]
                 az, el = _slot_angles(rec.sonar_position,
                                       relay.sonar_position)
-                slots.append(SlotPayload(
+                slot = SlotPayload(
                     rec.network_id, rec.depth_code, az, el,
-                    SLOT_RELAY_TX, partner_id=relay.network_id))
+                    SLOT_RELAY_TX, partner_id=relay.network_id)
+            else:
+                # read once, so a cache that keeps nothing still gives angles
+                bs_angles = rec.bs_angles
+                if bs_angles is None:
+                    bs_angles = rec.bs_angles = _slot_angles(
+                        rec.sonar_position, bs_pos)
+                az, el = bs_angles
+                if stage is STAGE_ACCESSED or stage is STAGE_CONFIRMING:
+                    slot = rec.slot = SlotPayload(
+                        rec.network_id, rec.depth_code, az, el,
+                        SLOT_CONFIRM)
+                    if stage is STAGE_CONFIRMING:
+                        rec.stage = STAGE_ACCESSED
+                        rec.access_time = now
+                        del self._live[rec.network_id]
+                else:
+                    slot = SlotPayload(
+                        rec.network_id, rec.depth_code, az, el,
+                        SLOT_ASSIGN, rec.conflict_flag,
+                        rec.observed_motion, rec.reset_bit)
+                    if stage is STAGE_ASSIGNED:
+                        rec.stage = STAGE_AWAITING_BEAM
+            slots.append(slot)
         frame = SuperFrame(self.next_frame_seq, tuple(slots))
         self.next_frame_seq += 1
         return frame
@@ -422,7 +447,8 @@ class BsState:
         exhausted relay attempts (or no eligible relay at all) fail the
         node and release its slot.
         """
-        for rec in list(self.registry.values()):
+        # a copy: failing a record drains it from the live set
+        for rec in list(self._live.values()):
             if rec.stage is STAGE_AWAITING_BEAM:
                 rec.retries_remaining -= 1
                 if rec.retries_remaining > 0:
@@ -435,6 +461,7 @@ class BsState:
                     rec.retries_remaining = self.cfg.relay_retries
                     rec.relayed_by = relay.network_id
                     relay.relay_of = rec.network_id
+                    relay.slot = None
             elif rec.stage is STAGE_RELAY_PENDING:
                 rec.retries_remaining -= 1
                 if rec.retries_remaining <= 0:
@@ -447,12 +474,14 @@ class BsState:
             relay = self.registry[rec.relayed_by]
             if relay.relay_of == rec.network_id:
                 relay.relay_of = None
+                relay.slot = None
             rec.relayed_by = None
 
     def _fail(self, rec: NodeRecord) -> None:
         rec.stage = STAGE_FAILED
         rec.conflict_flag = False
         rec.relayed_by = None
+        del self._live[rec.network_id]
 
     # -- invariants -----------------------------------------------------------
 
@@ -462,7 +491,7 @@ class BsState:
         Explicit raises, not asserts, so the checks hold under `python -O`.
         """
         seen_relays: set[int] = set()
-        registry = self.registry
+        registry, live = self.registry, self._live
         for nid, rec in registry.items():
             if rec.network_id != nid:
                 raise _broken(nid, f"holds network ID {rec.network_id}")
@@ -495,3 +524,21 @@ class BsState:
                 if relay.relay_of != nid:
                     raise _broken(nid, f"relayed by {rec.relayed_by}, "
                                        "which does not name it")
+            final = rec.stage is STAGE_ACCESSED or rec.stage is STAGE_FAILED
+            if (live.get(nid) is rec) == final:
+                raise _broken(nid, f"is {'' if final else 'not '}live in "
+                                   f"stage {rec.stage.name}")
+            slot = rec.slot
+            if slot is not None:
+                if slot.network_id != nid:
+                    raise _broken(nid, f"keeps the slot of record "
+                                       f"{slot.network_id}")
+                if rec.relay_of is None:
+                    if slot.stage is not SLOT_CONFIRM:
+                        raise _broken(nid, f"keeps a {slot.stage.name} slot "
+                                           "but relays for no record")
+                elif slot.stage is not SLOT_RELAY_RX \
+                        or slot.partner_id != rec.relay_of:
+                    raise _broken(nid, f"relays for {rec.relay_of} but keeps "
+                                       f"a {slot.stage.name} slot for "
+                                       f"{slot.partner_id}")

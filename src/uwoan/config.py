@@ -28,6 +28,10 @@ class ConfigError(ValueError):
 # range of the 32-bit frame_seq
 _MAX_PERIODS = MAX_FRAME_SEQ + 1
 
+# most events one run may schedule, by `SimConfig.event_estimate`; at some
+# microseconds an event, a run stays within minutes of host time
+_MAX_EVENTS = 20_000_000
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -161,6 +165,26 @@ class SimConfig:
         need(moves <= _MAX_PERIODS,
              f"t_max_s {c.t_max_s} spans {moves:.4g} movement intervals of "
              f"move_duration_max_s {c.move_duration_max_s}, more than 2**32")
+        # checked last: within the limits above, every count is finite
+        events = c.event_estimate()
+        need(events <= _MAX_EVENTS,
+             f"t_max_s {c.t_max_s} with n_uwn {c.n_uwn} makes an estimated "
+             f"{events:.4g} events, more than the {_MAX_EVENTS:,} one run "
+             f"may schedule")
+
+    def event_estimate(self) -> float:
+        """Estimated count of the events one run schedules.
+
+        Each sonar ping queues itself, a timeout check and a wake-up per
+        node; each superframe queues itself and an arrival per node; each
+        node may queue a movement expiry per movement interval, whose mean
+        length is the midpoint of its uniform range.
+        """
+        n, t_max, period = self.n_uwn, self.t_max_s, self.superframe_period_s
+        pings = t_max / period
+        frames = max(0.0, t_max - self.first_superframe_offset_s) / period
+        mean_move = (self.move_duration_min_s + self.move_duration_max_s) / 2
+        return pings * (2 + n) + frames * (1 + n) + n * t_max / mean_move
 
     # -- derived objects: bs_position, water_profile, link_budget, depth_model
 

@@ -15,16 +15,22 @@ a beam to a relay only if the relay would forward it: an arrival that the
 relay drops changes nothing a report shows, while the trace logs every
 physical arrival, so traced runs offer each beam to every relay.
 
-Settled nodes cost little.  The base station skips the sonar return of a
+Settled nodes cost little.  The base station's per-period passes walk only
+its live records, those neither accessed nor failed (`BsState.settled`
+tells when none is left), and it sends an accessed record's kept slot
+again while nothing it depends on changes.  It skips the sonar return of a
 record that is accessed or failed and has not moved (`BsState.sonar_scan`).
 An untraced run keeps a frame arrival off the event queue when it is known
 to change nothing: the node is bound to an ID that the frame has no slot
-for, or it is accessed and its slot is no relay assignment.  Binding is
-never undone and access is final, so that still holds when the arrival
-lands.  Such an arrival keeps its sequence number and waits in a tally
-heap; before each event the run loop adds the delays ordered ahead of it
-to the tally, so `avg_sound_delay_s` is summed in the exact order of the
-plain loop and keeps every bit.
+for, or it is accessed and its slot is no relay assignment, or its slot is
+the very RELAY_RX object last queued to it while it was accessed.  Binding
+is never undone and access is final, so that still holds when the arrival
+lands; a repeated RELAY_RX re-sets the duty the earlier one set, which has
+landed when every frame lands before the next one is sent.  Such an
+arrival keeps its sequence number and waits in a tally heap; before each
+event the run loop adds the delays ordered ahead of it to the tally, so
+`avg_sound_delay_s` is summed in the exact order of the plain loop and
+keeps every bit.
 """
 
 from __future__ import annotations
@@ -38,11 +44,12 @@ from heapq import heappop as pop_tally
 from random import Random
 
 from . import node as uwn
-from .base_station import MAX_NETWORK_ID, STAGE_ACCESSED, STAGE_FAILED, BsState
+from .base_station import MAX_NETWORK_ID, STAGE_FAILED, BsState
 from .channel import optical_received_power
 from .config import ConfigError, SimConfig
+from .frame import SLOT_RELAY_RX, FrameIndex, SlotPayload, encode
 # decode is unused here; perfbench/tracing.py and its tests patch it
-from .frame import SLOT_RELAY_RX, FrameIndex, decode, encode  # noqa: F401
+from .frame import decode  # noqa: F401
 from .geometry import Bearing, Position, angle_between, unit_vector
 from .node import NODE_ACCESSED, NODE_CONFLICT_MOVING, NODE_DORMANT
 from .report import NodeOutcome, SimReport, TopologyEdge
@@ -104,6 +111,14 @@ class Simulation:
         # (arrival time, sequence, delay) until its delay joins the tally
         self._tally_inert = not collect_trace
         self._inert: list[tuple[float, int, float]] = []
+        # the RELAY_RX slot last queued to each accessed node.  When every
+        # frame lands before the next one is sent, that arrival has landed
+        # by the next frame, so the same object again re-sets an equal duty
+        self._relay_rx_sent: dict[int, SlotPayload] | None = (
+            {} if not collect_trace and (config.acoustic_range_m
+                                         / self.profile.sound_speed
+                                         <= config.superframe_period_s)
+            else None)
         self._next_tx = config.first_superframe_offset_s
         # once the network settles, the only observable tail activity is the
         # repeated per-frame delivery delays, which can be replayed exactly;
@@ -175,19 +190,18 @@ class Simulation:
     def _quiescent(self, t: float) -> bool:
         """True once no future event can change anything but delay tallies.
 
-        Every record must be terminal (accessed or failed), every node
-        settled with zero vertical velocity, and every node in reach at
-        ping time `t` already registered.  Terminal records put only
+        The base station must hold no live record (every record accessed
+        or failed, both final), every node settled with zero vertical
+        velocity, and every node in reach at ping time `t` already
+        registered.  Terminal records put only
         CONFIRM and RELAY_RX slots in a frame, and every frame lands before
         the next ping, so an unaccessed node left over can match nothing.
         A static node's reach never changes, and a drifting world passes
         the gate only if every node stays in reach, so none can come into
         reach later and be registered.
         """
-        for rec in self.bs.registry.values():
-            if rec.stage is not STAGE_FAILED \
-                    and rec.stage is not STAGE_ACCESSED:
-                return False
+        if not self.bs.settled:
+            return False
         reach = self.cfg.acoustic_range_m
         for i, state in enumerate(self.nodes):
             if self.world.bodies[i].v_down != 0.0:
@@ -209,9 +223,10 @@ class Simulation:
         accessed already.  A RELAY_RX re-sets
         `relay_duty.receiver_bearing`, but no node emits a beam in the
         tail, so no bearing is ever read.  Sonar re-scans move
-        `sonar_position` and clear `bs_angles`, which changes slot angles
-        but never a terminal stage.  Misdetection and depth-noise draws
-        consume the random stream, but nothing reads it afterwards.
+        `sonar_position` and drop `bs_angles` and kept slots, which changes
+        slot angles but never a terminal stage.  Misdetection and
+        depth-noise draws consume the random stream, but nothing reads it
+        afterwards.
 
         What the report sees of the tail is `_delay_sum`, which the run
         loop adds to as the heap pops each frame's arrivals.  So this walks
@@ -275,6 +290,7 @@ class Simulation:
             speed = self.profile.sound_speed
             p_loss = self.cfg.p_frame_loss
             tally_inert = self._tally_inert
+            relay_rx_sent = self._relay_rx_sent
             for i in range(self.world.n):
                 d = self.world.bs_distance_of(i, t)
                 if d > reach:
@@ -284,17 +300,26 @@ class Simulation:
                 delay = d / speed
                 if tally_inert:
                     # a bound node heeds only its own slot, an accessed one
-                    # only a relay assignment; binding is never undone and
-                    # access is final, so this holds until the arrival lands,
-                    # and the `own_depth` it would write is rewritten before
-                    # anything reads it
+                    # only a relay assignment it has not heeded yet; binding
+                    # is never undone and access is final, so this holds
+                    # until the arrival lands, and the `own_depth` it would
+                    # write is rewritten before anything reads it
                     state = self.nodes[i]
                     nid = state.matched_id
                     if nid is not None:
                         slot = by_id.get(nid)
-                        if slot is None or (state.lifecycle is NODE_ACCESSED
-                                            and slot.stage
-                                            is not SLOT_RELAY_RX):
+                        if slot is None:
+                            inert = True
+                        elif state.lifecycle is not NODE_ACCESSED:
+                            inert = False
+                        elif slot.stage is not SLOT_RELAY_RX:
+                            inert = True
+                        elif relay_rx_sent is None:
+                            inert = False
+                        else:
+                            inert = relay_rx_sent.get(i) is slot
+                            relay_rx_sent[i] = slot
+                        if inert:
                             heappush(self._inert,
                                      (t + delay, self._seq, delay))
                             self._seq += 1

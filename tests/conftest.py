@@ -41,6 +41,10 @@ SHORTCUTS = {
     # every frame arrival goes through the event queue, as in a traced run
     "inert_arrivals": (Simulation, "_tally_inert",
                        _forgetful(lambda: False)),
+    # every frame composes an accessed record's slot afresh
+    "kept_slots": (NodeRecord, "slot", _forgetful(lambda: None)),
+    # an accessed relay's repeated RELAY_RX arrivals are queued
+    "relay_rx_repeats": (Simulation, "_relay_rx_sent", _forgetful(dict)),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -444,6 +445,17 @@ class TestInvariants:
          "record 1 relayed by 2, which is not accessed"),
         (lambda bs: setattr(bs.registry[2], "relay_of", None),
          "record 1 relayed by 2, which does not name it"),
+        (lambda bs: bs._live.pop(1),
+         "record 1 is not live in stage RELAY_PENDING"),
+        (lambda bs: setattr(bs.registry[3], "slot", dataclasses.replace(
+            bs.registry[3].slot, network_id=2)),
+         "record 3 keeps the slot of record 2"),
+        (lambda bs: setattr(bs.registry[3], "slot", dataclasses.replace(
+            bs.registry[3].slot, stage=SlotStage.RELAY_RX, partner_id=1)),
+         "record 3 keeps a RELAY_RX slot but relays for no record"),
+        (lambda bs: setattr(bs.registry[2], "slot", dataclasses.replace(
+            bs.registry[3].slot, network_id=2)),
+         "record 2 relays for 1 but keeps a CONFIRM slot for 0"),
     ])
     def test_corrupt_registry_raises_naming_the_record(self, corrupt, needle):
         bs = relay_pair()
@@ -463,6 +475,7 @@ import random
 import sys
 from uwoan.base_station import BsState, ProtocolError
 from uwoan.config import SimConfig
+from uwoan.frame import SlotPayload
 from uwoan.geometry import Position
 if __debug__:
     sys.exit("asserts are on")
@@ -478,6 +491,12 @@ try:
     bs.handle_timeouts(2.0)
 except ProtocolError as exc:
     print(exc)
+bs.registry[2].relay_of = None
+bs.registry[2].slot = SlotPayload(1, 0, 0, 0)  # record 1's slot
+try:
+    bs.handle_timeouts(2.0)
+except ProtocolError as exc:
+    print(exc)
 """
         src = Path(uwoan.__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(src))
@@ -485,6 +504,7 @@ except ProtocolError as exc:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert "record 2 relays for 1" in done.stdout
+        assert "record 2 keeps the slot of record 1" in done.stdout
 
 
 def reference_slot_angles(origin, target):

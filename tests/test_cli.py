@@ -57,6 +57,7 @@ class TestExitCodes:
          "first_superframe_offset_s = 1e6\nn_uwn = 5\n", "sonar pings"),
         ("move_duration_min_s = 1e-9\nmove_duration_max_s = 1e-9\n",
          "move_duration_max_s"),
+        ("superframe_period_s = 1e-4\n", "more than the 20,000,000"),
     ])
     def test_unrepresentable_config_exits_2_before_running(
             self, tmp_path, capsys, text, needle):

@@ -149,6 +149,9 @@ class TestValidation:
          "move_duration_max_s"),
         (dict(move_duration_min_s=1e-300, move_duration_max_s=1e-300),
          "move_duration_max_s"),
+        # within every 32-bit limit, but about 4.2e9 periods of work
+        (dict(superframe_period_s=1.2e-8, first_superframe_offset_s=1e-9),
+         r"estimated 4.292e\+11 events"),
     ])
     def test_rejects(self, kwargs, needle):
         with pytest.raises(ConfigError, match=needle):
@@ -169,11 +172,17 @@ class TestValidation:
         # 200 m at a 0.0125 m resolution is code 16000, within 14 bits
         SimConfig(depth_resolution_surface_m=0.0125,
                   depth_resolution_gradient=0.0)
-        SimConfig(t_max_s=2.0**32 - 1 + 0.1)
+        # the frame counter admits 2**32 - 1 frames; so many periods exceed
+        # the work ceiling, which validation checks after every limit
+        with pytest.raises(ConfigError, match="estimated"):
+            SimConfig(t_max_s=2.0**32 - 1 + 0.1)
 
     def test_movement_limit_is_inclusive(self):
-        # 50 / 2**32 is exact, so t_max_s spans exactly 2**32 intervals
-        SimConfig(move_duration_min_s=1e-9, move_duration_max_s=50.0 / 2**32)
+        # 50 / 2**32 is exact, so t_max_s spans exactly 2**32 intervals,
+        # which pass the movement limit and fail the later work ceiling
+        with pytest.raises(ConfigError, match="estimated"):
+            SimConfig(move_duration_min_s=1e-9,
+                      move_duration_max_s=50.0 / 2**32)
         with pytest.raises(ConfigError, match="move_duration_max_s"):
             SimConfig(move_duration_min_s=1e-9,
                       move_duration_max_s=math.nextafter(50.0 / 2**32, 0.0))
@@ -228,10 +237,8 @@ class TestConfigFuzz:
             except ConfigError:
                 rejected += 1
                 continue
-            # validation admits up to 2**32 periods, which can take days;
-            # pings come once a period from t = 0, so cap the periods
-            if cfg.t_max_s / cfg.superframe_period_s > 60:
-                continue
+            # validation caps a run's estimated events, so every valid
+            # config runs; those drawn here take well under a second
             rep = run(cfg)
             counts = (rep.n_accessed, rep.n_failed, rep.n_dormant,
                       rep.n_unresolved)

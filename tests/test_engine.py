@@ -594,6 +594,15 @@ def scenario_runs(names=tuple(SCENARIOS), seeds=range(10)):
                 yield cfg, seed, codepth_world(cfg, seed) if placed else None
 
 
+def test_event_estimate_bounds_the_queued_events():
+    # validation caps `event_estimate`; a traced run takes no shortcut, so
+    # its sequence counter is every event the plain loop queued
+    for cfg, seed, world in scenario_runs(seeds=range(3)):
+        sim = Simulation(cfg, seed, world, collect_trace=True)
+        sim.run()
+        assert sim._seq <= cfg.event_estimate()
+
+
 SLOT_FIELDS = operator.attrgetter(
     *(f.name for f in dataclasses.fields(SlotPayload)))
 
@@ -701,6 +710,23 @@ class TestComposedFrame:
 
     def test_untraced_runs(self, untraced_runs):
         self.check_runs(untraced_runs)
+
+
+class TestKeptSlots:
+    """An accessed record's kept slot is sent only while it is current.
+
+    Composing every slot afresh must broadcast the same bytes in every
+    frame, so a kept slot is dropped whenever its record, or the partner
+    its RELAY_RX slot points at, moves.
+    """
+
+    def test_frames_match_freshly_composed(self, untraced_runs, plain_loop):
+        with plain_loop("kept_slots"), pytest.MonkeyPatch.context() as patch:
+            fresh = list(recorded_runs(patch, traced=False))
+
+        def payloads(runs):
+            return [[data for _, data in sent] for _, sent, _, _ in runs]
+        assert payloads(fresh) == payloads(untraced_runs)
 
 
 class TestDeliveryCache:
@@ -931,8 +957,9 @@ class TestInertArrivals:
             return Simulation(cfg, seed=1, world=World(
                 cfg.bs_position(), placed, (200.0, 200.0, 200.0)))
 
-        # the replay would sum the tail in one go; keep it in the loop
-        with plain_loop("fast_forward"):
+        # the replay would sum the tail in one go; keep it in the loop, and
+        # keep the relay's repeated RELAY_RX arrivals live
+        with plain_loop("fast_forward", "relay_rx_repeats"):
             fast = arrival_tallies(make_sim)
         with plain_loop("fast_forward", "inert_arrivals"):
             plain = arrival_tallies(make_sim)
@@ -1046,6 +1073,124 @@ class TestInertArrivals:
         assert state.relay_duty is not None \
             and state.relay_duty.partner_id == 2
         assert state == plain
+
+    @staticmethod
+    def drain(sim):
+        """Handle every queued acoustic arrival in loop order, tally first."""
+        while sim._heap:
+            t, seq, kind, i, payload = heappop(sim._heap)
+            sim._tally_until(t, seq)
+            if kind == engine.ACOUSTIC_ARRIVAL:
+                sim._on_acoustic_arrival(t, i, payload)
+
+    @staticmethod
+    def relay_world(cfg, positions):
+        return Simulation(cfg, seed=0, world=World(
+            cfg.bs_position(), positions, (200.0, 200.0, 200.0)))
+
+    @pytest.mark.parametrize("confirm_at", [1.01, 1.5])
+    def test_relay_slot_reaching_an_emitting_node(self, confirm_at,
+                                                  plain_loop):
+        # record 1 is accessed and relays for record 2, but node 0 is still
+        # emitting when the first RELAY_RX reaches it at 1.06: it heeds the
+        # slot if its CONFIRM lands at 1.01, and ignores it if that lands
+        # at 1.5.  The same slot object comes again at 2.0 and 3.0; the
+        # node must hold the duty either way
+        def run_frames():
+            cfg = SimConfig(n_uwn=2, direct_retries=1)
+            sim = self.relay_world(cfg, [Position(100.0, 100.0, 90.0),
+                                         Position(100.0, 100.0, 180.0)])
+            bs = sim.bs
+            bs.allocate(bs.sonar_scan(
+                [(i, sim.world.position_of(i, 0.0)) for i in range(2)],
+                sim.rng), 0.0)
+            bs.compose_superframe(0.1)
+            bs.on_optical_arrival(1, via_relay=False, now=0.3)
+            confirm = bs.compose_superframe(0.4).slots[0]
+            bs.handle_timeouts(0.5)
+            assert bs.registry[1].relay_of == 2
+            state = sim.nodes[0]
+            state.lifecycle, state.matched_id = Lifecycle.EMITTING, 1
+            sim._push(confirm_at, engine.ACOUSTIC_ARRIVAL, 0,
+                      ("frame", FrameIndex(SuperFrame(0, (confirm,))),
+                       90.0, 0.06))
+            sent = []
+            for t in (1.0, 2.0, 3.0):
+                sim._on_superframe_tx(t)
+                sent.append(bs.registry[1].slot)
+                self.drain(sim)
+            sim._tally_until(math.inf, 0)
+            return sim.nodes, sim._delay_sum, sim._delay_count, sent
+
+        with plain_loop("relay_rx_repeats"):
+            plain = run_frames()
+        fast = run_frames()
+        state, sent = fast[0][0], fast[3]
+        assert sent[0] is sent[1] is sent[2]
+        assert state.lifecycle is Lifecycle.ACCESSED
+        assert state.relay_duty == RelayDuty(2, uwn.slot_bearing(sent[0]))
+        assert fast[:3] == plain[:3]
+
+    def test_relay_released_and_rebound_in_flight(self, plain_loop):
+        # record 1 relays for record 2.  The frame at 2.0 repeats its
+        # RELAY_RX slot; while that arrival is in flight, record 2's direct
+        # beam releases the relay and record 3 binds it.  The frame at 3.0
+        # must carry a fresh slot naming record 3, and node 0 must heed it
+        def run_frames():
+            cfg = SimConfig(n_uwn=3, direct_retries=1)
+            sim = self.relay_world(cfg, [Position(100.0, 100.0, 90.0),
+                                         Position(100.0, 100.0, 180.0),
+                                         Position(150.0, 100.0, 150.0)])
+            bs = sim.bs
+            snapshot = [(i, sim.world.position_of(i, 0.0)) for i in range(3)]
+            bs.allocate(bs.sonar_scan(snapshot[:2], sim.rng), 0.0)
+            bs.compose_superframe(0.1)
+            bs.on_optical_arrival(1, via_relay=False, now=0.3)
+            bs.compose_superframe(0.4)
+            bs.handle_timeouts(0.5)
+            bs.allocate(bs.sonar_scan(snapshot, sim.rng), 0.6)
+            state = sim.nodes[0]
+            state.lifecycle, state.matched_id = Lifecycle.ACCESSED, 1
+            state.access_time = 0.45
+            sent = []
+            for t in (1.0, 2.0, 3.0, 4.0):
+                sim._on_superframe_tx(t)
+                sent.append(bs.registry[1].slot)
+                if t == 2.0:
+                    bs.on_optical_arrival(2, via_relay=False, now=2.01)
+                    assert bs.registry[1].slot is None
+                    bs.handle_timeouts(2.02)
+                    assert bs.registry[1].relay_of == 3
+                    assert bs.registry[1].slot is None
+                self.drain(sim)
+            sim._tally_until(math.inf, 0)
+            return sim.nodes, sim._delay_sum, sim._delay_count, sent
+
+        with plain_loop("relay_rx_repeats"):
+            plain = run_frames()
+        fast = run_frames()
+        state, sent = fast[0][0], fast[3]
+        assert sent[0] is sent[1] and sent[2] is sent[3]
+        assert (sent[1].partner_id, sent[2].partner_id) == (2, 3)
+        assert state.relay_duty == RelayDuty(3, uwn.slot_bearing(sent[2]))
+        assert fast[:3] == plain[:3]
+
+    def test_relay_rx_repeats_are_tallied(self, monkeypatch, plain_loop):
+        handled = []
+        real = Simulation._on_acoustic_arrival
+
+        def counting(self, t, i, payload):
+            handled.append(None)
+            real(self, t, i, payload)
+
+        monkeypatch.setattr(Simulation, "_on_acoustic_arrival", counting)
+        fast = [simulate(cfg, seed, world).report
+                for cfg, seed, world in scenario_runs()]
+        n_fast, handled[:] = len(handled), []
+        with plain_loop("relay_rx_repeats"):
+            plain = [simulate(cfg, seed, world).report
+                     for cfg, seed, world in scenario_runs()]
+        assert fast == plain and len(handled) > n_fast
 
 
 class TestSettledReturns:
