@@ -160,8 +160,7 @@ class Simulation:
     # -- event handlers --------------------------------------------------------
 
     def _on_ping(self, t: float) -> None:
-        snapshot = [(i, self.world.position_of(i, t))
-                    for i in range(self.world.n)]
+        snapshot = list(enumerate(self.world.positions(t)))
         detections = self.bs.sonar_scan(snapshot, self.rng)
         new_ids = self.bs.allocate(detections, t)
         self.bs.update_decomposition(detections, t)
@@ -236,9 +235,11 @@ class Simulation:
         as SIM_END does.  Sorted by `(delay, i)`, the delays come out in
         that order unless two of them, with descending node indices, round
         to one arrival time; such a frame is re-sorted by its arrival
-        times.  A static world computes its delays once; a drifting world
-        recomputes them every frame, so wall clamping is replayed by
-        `World._coords`.
+        times.  A static world computes its delays once.  A drifting world
+        recomputes them every frame in one batched pass,
+        `World.bs_distances_at_rest`, which clamps at the walls as
+        `bs_distance_of` does and squares the terms that cannot change
+        (depth, and any axis with no current) once per replay.
         """
         if not self.bs.registry:
             return
@@ -252,15 +253,13 @@ class Simulation:
         # gap two delays can have and still round to one arrival time
         tie_gap = math.ulp(t_max + reach / speed)
         total, count = self._delay_sum, self._delay_count
+        bs_distances = world.bs_distances_at_rest()
         delays: list[tuple[float, int]] | None = None
         while t < t_max:
             if delays is None or world.drifting:
-                delays = []
-                for i in range(world.n):
-                    d = world.bs_distance_of(i, t)
-                    if d <= reach:
-                        delays.append((d / speed, i))
-                delays.sort()
+                delays = sorted((d / speed, i)
+                                for i, d in enumerate(bs_distances(t))
+                                if d <= reach)
                 may_tie = any(
                     later[0] - first[0] <= tie_gap and first[1] > later[1]
                     for first, later in zip(delays, delays[1:]))
@@ -291,8 +290,7 @@ class Simulation:
             p_loss = self.cfg.p_frame_loss
             tally_inert = self._tally_inert
             relay_rx_sent = self._relay_rx_sent
-            for i in range(self.world.n):
-                d = self.world.bs_distance_of(i, t)
+            for i, d in enumerate(self.world.bs_distances(t)):
                 if d > reach:
                     continue
                 if p_loss > 0.0 and self.rng.random() < p_loss:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 __all__ = [
     "ReportError",
@@ -81,7 +81,8 @@ class SimReport:
 
 
 def report_to_json(report: SimReport) -> str:
-    payload = asdict(report)
+    # field by field, so each node is converted once, below
+    payload = {f.name: getattr(report, f.name) for f in fields(report)}
     payload["nodes"] = [asdict(n) for n in report.nodes]
     payload["edges"] = [{"from": e.src, "to": e.dst, "hop": e.hop}
                         for e in report.edges]

@@ -4,18 +4,30 @@ Positions integrate piecewise-constant vertical velocity in closed form
 (no step-size drift): each node stores a reference depth, the time it
 was set, and the current velocity.  Horizontal coordinates are fixed at
 deployment apart from an optional constant current.  All coordinates
-clip at the region boundaries.
+clip at the region boundaries, through `_clip` alone.
+
+`positions(t)` and `bs_distances(t)` give every node's `position_of(i, t)`
+and `bs_distance_of(i, t)` in one pass over the bodies, bit for bit; a
+static world reads the same per-body caches.  `bs_distances_at_rest()`
+serves a run of instants while no node moves vertically, as in the
+settled-tail replay.
 """
 
 from __future__ import annotations
 
 import math
 from random import Random
+from typing import Callable
 
 from .config import SimConfig
 from .geometry import Position, distance
 
 __all__ = ["World", "deploy", "generate"]
+
+
+def _clip(value: float, limit: float) -> float:
+    """`value` clipped to [0, limit]: the region clamp on every axis."""
+    return 0.0 if value < 0.0 else limit if value > limit else value
 
 
 class _Body:
@@ -52,31 +64,35 @@ class World:
 
     def depth_of(self, i: int, t: float) -> float:
         body = self.bodies[i]
-        depth = body.depth_ref + body.v_down * (t - body.ref_time)
-        if depth < 0.0:
-            return 0.0
-        limit = self.region[2]
-        return limit if depth > limit else depth
+        return _clip(body.depth_ref + body.v_down * (t - body.ref_time),
+                     self.region[2])
 
     def _coords(self, body: _Body, t: float) -> tuple[float, float, float]:
-        # clip to the region; depth clips exactly as depth_of does
-        region = self.region
-        east = body.east0 + self.current[0] * t
-        if east < 0.0:
-            east = 0.0
-        if east > region[0]:
-            east = region[0]
-        north = body.north0 + self.current[1] * t
-        if north < 0.0:
-            north = 0.0
-        if north > region[1]:
-            north = region[1]
-        depth = body.depth_ref + body.v_down * (t - body.ref_time)
-        if depth < 0.0:
-            depth = 0.0
-        elif depth > region[2]:
-            depth = region[2]
-        return east, north, depth
+        """(east, north, depth) of `body` at `t`, clipped to the region."""
+        east_rate, north_rate = self.current
+        east_max, north_max, depth_max = self.region
+        return (_clip(body.east0 + east_rate * t, east_max),
+                _clip(body.north0 + north_rate * t, north_max),
+                _clip(body.depth_ref + body.v_down * (t - body.ref_time),
+                      depth_max))
+
+    def _rows(self, t: float) -> list[tuple[float, float, float]]:
+        """`_coords(body, t)` of every body, with no method call per body."""
+        east_rate, north_rate = self.current
+        east_max, north_max, depth_max = self.region
+        return [(_clip(b.east0 + east_rate * t, east_max),
+                 _clip(b.north0 + north_rate * t, north_max),
+                 _clip(b.depth_ref + b.v_down * (t - b.ref_time), depth_max))
+                for b in self.bodies]
+
+    def _bs_distances(
+            self, rows: list[tuple[float, float, float]]) -> list[float]:
+        bs_east, bs_north, bs_depth = self.bs_position
+        sqrt = math.sqrt
+        # distance(bs_position, pos)'s operand order, so the bits agree
+        return [sqrt((east - bs_east) ** 2 + (north - bs_north) ** 2
+                     + (depth - bs_depth) ** 2)
+                for east, north, depth in rows]
 
     def position_of(self, i: int, t: float) -> Position:
         body = self.bodies[i]
@@ -97,11 +113,58 @@ class World:
                 dist = body.cached_bs_dist = distance(self.bs_position,
                                                       self.position_of(i, t))
             return dist
-        east, north, depth = self._coords(body, t)
+        return self._bs_distances([self._coords(body, t)])[0]
+
+    def positions(self, t: float) -> list[Position]:
+        """Every node's `position_of(i, t)`, in one pass over the bodies."""
+        if not self.drifting:
+            # a filled cache belongs to a static body
+            return [body.cached_pos or self.position_of(i, t)
+                    for i, body in enumerate(self.bodies)]
+        return [Position(*row) for row in self._rows(t)]
+
+    def bs_distances(self, t: float) -> list[float]:
+        """Every node's `bs_distance_of(i, t)`, in one pass over the bodies."""
+        if not self.drifting:
+            return [body.cached_bs_dist or self.bs_distance_of(i, t)
+                    for i, body in enumerate(self.bodies)]
+        return self._bs_distances(self._rows(t))
+
+    def bs_distances_at_rest(self) -> Callable[[float], list[float]]:
+        """`bs_distances` for as long as no node moves vertically.
+
+        Then only an axis with a current changes with t.  Each body's
+        depth term, and its term on an axis with no current, is squared
+        once here (adding a zero velocity changes no square); the returned
+        function recomputes the others and keeps `bs_distance_of`'s
+        association, `sqrt((east2 + north2) + depth2)`, so the bits agree.
+        """
+        bodies = self.bodies
+        if not self.drifting:
+            return self.bs_distances
+        if any(b.v_down != 0.0 for b in bodies):
+            raise ValueError("a node is moving vertically")
+
+        def squares(starts: list[float], rate: float, limit: float,
+                    origin: float) -> Callable[[float], list[float]]:
+            """Each body's squared term on one axis, as a function of t."""
+            if rate == 0.0:
+                still = [(_clip(s, limit) - origin) ** 2 for s in starts]
+                return lambda t: still
+            return lambda t: [(_clip(s + rate * t, limit) - origin) ** 2
+                              for s in starts]
+
         bs = self.bs_position
-        # distance(bs_position, pos)'s operand order, so the bits agree
-        return math.sqrt((east - bs.east) ** 2 + (north - bs.north) ** 2
-                         + (depth - bs.depth) ** 2)
+        east_max, north_max, depth_max = self.region
+        east2 = squares([b.east0 for b in bodies], self.current[0],
+                        east_max, bs.east)
+        north2 = squares([b.north0 for b in bodies], self.current[1],
+                         north_max, bs.north)
+        depth2 = [(_clip(b.depth_ref, depth_max) - bs.depth) ** 2
+                  for b in bodies]
+        sqrt = math.sqrt
+        return lambda t: [sqrt((e2 + n2) + d2) for e2, n2, d2
+                          in zip(east2(t), north2(t), depth2)]
 
     def set_vertical_velocity(self, i: int, v: float, now: float) -> None:
         body = self.bodies[i]

@@ -103,11 +103,14 @@ class TestDeterminism:
 WATER_TYPES = (0.056, 0.120, 0.151)
 
 # (east, north) current in m/s and superframe period in s: along east,
-# along a diagonal, and strong enough that nodes reach the walls and stay
-# clamped there.  Repeated additions of a 0.9 s period round differently
-# from offset + k * period, which moves a fast-drifting node's bits
-DRIFTS = [((0.02, 0.0), 1.0), ((0.03, -0.02), 1.0), ((5.0, 0.0), 1.0),
-          ((-3.0, 4.0), 1.0), ((-3.0, 4.0), 0.9)]
+# along north, along a diagonal, and strong enough that nodes reach the
+# walls and stay clamped there.  An axis with no current keeps its squared
+# term through the replay.  Repeated additions of a 0.9 s period round
+# differently from offset + k * period, which moves a fast-drifting
+# node's bits
+DRIFTS = [((0.02, 0.0), 1.0), ((0.0, 0.02), 1.0), ((0.03, -0.02), 1.0),
+          ((5.0, 0.0), 1.0), ((0.0, -5.0), 1.0), ((-3.0, 4.0), 1.0),
+          ((-3.0, 4.0), 0.9)]
 
 
 class TestFastForward:
@@ -423,8 +426,37 @@ class TestWorldKinematics:
                             ("north", pos.north == 150.0),
                             ("surface", pos.depth == 0.0),
                             ("floor", pos.depth == 100.0)) if hit)
+                # the batches, which plain_loop cannot turn off
+                assert world.positions(t) == [world.position_of(i, t)
+                                              for i in range(world.n)]
+                assert world.bs_distances(t) == [world.bs_distance_of(i, t)
+                                                 for i in range(world.n)]
         assert walls == {"west", "east", "south", "north", "surface",
                          "floor"}
+
+    @pytest.mark.parametrize("current", [(1.5, 0.0), (0.0, 0.8), (-1.5, -0.8)],
+                             ids=str)
+    def test_distances_at_rest_match_batch(self, current):
+        rng = random.Random(12)
+        world = World(Position(100.0, 75.0, 0.0),
+                      [Position(rng.uniform(0.0, 200.0),
+                                rng.uniform(0.0, 150.0),
+                                rng.uniform(0.0, 100.0))
+                       for _ in range(40)],
+                      self.REGION, current)
+        # move some bodies to the surface, the floor and in between first
+        for i in range(world.n):
+            world.set_vertical_velocity(i, rng.choice((0.0, -3.0, 3.0)), 0.0)
+        for i in range(world.n):
+            world.set_vertical_velocity(i, 0.0, rng.uniform(0.0, 50.0))
+        at_rest = world.bs_distances_at_rest()
+        t = 50.0
+        for _ in range(120):  # long enough for drifters to reach the walls
+            assert at_rest(t) == world.bs_distances(t)
+            t += 0.9
+        world.set_vertical_velocity(3, 1.0, t)
+        with pytest.raises(ValueError):
+            world.bs_distances_at_rest()
 
 
 class TestReceiverFieldOfView:

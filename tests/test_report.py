@@ -1,9 +1,11 @@
 import json
+from dataclasses import asdict
 
 import pytest
+from test_engine import scenario_runs
 
 from uwoan.config import SimConfig
-from uwoan.engine import run
+from uwoan.engine import run, simulate
 from uwoan.report import (
     ReportError,
     aggregate,
@@ -30,6 +32,18 @@ class TestSerialization:
         assert report_to_json(report) == report_to_json(report)
         payload = json.loads(report_to_json(report))
         assert list(payload) == sorted(payload)
+
+    def test_bytes_match_asdict_payload(self):
+        # the payload as dataclasses.asdict builds it, edges renamed
+        reports = [simulate(cfg, seed, world).report
+                   for cfg, seed, world in scenario_runs(seeds=range(3))]
+        assert any(edge.hop == 2 for r in reports for edge in r.edges)
+        for report in reports:
+            payload = asdict(report)
+            payload["edges"] = [{"from": e.src, "to": e.dst, "hop": e.hop}
+                                for e in report.edges]
+            assert report_to_json(report) \
+                == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def test_rejects_garbage(self):
         with pytest.raises(ReportError):
