@@ -172,11 +172,11 @@ class BsState:
         self.next_frame_seq = 0
         self.unknown_beams = 0
         self.duplicate_beams = 0
-        # a settled record's return folds to nothing while no draw rides on
-        # it, so the scan skips it; `settled_returns` counts the last skips
-        self._skip_settled = (config.sonar_depth_noise_std_m == 0.0
-                              and config.p_misdetect == 0.0)
-        self.settled_returns = 0
+        # an unchanged return folds to nothing while no draw rides on it, so
+        # the scan skips it; `unchanged_returns` counts the last skips
+        self._skip_unchanged = (config.sonar_depth_noise_std_m == 0.0
+                                and config.p_misdetect == 0.0)
+        self.unchanged_returns = 0
 
     @property
     def settled(self) -> bool:
@@ -199,30 +199,31 @@ class BsState:
         return is independently dropped with probability p_misdetect.
 
         With neither noise nor misdetection, a return is skipped when its
-        record is accessed or failed (both final), observed no motion and
-        holds this very `Position` object: folding it would change nothing,
-        since a final stage never refreshes its depth code, and no random
-        draw is skipped with it.  Such a record was detected at this
-        position before, so it is in reach; `settled_returns` counts the
-        skipped returns, which are detections all the same.
+        record, whatever its stage, observed no motion and holds this very
+        `Position` object.  Folding it would change nothing: the marker
+        stays NONE, the position stays the same object, and no cached angle
+        or slot is dropped.  A depth-matchable record's depth code already
+        comes from that object, since no record goes back to such a stage
+        once it has left one, and no random draw is skipped with it.  Such
+        a record was detected at this position before, so it is in reach;
+        `unchanged_returns` counts the skipped returns, which are
+        detections all the same.
         """
         c = self.cfg
         bs_pos, bucket = self.bs_position, self.depth_model.bucket
         reach, p_miss = c.acoustic_range_m, c.p_misdetect
         noise, floor = c.sonar_depth_noise_std_m, c.region_depth_m
-        skip_settled = self._skip_settled
+        skip_unchanged = self._skip_unchanged
         by_track, registry = self._by_track, self.registry
         skipped = 0
         out: list[Detection] = []
         for track_key, pos in snapshot:
-            if skip_settled:
+            if skip_unchanged:
                 nid = by_track.get(track_key)
                 if nid is not None:
                     rec = registry[nid]
                     if rec.sonar_position is pos \
-                            and rec.observed_motion is MARKER_NONE \
-                            and (rec.stage is STAGE_ACCESSED
-                                 or rec.stage is STAGE_FAILED):
+                            and rec.observed_motion is MARKER_NONE:
                         skipped += 1
                         continue
             if distance(bs_pos, pos) > reach:
@@ -235,7 +236,7 @@ class BsState:
             else:
                 depth, measured = pos.depth, pos
             out.append(Detection(track_key, measured, bucket(depth)))
-        self.settled_returns = skipped
+        self.unchanged_returns = skipped
         return out
 
     # -- allocation and decomposition --------------------------------------

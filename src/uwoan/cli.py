@@ -75,10 +75,29 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_out_dir(out: Path) -> None:
+    """Raise ConfigError unless `out` is or can be made a directory."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"--out: {path} exists and is not a "
+                                  "directory")
+            return
+
+
+def _check_out_file(out: Path) -> None:
+    """Raise ConfigError unless `out` can be written as a file."""
+    if out.is_dir():
+        raise ConfigError(f"--out: {out} is a directory")
+    if not out.parent.is_dir():
+        raise ConfigError(f"--out: directory {out.parent} does not exist")
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    result = simulate(config, seed=args.seed, collect_trace=True)
     out = Path(args.out)
+    _check_out_dir(out)  # before the run, which may take long
+    result = simulate(config, seed=args.seed, collect_trace=True)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report_to_json(result.report))
     (out / "trace.log").write_text("\n".join(result.trace_lines) + "\n")
@@ -112,12 +131,18 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--c-list is not a list of numbers: '{args.c_list}'")
     if not c_values:
         raise ConfigError("--c-list is empty")
+    repeated = sorted({c0 for c0 in c_values if c_values.count(c0) > 1})
+    if repeated:
+        raise ConfigError("--c-list repeats "
+                          + ", ".join(map(repr, repeated)))
     if args.seeds <= 0:
         raise ConfigError(f"--seeds must be positive, got {args.seeds}")
     if args.workers < 1:
         raise ConfigError(f"--workers must be positive, got {args.workers}")
     for c0 in c_values:
         replace(config, c0=c0)  # validate every coefficient up front
+    out = Path(args.out)
+    _check_out_file(out)
     tasks = [(config, c0, seed) for c0 in c_values for seed in range(args.seeds)]
     # the pool starts every worker up front, so start no more than there
     # are tasks, nor more than the CPUs this process may run on
@@ -137,7 +162,7 @@ def _cmd_sweep(args) -> int:
         writer.writerow(row)
     for row in summary_csv_rows(summaries):
         writer.writerow(row)
-    Path(args.out).write_text(buffer.getvalue())
+    out.write_text(buffer.getvalue())
     for s in summaries:
         print(f"c0 {s['c0']}: mean access {s['mean_access_rate']:.4f} "
               f"(sigma {s['std_access_rate']:.4f}), "

@@ -26,21 +26,25 @@ for, or it is accessed and its slot is no relay assignment, or its slot is
 the very RELAY_RX object last queued to it while it was accessed.  Binding
 is never undone and access is final, so that still holds when the arrival
 lands; a repeated RELAY_RX re-sets the duty the earlier one set, which has
-landed when every frame lands before the next one is sent.  Such an
-arrival keeps its sequence number and waits in a tally heap; before each
-event the run loop adds the delays ordered ahead of it to the tally, so
-`avg_sound_delay_s` is summed in the exact order of the plain loop and
-keeps every bit.
+landed when every frame lands before the next one is sent.
+
+Every acoustic delivery, queued or kept off the queue, logs its arrival
+time and delay when it is sent, so the log is in sequence order.  Each
+ping, and the end of the run, sorts the log stably by arrival time and
+adds the delays that land before it, in that order: the `(time, sequence)`
+order in which the plain loop pops the arrivals.  A delivery sent after a
+fold at `t` lands at or after `t`, so `avg_sound_delay_s` is summed in the
+exact order of the plain loop and keeps every bit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from heapq import heappop, heappush
-# the benchmark counts events by wrapping `heappop`; the inert-arrival tally
-# pops through its own name, so its entries are not counted as events
-from heapq import heappop as pop_tally
+from operator import add, itemgetter
 from random import Random
 
 from . import node as uwn
@@ -64,6 +68,9 @@ OPTICAL_ARRIVAL = "OPTICAL_ARRIVAL"
 MOVEMENT_EXPIRY = "MOVEMENT_EXPIRY"
 TIMEOUT_CHECK = "TIMEOUT_CHECK"
 SIM_END = "SIM_END"
+
+# the sort key of an `(arrival time, delay)` log entry
+_ARRIVAL_TIME = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -96,6 +103,9 @@ class Simulation:
         self.trace_lines: list[str] | None = [] if collect_trace else None
         self._heap: list = []
         self._seq = 0
+        # (arrival time, delay) of every acoustic delivery, in sequence
+        # order, until `_fold` adds the delay to the tally
+        self._arrivals: list[tuple[float, float]] = []
         self._delay_sum = 0.0
         self._delay_count = 0
         # ACCESSED nodes holding a relay duty; neither is ever undone
@@ -107,10 +117,8 @@ class Simulation:
         # an untraced relay arrival only matters if the relay forwards it,
         # so `_emit` skips relays whose partner is not the beam's claim
         self._skip_idle_relays = not collect_trace
-        # an untraced frame arrival known to change nothing waits here as
-        # (arrival time, sequence, delay) until its delay joins the tally
+        # an untraced frame arrival known to change nothing is only logged
         self._tally_inert = not collect_trace
-        self._inert: list[tuple[float, int, float]] = []
         # the RELAY_RX slot last queued to each accessed node.  When every
         # frame lands before the next one is sent, that arrival has landed
         # by the next frame, so the same object again re-sets an equal duty
@@ -143,15 +151,20 @@ class Simulation:
         heappush(self._heap, (t, self._seq, kind, a, b))
         self._seq += 1
 
-    def _tally_until(self, t: float, seq: int) -> None:
-        """Add the delays of inert arrivals ordered before `(t, seq)`."""
-        inert = self._inert
-        total, count = self._delay_sum, self._delay_count
-        key = (t, seq)
-        while inert and inert[0] < key:
-            total += pop_tally(inert)[2]
-            count += 1
-        self._delay_sum, self._delay_count = total, count
+    def _fold(self, t: float) -> None:
+        """Add the logged delays that land before `t`, in loop order.
+
+        The stable sort keeps sequence order among equal arrival times, and
+        `reduce` adds left to right: float `sum` is compensated from
+        Python 3.12 on, which would change the bits.
+        """
+        arrivals = self._arrivals
+        arrivals.sort(key=_ARRIVAL_TIME)
+        n = bisect_left(arrivals, t, key=_ARRIVAL_TIME)
+        self._delay_sum = reduce(add, [delay for _, delay in arrivals[:n]],
+                                 self._delay_sum)
+        self._delay_count += n
+        del arrivals[:n]
 
     def _trace(self, t: float, kind: str, subject: str, detail: str) -> None:
         if self.trace_lines is not None:
@@ -160,12 +173,13 @@ class Simulation:
     # -- event handlers --------------------------------------------------------
 
     def _on_ping(self, t: float) -> None:
+        self._fold(t)  # the replay below continues from this tally
         snapshot = list(enumerate(self.world.positions(t)))
         detections = self.bs.sonar_scan(snapshot, self.rng)
         new_ids = self.bs.allocate(detections, t)
         self.bs.update_decomposition(detections, t)
         if self.trace_lines is not None:
-            detected = len(detections) + self.bs.settled_returns
+            detected = len(detections) + self.bs.unchanged_returns
             self._trace(t, SONAR_PING, "bs",
                         f"detected={detected} new={len(new_ids)}")
         if self._may_fast_forward and self._quiescent(t):
@@ -181,6 +195,7 @@ class Simulation:
                 d = self.world.bs_distance_of(i, t)
                 if d <= reach:
                     delay = d / speed
+                    self._arrivals.append((t + delay, delay))
                     self._push(t + delay, ACOUSTIC_ARRIVAL, i,
                                ("trigger", None, d, delay))
         self._push(t, TIMEOUT_CHECK)
@@ -227,8 +242,9 @@ class Simulation:
         depth-noise draws consume the random stream, but nothing reads it
         afterwards.
 
-        What the report sees of the tail is `_delay_sum`, which the run
-        loop adds to as the heap pops each frame's arrivals.  So this walks
+        What the report sees of the tail is `_delay_sum`, to which the run
+        loop adds each frame's delays in the order the heap pops its
+        arrivals.  The ping has folded every earlier delay, so this walks
         the transmit times as the loop builds them (from `_next_tx`, then
         `t += period`) and sums each frame's `bs_distance_of(i, t) /
         speed` in the heap's `(t + delay, i)` order, stopping at `t_max`
@@ -239,7 +255,9 @@ class Simulation:
         recomputes them every frame in one batched pass,
         `World.bs_distances_at_rest`, which clamps at the walls as
         `bs_distance_of` does and squares the terms that cannot change
-        (depth, and any axis with no current) once per replay.
+        (depth, and any axis with no current) once per replay.  The replay
+        adds to the tally directly rather than through the arrival log,
+        which measured slower.
         """
         if not self.bs.registry:
             return
@@ -288,6 +306,7 @@ class Simulation:
             reach = self.cfg.acoustic_range_m
             speed = self.profile.sound_speed
             p_loss = self.cfg.p_frame_loss
+            arrivals = self._arrivals
             tally_inert = self._tally_inert
             relay_rx_sent = self._relay_rx_sent
             for i, d in enumerate(self.world.bs_distances(t)):
@@ -296,6 +315,7 @@ class Simulation:
                 if p_loss > 0.0 and self.rng.random() < p_loss:
                     continue
                 delay = d / speed
+                arrivals.append((t + delay, delay))
                 if tally_inert:
                     # a bound node heeds only its own slot, an accessed one
                     # only a relay assignment it has not heeded yet; binding
@@ -318,9 +338,6 @@ class Simulation:
                             inert = relay_rx_sent.get(i) is slot
                             relay_rx_sent[i] = slot
                         if inert:
-                            heappush(self._inert,
-                                     (t + delay, self._seq, delay))
-                            self._seq += 1
                             continue
                 self._push(t + delay, ACOUSTIC_ARRIVAL, i,
                            ("frame", index, d, delay))
@@ -346,8 +363,6 @@ class Simulation:
 
     def _on_acoustic_arrival(self, t: float, i: int, payload) -> None:
         what, index, d, delay = payload
-        self._delay_sum += delay
-        self._delay_count += 1
         if self.trace_lines is not None:
             frame_seq = None if index is None else index.frame.frame_seq
             self._trace(t, ACOUSTIC_ARRIVAL, f"u{i}",
@@ -477,13 +492,8 @@ class Simulation:
         self._push(t_max, SIM_END)
         self._push(0.0, SONAR_PING)
         self._push(self.cfg.first_superframe_offset_s, SUPERFRAME_TX)
-        inert = self._inert
         while self._heap:
-            t, seq, kind, a, b = heappop(self._heap)
-            if inert and inert[0][0] <= t:
-                # acoustic arrivals, the replay at a ping and the report
-                # read the tally: bring it up to this event first
-                self._tally_until(t, seq)
+            t, _, kind, a, b = heappop(self._heap)
             if kind == SIM_END:
                 if self.trace_lines is not None:
                     self._trace(t, SIM_END, "sim", "")
@@ -500,6 +510,8 @@ class Simulation:
                 self._on_timeout_check(t)
             elif kind == SUPERFRAME_TX:
                 self._on_superframe_tx(t)
+        # arrivals at `t_max` pop after SIM_END, which was queued first
+        self._fold(t_max)
         return self._build_report(t_max)
 
     def _build_report(self, t_max: float) -> SimReport:

@@ -57,36 +57,41 @@ class TestSonarScan:
         assert [d.track_key for d in dets] == [0]
 
     @pytest.mark.parametrize("final", ["accessed", "failed"])
-    def test_settled_returns_fold_to_nothing(self, final):
+    def test_unchanged_returns_fold_to_nothing(self, final):
         # record 1 ends final, then its node dives 1 m and stops; record 2
-        # still awaits its beam.  A second state folds every return
+        # still awaits its beam, and records 3 and 4 share a depth code.
+        # A second state folds every return
         still, dived = Position(30, 40, 120), Position(30, 40, 121)
-        waiting = Position(90, 90, 60)
+        static = [Position(90, 90, 60), Position(150, 150, 100.0),
+                  Position(160, 160, 100.3)]
         skipping, folding = make_bs(), make_bs()
-        folding._skip_settled = False
+        folding._skip_unchanged = False
         for bs in (skipping, folding):
-            bs.allocate(scan(bs, [still, waiting]), 0.0)
+            bs.allocate(scan(bs, [still, *static]), 0.0)
             bs.compose_superframe(0.1)
             if final == "accessed":
                 walk_to_accessed(bs, 1, 0.5)
             else:
                 bs._fail(bs.registry[1])
+        assert [rec.stage for rec in skipping.registry.values()][1:] == [
+            HandshakeStage.AWAITING_BEAM, HandshakeStage.CONFLICTED,
+            HandshakeStage.CONFLICTED]
         seen = []
         for k, pos in enumerate([still, still, dived, dived, dived]):
             for bs in (skipping, folding):
-                dets = scan(bs, [pos, waiting])
+                dets = scan(bs, [pos, *static])
                 bs.update_decomposition(dets, 1.0 + k)
                 if bs is skipping:
                     seen.append(([d.track_key for d in dets],
-                                 bs.settled_returns,
+                                 bs.unchanged_returns,
                                  bs.registry[1].observed_motion.name))
             assert skipping.registry == folding.registry
-        # the dive is folded as DIVING, and the same position once more to
-        # read NONE; only then does the record count as settled again
-        assert seen == [([1], 1, "NONE"), ([1], 1, "NONE"),
-                        ([0, 1], 0, "DIVING"), ([0, 1], 0, "NONE"),
-                        ([1], 1, "NONE")]
-        assert folding.settled_returns == 0
+        # the records that did not move are never folded again; the dive is
+        # folded as DIVING, and the same position once more to read NONE
+        assert seen == [([], 4, "NONE"), ([], 4, "NONE"),
+                        ([0], 3, "DIVING"), ([0], 3, "NONE"),
+                        ([], 4, "NONE")]
+        assert folding.unchanged_returns == 0
 
     def test_misdetection_drops_probabilistically(self):
         bs = make_bs(p_misdetect=0.5)

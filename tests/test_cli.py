@@ -94,6 +94,44 @@ class TestExitCodes:
                      "--format", "svg"]) == 1
 
 
+class TestUnusableOut:
+    """An --out path that cannot be written exits 2 before any run."""
+
+    @pytest.fixture(autouse=True)
+    def no_runs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated before checking --out")
+        monkeypatch.setattr(cli, "simulate", refuse)
+
+    @pytest.fixture
+    def a_file(self, tmp_path):
+        path = tmp_path / "taken"
+        path.write_text("keep me\n")
+        return path
+
+    @pytest.mark.parametrize("out,needle", [
+        ("taken", "exists and is not a directory"),
+        ("taken/sub", "exists and is not a directory"),
+    ])
+    def test_run(self, cfg_file, tmp_path, a_file, capsys, out, needle):
+        assert main(["run", "--config", str(cfg_file),
+                     "--out", str(tmp_path / out)]) == 2
+        assert needle in capsys.readouterr().err
+        assert a_file.read_text() == "keep me\n"
+
+    @pytest.mark.parametrize("out,needle", [
+        (".", "is a directory"),
+        ("missing/x.csv", "does not exist"),
+        ("taken/x.csv", "does not exist"),
+    ])
+    def test_sweep(self, cfg_file, tmp_path, a_file, capsys, out, needle):
+        assert main(["sweep", "--config", str(cfg_file),
+                     "--c-list", "0.056", "--seeds", "2",
+                     "--out", str(tmp_path / out)]) == 2
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
+
 class TestRunCommand:
     def test_writes_all_artifacts(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -209,6 +247,15 @@ class TestSweepCommand:
                      "--workers", workers]) == 2
         assert capsys.readouterr().err \
             == f"error: --workers must be positive, got {workers}\n"
+        assert not out.exists()
+
+    def test_repeated_coefficient_exits_2(self, cfg_file, tmp_path, capsys):
+        # compared by value: 0.12 and 0.120 are one coefficient
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg_file),
+                     "--c-list", "0.056,0.12,0.151,0.120", "--seeds", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --c-list repeats 0.12\n"
         assert not out.exists()
 
     def test_rows_sorted_by_c0_then_seed(self, cfg_file, tmp_path):

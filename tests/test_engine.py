@@ -3,6 +3,8 @@ import itertools
 import math
 import operator
 import random
+from contextlib import contextmanager
+from functools import reduce
 from heapq import heappop
 
 import pytest
@@ -941,28 +943,49 @@ class TestNearCoincidentBeams:
         assert offered == ([(1.0, 1)] if gap == 2.0 ** -536 else [])
 
 
-def arrival_tallies(make_sim):
-    """Run `make_sim()`; return its report and, on entry to every acoustic
-    arrival handler, (time, node, what, delay sum, delay count)."""
+@contextmanager
+def popped_arrivals():
+    """Record every handled acoustic arrival as (time, node, what, delay).
+
+    With every shortcut off, each arrival is handled as the loop pops it,
+    so the recorded delays are in the order the tally must add them.
+    """
     seen = []
     real = Simulation._on_acoustic_arrival
 
     def recording(self, t, i, payload):
-        seen.append((t, i, payload[0], self._delay_sum, self._delay_count))
+        seen.append((t, i, payload[0], payload[3]))
         real(self, t, i, payload)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Simulation, "_on_acoustic_arrival", recording)
+        yield seen
+
+
+def pop_order_tally(seen):
+    """The delay sum and count of recorded arrivals, added in pop order."""
+    return reduce(operator.add, [delay for *_, delay in seen], 0.0), len(seen)
+
+
+def pop_order_mean(seen):
+    total, count = pop_order_tally(seen)
+    return total / count if count else 0.0
+
+
+def arrival_tallies(make_sim):
+    """Run `make_sim()`; return its report and its handled arrivals."""
+    with popped_arrivals() as seen:
         report = make_sim().run()
     return report, seen
 
 
 class TestInertArrivals:
-    """Untraced frame arrivals that change nothing are tallied off the queue.
+    """Untraced frame arrivals that change nothing are only logged.
 
-    Their delays must join `_delay_sum` exactly where the plain loop adds
-    them: the tally on entry to every arrival still handled matches the
-    plain loop's, and so does the report.
+    Every delivery's delay joins the tally from the arrival log.  The
+    oracle is the plain loop with every shortcut off: its delays, added in
+    the order the loop pops them, must give `avg_sound_delay_s` bit for
+    bit, and the run with its shortcuts on must give the same report.
     """
 
     @staticmethod
@@ -970,6 +993,7 @@ class TestInertArrivals:
         (fast_report, fast_seen), (plain_report, plain_seen) = fast, plain
         handled = {entry[:3] for entry in fast_seen}
         assert fast_seen == [e for e in plain_seen if e[:3] in handled]
+        assert plain_report.avg_sound_delay_s == pop_order_mean(plain_seen)
         assert fast_report == plain_report
         return {e[:3] for e in plain_seen} - handled  # the tallied arrivals
 
@@ -993,7 +1017,7 @@ class TestInertArrivals:
         # keep the relay's repeated RELAY_RX arrivals live
         with plain_loop("fast_forward", "relay_rx_repeats"):
             fast = arrival_tallies(make_sim)
-        with plain_loop("fast_forward", "inert_arrivals"):
+        with plain_loop():
             plain = arrival_tallies(make_sim)
         tallied = self.check_tallies(fast, plain)
         ix, ir = placed.index(x), placed.index(relay)
@@ -1025,7 +1049,7 @@ class TestInertArrivals:
                 (cfg.current_east_mps, cfg.current_north_mps)))
 
         fast = arrival_tallies(make_sim)
-        with plain_loop("inert_arrivals"):
+        with plain_loop():
             plain = arrival_tallies(make_sim)
         tallied = self.check_tallies(fast, plain)
         world = make_sim().world
@@ -1037,33 +1061,45 @@ class TestInertArrivals:
         assert [n.outcome for n in fast[0].nodes] == ["accessed"] * 2
 
     def test_pending_at_the_quiescent_ping(self, monkeypatch, plain_loop):
-        # the frames before the replay land wholly inert, so only the ping
-        # can add their delays; the replay must start from the same tally
+        # the frames before the replay land wholly inert, so only the ping's
+        # fold adds their delays; the replay must start from the tally the
+        # plain loop holds when it pops that ping
         at_replay = []
-        real_tally = Simulation._tally_until
+        real_fold = Simulation._fold
         real_replay = Simulation._fast_forward_tail
 
-        def flush(self, t, seq):
-            self.pending = len(self._inert)  # before the last flush
-            real_tally(self, t, seq)
+        def fold(self, t):
+            self.pending = len(self._arrivals)  # before the last fold
+            real_fold(self, t)
 
         def replay(self):
-            at_replay.append((getattr(self, "pending", 0), self._delay_sum,
+            at_replay.append((self.settled_at, self.pending,
+                              len(self._arrivals), self._delay_sum,
                               self._delay_count))
             real_replay(self)
 
-        monkeypatch.setattr(Simulation, "_tally_until", flush)
+        monkeypatch.setattr(Simulation, "_fold", fold)
         monkeypatch.setattr(Simulation, "_fast_forward_tail", replay)
         cfg = SimConfig()
         fast = [run(cfg, seed) for seed in range(3)]
-        fast_at_replay, at_replay[:] = at_replay[:], []
-        with plain_loop("inert_arrivals"):
-            plain = [run(cfg, seed) for seed in range(3)]
-        assert fast == plain and len(at_replay) == 3
-        assert [tally for _, *tally in fast_at_replay] \
-            == [tally for _, *tally in at_replay]
-        assert all(pending == 0 for pending, *_ in at_replay)
-        assert all(pending >= cfg.n_uwn for pending, *_ in fast_at_replay)
+        assert len(at_replay) == 3
+        monkeypatch.undo()
+        pings = []
+        real_ping = Simulation._on_ping
+
+        def ping(self, t):
+            pings.append((t, len(seen)))  # the arrivals popped before it
+            real_ping(self, t)
+
+        monkeypatch.setattr(Simulation, "_on_ping", ping)
+        for seed, (settled_at, pending, left, *tally) in enumerate(
+                at_replay):
+            pings.clear()
+            with plain_loop(), popped_arrivals() as seen:
+                assert run(cfg, seed) == fast[seed]
+            popped = dict(pings)[settled_at]
+            assert tally == list(pop_order_tally(seen[:popped]))
+            assert pending >= cfg.n_uwn and left == 0
 
     def test_emitting_node_may_be_confirmed_before_a_relay_slot(
             self, plain_loop):
@@ -1108,12 +1144,30 @@ class TestInertArrivals:
 
     @staticmethod
     def drain(sim):
-        """Handle every queued acoustic arrival in loop order, tally first."""
+        """Handle every queued acoustic arrival in loop order, folding the
+        logged delays that land before each one first."""
         while sim._heap:
-            t, seq, kind, i, payload = heappop(sim._heap)
-            sim._tally_until(t, seq)
+            t, _, kind, i, payload = heappop(sim._heap)
+            sim._fold(t)
             if kind == engine.ACOUSTIC_ARRIVAL:
                 sim._on_acoustic_arrival(t, i, payload)
+
+    @staticmethod
+    def queue_confirm(sim, t, confirm):
+        """Queue and log a CONFIRM arrival at node 0, as a frame would."""
+        sim._arrivals.append((t, 0.06))
+        sim._push(t, engine.ACOUSTIC_ARRIVAL, 0,
+                  ("frame", FrameIndex(SuperFrame(0, (confirm,))), 90.0, 0.06))
+
+    @staticmethod
+    def check_drained(fast, plain):
+        """Same nodes, and the tally in the order the plain loop pops."""
+        (sim, sent), ((plain_sim, _), plain_seen) = fast, plain
+        assert sim.nodes == plain_sim.nodes
+        assert (sim._delay_sum, sim._delay_count) \
+            == (plain_sim._delay_sum, plain_sim._delay_count) \
+            == pop_order_tally(plain_seen)
+        return sim.nodes[0], sent
 
     @staticmethod
     def relay_world(cfg, positions):
@@ -1143,25 +1197,21 @@ class TestInertArrivals:
             assert bs.registry[1].relay_of == 2
             state = sim.nodes[0]
             state.lifecycle, state.matched_id = Lifecycle.EMITTING, 1
-            sim._push(confirm_at, engine.ACOUSTIC_ARRIVAL, 0,
-                      ("frame", FrameIndex(SuperFrame(0, (confirm,))),
-                       90.0, 0.06))
+            self.queue_confirm(sim, confirm_at, confirm)
             sent = []
             for t in (1.0, 2.0, 3.0):
                 sim._on_superframe_tx(t)
                 sent.append(bs.registry[1].slot)
                 self.drain(sim)
-            sim._tally_until(math.inf, 0)
-            return sim.nodes, sim._delay_sum, sim._delay_count, sent
+            sim._fold(math.inf)
+            return sim, sent
 
-        with plain_loop("relay_rx_repeats"):
-            plain = run_frames()
-        fast = run_frames()
-        state, sent = fast[0][0], fast[3]
+        with plain_loop(), popped_arrivals() as seen:
+            plain = run_frames(), seen
+        state, sent = self.check_drained(run_frames(), plain)
         assert sent[0] is sent[1] is sent[2]
         assert state.lifecycle is Lifecycle.ACCESSED
         assert state.relay_duty == RelayDuty(2, uwn.slot_bearing(sent[0]))
-        assert fast[:3] == plain[:3]
 
     def test_relay_released_and_rebound_in_flight(self, plain_loop):
         # record 1 relays for record 2.  The frame at 2.0 repeats its
@@ -1195,17 +1245,15 @@ class TestInertArrivals:
                     assert bs.registry[1].relay_of == 3
                     assert bs.registry[1].slot is None
                 self.drain(sim)
-            sim._tally_until(math.inf, 0)
-            return sim.nodes, sim._delay_sum, sim._delay_count, sent
+            sim._fold(math.inf)
+            return sim, sent
 
-        with plain_loop("relay_rx_repeats"):
-            plain = run_frames()
-        fast = run_frames()
-        state, sent = fast[0][0], fast[3]
+        with plain_loop(), popped_arrivals() as seen:
+            plain = run_frames(), seen
+        state, sent = self.check_drained(run_frames(), plain)
         assert sent[0] is sent[1] and sent[2] is sent[3]
         assert (sent[1].partner_id, sent[2].partner_id) == (2, 3)
         assert state.relay_duty == RelayDuty(3, uwn.slot_bearing(sent[2]))
-        assert fast[:3] == plain[:3]
 
     def test_relay_rx_repeats_are_tallied(self, monkeypatch, plain_loop):
         handled = []
@@ -1224,9 +1272,37 @@ class TestInertArrivals:
                      for cfg, seed, world in scenario_runs()]
         assert fast == plain and len(handled) > n_fast
 
+    def test_log_stays_bounded(self, monkeypatch):
+        # a lossy run never replays, so it folds at every one of its 400
+        # pings; the log must hold only what is still in flight, at most a
+        # trigger and a frame arrival per node, however long the run
+        cfg = SimConfig(p_frame_loss=0.1, t_max_s=400.0)
+        logged = []
+        real_fold = Simulation._fold
+
+        def fold(self, t):
+            logged.append(len(self._arrivals))
+            real_fold(self, t)
+
+        monkeypatch.setattr(Simulation, "_fold", fold)
+        for seed in range(3):
+            logged.clear()
+            sim = Simulation(cfg, seed)
+            sim.run()
+            assert sim.settled_at is None and len(logged) == 401
+            assert cfg.n_uwn < max(logged) <= 2 * cfg.n_uwn
+
+    def test_tally_is_summed_in_pop_order(self, plain_loop):
+        fast = [simulate(cfg, seed, world).report
+                for cfg, seed, world in scenario_runs()]
+        for report, (cfg, seed, world) in zip(fast, scenario_runs()):
+            with plain_loop(), popped_arrivals() as seen:
+                assert simulate(cfg, seed, world).report == report
+            assert report.avg_sound_delay_s == pop_order_mean(seen)
+
 
 class TestSettledReturns:
-    """Sonar returns of settled records are skipped only where that is exact.
+    """Unchanged sonar returns are skipped only where that is exact.
 
     Depth noise and misdetection draw from the random stream for every
     return in reach, so with either one nothing may be skipped.
@@ -1242,7 +1318,7 @@ class TestSettledReturns:
 
         def counting(self, snapshot, rng):
             detections = real(self, snapshot, rng)
-            skipped.append(self.settled_returns)
+            skipped.append(self.unchanged_returns)
             return detections
 
         monkeypatch.setattr(BsState, "sonar_scan", counting)
@@ -1250,7 +1326,7 @@ class TestSettledReturns:
                 for c0 in WATER_TYPES for seed in range(3)]
         fast = [simulate(cfg, seed, collect_trace=True) for cfg, seed in runs]
         n_skipped = sum(skipped)
-        with plain_loop("settled_returns"):
+        with plain_loop("unchanged_returns"):
             plain = [simulate(cfg, seed, collect_trace=True)
                      for cfg, seed in runs]
         assert fast == plain
