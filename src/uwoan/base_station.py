@@ -101,7 +101,6 @@ class NodeRecord:
     depth_code: int
     stage: HandshakeStage
     retries_remaining: int
-    conflict_flag: bool = False
     reset_bit: int = 0
     observed_motion: MovementMarker = MovementMarker.NONE
     relay_of: int | None = None
@@ -168,7 +167,6 @@ class BsState:
         # the records neither accessed nor failed, in network-ID order; both
         # of those stages are final, so the per-period passes skip them
         self._live: dict[int, NodeRecord] = {}
-        self.next_network_id = 1
         self.next_frame_seq = 0
         self.unknown_beams = 0
         self.duplicate_beams = 0
@@ -242,16 +240,15 @@ class BsState:
     # -- allocation and decomposition --------------------------------------
 
     def allocate(self, detections: Sequence[Detection], now: float) -> list[int]:
-        """Register unseen tracks under fresh sequential network IDs."""
+        """Register unseen tracks under sequential IDs from 1, never freed."""
         new_ids: list[int] = []
         for det in detections:
             if det.track_key in self._by_track:
                 continue
-            if self.next_network_id > MAX_NETWORK_ID:
+            nid = len(self.registry) + 1
+            if nid > MAX_NETWORK_ID:
                 raise ProtocolError(
                     f"network ID space exhausted ({MAX_NETWORK_ID} IDs)")
-            nid = self.next_network_id
-            self.next_network_id += 1
             self.registry[nid] = self._live[nid] = NodeRecord(
                 network_id=nid, track_key=det.track_key,
                 sonar_position=det.position, depth_code=det.depth_code,
@@ -335,7 +332,6 @@ class BsState:
                         and bucket - 1 not in diving \
                         and bucket + 1 not in rising:
                     rec.stage = STAGE_ASSIGNED
-                    rec.conflict_flag = False
                     rec.conflict_since = None
                     rec.last_reset_at = None
                     rec.retries_remaining = self.cfg.direct_retries
@@ -343,7 +339,6 @@ class BsState:
                 # a mover collided into this code: the slot is ambiguous
                 # again, even if it was already broadcast conflict-free
                 rec.stage = STAGE_CONFLICTED
-                rec.conflict_flag = True
                 rec.conflict_since = now
                 rec.last_reset_at = None
 
@@ -407,7 +402,7 @@ class BsState:
                 else:
                     slot = SlotPayload(
                         rec.network_id, rec.depth_code, az, el,
-                        SLOT_ASSIGN, rec.conflict_flag,
+                        SLOT_ASSIGN, stage is STAGE_CONFLICTED,
                         rec.observed_motion, rec.reset_bit)
                     if stage is STAGE_ASSIGNED:
                         rec.stage = STAGE_AWAITING_BEAM
@@ -480,7 +475,6 @@ class BsState:
 
     def _fail(self, rec: NodeRecord) -> None:
         rec.stage = STAGE_FAILED
-        rec.conflict_flag = False
         rec.relayed_by = None
         del self._live[rec.network_id]
 
@@ -501,10 +495,6 @@ class BsState:
             if rec.stage is STAGE_ACCESSED \
                     and rec.access_time is None:
                 raise _broken(nid, "accessed without an access time")
-            if rec.conflict_flag \
-                    and rec.stage is not STAGE_CONFLICTED:
-                raise _broken(nid, f"flags a conflict in stage "
-                                   f"{rec.stage.name}")
             if rec.relay_of is not None:
                 if rec.relay_of in seen_relays:
                     raise _broken(nid, f"second relay for {rec.relay_of}")

@@ -75,6 +75,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _out_path(text: str) -> Path:
+    """The --out path; an empty one would silently mean the working dir."""
+    if not text.strip():
+        raise ConfigError(f"--out is empty: '{text}'")
+    return Path(text)
+
+
 def _check_out_dir(out: Path) -> None:
     """Raise ConfigError unless `out` is or can be made a directory."""
     for path in (out, *out.parents):
@@ -95,7 +102,7 @@ def _check_out_file(out: Path) -> None:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    out = Path(args.out)
+    out = _out_path(args.out)
     _check_out_dir(out)  # before the run, which may take long
     result = simulate(config, seed=args.seed, collect_trace=True)
     out.mkdir(parents=True, exist_ok=True)
@@ -125,12 +132,13 @@ def _usable_cpus() -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
+    tokens = args.c_list.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise ConfigError(f"--c-list has an empty entry: '{args.c_list}'")
     try:
-        c_values = [float(tok) for tok in args.c_list.split(",") if tok.strip()]
+        c_values = [float(tok) for tok in tokens]
     except ValueError:
         raise ConfigError(f"--c-list is not a list of numbers: '{args.c_list}'")
-    if not c_values:
-        raise ConfigError("--c-list is empty")
     repeated = sorted({c0 for c0 in c_values if c_values.count(c0) > 1})
     if repeated:
         raise ConfigError("--c-list repeats "
@@ -141,7 +149,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--workers must be positive, got {args.workers}")
     for c0 in c_values:
         replace(config, c0=c0)  # validate every coefficient up front
-    out = Path(args.out)
+    out = _out_path(args.out)
     _check_out_file(out)
     tasks = [(config, c0, seed) for c0 in c_values for seed in range(args.seeds)]
     # the pool starts every worker up front, so start no more than there

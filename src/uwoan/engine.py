@@ -19,14 +19,14 @@ Settled nodes cost little.  The base station's per-period passes walk only
 its live records, those neither accessed nor failed (`BsState.settled`
 tells when none is left), and it sends an accessed record's kept slot
 again while nothing it depends on changes.  It skips the sonar return of a
-record that is accessed or failed and has not moved (`BsState.sonar_scan`).
-An untraced run keeps a frame arrival off the event queue when it is known
-to change nothing: the node is bound to an ID that the frame has no slot
-for, or it is accessed and its slot is no relay assignment, or its slot is
-the very RELAY_RX object last queued to it while it was accessed.  Binding
-is never undone and access is final, so that still holds when the arrival
-lands; a repeated RELAY_RX re-sets the duty the earlier one set, which has
-landed when every frame lands before the next one is sent.
+record that saw no motion and holds the same position, whatever its stage
+(`BsState.sonar_scan`).  An untraced run keeps a frame arrival off the
+event queue when it is known to change nothing: the node is bound to an ID
+and does not heed the frame (`node.heeds`), or its slot is the very
+RELAY_RX object last queued to it while it was accessed.  Binding is never
+undone and access is final, so that still holds when the arrival lands; a
+repeated RELAY_RX re-sets the duty the earlier one set, which has landed
+when every frame lands before the next one is sent.
 
 Every acoustic delivery, queued or kept off the queue, logs its arrival
 time and delay when it is sent, so the log is in sequence order.  Each
@@ -51,11 +51,11 @@ from . import node as uwn
 from .base_station import MAX_NETWORK_ID, STAGE_FAILED, BsState
 from .channel import optical_received_power
 from .config import ConfigError, SimConfig
-from .frame import SLOT_RELAY_RX, FrameIndex, SlotPayload, encode
+from .frame import FrameIndex, SlotPayload, encode
 # decode is unused here; perfbench/tracing.py and its tests patch it
 from .frame import decode  # noqa: F401
 from .geometry import Bearing, Position, angle_between, unit_vector
-from .node import NODE_ACCESSED, NODE_CONFLICT_MOVING, NODE_DORMANT
+from .node import NODE_ACCESSED, NODE_CONFLICT_MOVING, NODE_DORMANT, heeds
 from .report import NodeOutcome, SimReport, TopologyEdge
 from .world import World, deploy
 
@@ -97,8 +97,8 @@ class Simulation:
         self.model = config.depth_model()
         self.bs = BsState(config)
         self.nodes = [
-            uwn.UwnState(node=i, original_depth=self.world.bodies[i].depth_ref)
-            for i in range(self.world.n)
+            uwn.UwnState(original_depth=body.depth_ref)
+            for body in self.world.bodies
         ]
         self.trace_lines: list[str] | None = [] if collect_trace else None
         self._heap: list = []
@@ -317,28 +317,19 @@ class Simulation:
                 delay = d / speed
                 arrivals.append((t + delay, delay))
                 if tally_inert:
-                    # a bound node heeds only its own slot, an accessed one
-                    # only a relay assignment it has not heeded yet; binding
-                    # is never undone and access is final, so this holds
-                    # until the arrival lands, and the `own_depth` it would
-                    # write is rewritten before anything reads it
+                    # what a bound node does not heed now it never will:
+                    # binding is never undone and access is final.  The
+                    # RELAY_RX object last queued re-sets an equal duty
                     state = self.nodes[i]
-                    nid = state.matched_id
-                    if nid is not None:
-                        slot = by_id.get(nid)
-                        if slot is None:
-                            inert = True
-                        elif state.lifecycle is not NODE_ACCESSED:
-                            inert = False
-                        elif slot.stage is not SLOT_RELAY_RX:
-                            inert = True
-                        elif relay_rx_sent is None:
-                            inert = False
-                        else:
-                            inert = relay_rx_sent.get(i) is slot
-                            relay_rx_sent[i] = slot
-                        if inert:
+                    if state.matched_id is not None:
+                        slot = by_id.get(state.matched_id)
+                        if not heeds(state, slot):
                             continue
+                        if relay_rx_sent is not None \
+                                and state.lifecycle is NODE_ACCESSED:
+                            if relay_rx_sent.get(i) is slot:
+                                continue
+                            relay_rx_sent[i] = slot
                 self._push(t + delay, ACOUSTIC_ARRIVAL, i,
                            ("frame", index, d, delay))
             if self.trace_lines is not None:
@@ -372,11 +363,11 @@ class Simulation:
         if what == "trigger":
             uwn.on_trigger(state)
             return
-        state.own_depth = self.world.depth_of(i, t)
         epoch_before = state.movement_epoch
         duty_before = state.relay_duty
         emissions = uwn.match_frame_indexed(state, index, self.model,
-                                            self.cfg, self.rng, t)
+                                            self.cfg, self.rng, t,
+                                            self.world.depth_of(i, t))
         self._sync_motion(i, t, epoch_before)
         if state.relay_duty is not None and duty_before is None:
             self._duty_nodes.append(i)
@@ -387,9 +378,9 @@ class Simulation:
         state = self.nodes[i]
         if epoch != state.movement_epoch:
             return  # superseded by a newer draw
-        state.own_depth = self.world.depth_of(i, t)
         before = state.movement_epoch
-        uwn.on_movement_expiry(state, self.cfg, self.rng, t)
+        uwn.on_movement_expiry(state, self.cfg, self.rng, t,
+                               self.world.depth_of(i, t))
         if self.trace_lines is not None:
             self._trace(t, MOVEMENT_EXPIRY, f"u{i}",
                         f"v={state.vertical_velocity!r}")
@@ -476,9 +467,7 @@ class Simulation:
         if receiver == "bs":
             self.bs.on_optical_arrival(claimed_id, relayed, t)
             return
-        state = self.nodes[receiver]
-        state.own_depth = self.world.depth_of(receiver, t)
-        forwarded = uwn.forward_beam(state, claimed_id)
+        forwarded = uwn.forward_beam(self.nodes[receiver], claimed_id)
         if forwarded is not None:
             self._emit(receiver, forwarded, t)
 
@@ -520,10 +509,6 @@ class Simulation:
         counts = {"accessed": 0, "failed": 0, "dormant": 0, "unresolved": 0}
         n_via = 0
         for i, state in enumerate(self.nodes):
-            if state.lifecycle is NODE_CONFLICT_MOVING \
-                    and state.conflict_entered_at is not None:
-                state.total_conflict_time += t_max - state.conflict_entered_at
-                state.conflict_entered_at = None
             rec = self.bs.record_for_track(i)
             nid = None if rec is None else rec.network_id
             via = False
@@ -564,8 +549,12 @@ class Simulation:
             dual_hop_rate=(n_via / n) if n else 0.0,
             avg_sound_delay_s=(self._delay_sum / self._delay_count
                                if self._delay_count else 0.0),
+            # a node still moving counts its open conflict up to t_max
             max_decomp_delay_s=max(
-                (s.total_conflict_time for s in self.nodes), default=0.0),
+                (s.total_conflict_time + (t_max - s.conflict_entered_at)
+                 if s.lifecycle is NODE_CONFLICT_MOVING
+                 else s.total_conflict_time for s in self.nodes),
+                default=0.0),
             n_accessed=counts["accessed"],
             n_failed=counts["failed"],
             n_dormant=counts["dormant"],

@@ -11,7 +11,7 @@ original depth and may serve as an optical relay for one neighbor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from random import Random
 from typing import NamedTuple
@@ -44,6 +44,7 @@ __all__ = [
     "Emission",
     "UwnState",
     "slot_bearing",
+    "heeds",
     "on_trigger",
     "match_frame",
     "match_frame_indexed",
@@ -91,14 +92,12 @@ class Emission(NamedTuple):
 class UwnState:
     """Mutable per-node protocol state.
 
-    `own_depth` is the node's exact self-knowledge and is synced from the
-    kinematics before every handler call; `movement_epoch` increments on
-    every velocity change so stale movement timers can be discarded.
+    The node's depth is not stored: the handlers that read it take the
+    reading as an argument.  `movement_epoch` increments on every velocity
+    change so stale movement timers can be discarded.
     """
 
-    node: int
     original_depth: float
-    own_depth: float = field(default=-1.0)
     lifecycle: Lifecycle = Lifecycle.DORMANT
     matched_id: int | None = None
     emission_bearing: Bearing | None = None
@@ -111,16 +110,21 @@ class UwnState:
     total_conflict_time: float = 0.0
     access_time: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.own_depth < 0.0:
-            self.own_depth = self.original_depth
-
 
 def slot_bearing(slot: SlotPayload) -> Bearing:
     """Decode a slot's centidegree angles into a Bearing."""
     azimuth = (slot.azimuth_centideg / 100.0) % 360.0
     elevation = slot.elevation_centideg / 100.0 - 90.0
     return Bearing(azimuth, elevation)
+
+
+def heeds(state: UwnState, slot: SlotPayload | None) -> bool:
+    """Whether a bound node can be changed by its ID's slot (None: no slot).
+
+    Only its own slot can change it, and once accessed only a RELAY_RX.
+    """
+    return slot is not None and (state.lifecycle is not NODE_ACCESSED
+                                 or slot.stage is SLOT_RELAY_RX)
 
 
 def on_trigger(state: UwnState) -> None:
@@ -171,9 +175,9 @@ def draw_movement(rng: Random, cfg: SimConfig, depth: float,
 
 
 def _start_movement(state: UwnState, cfg: SimConfig, rng: Random,
-                    now: float, keep_direction: float = 0.0) -> None:
-    velocity, duration = draw_movement(rng, cfg, state.own_depth,
-                                       keep_direction)
+                    now: float, depth: float,
+                    keep_direction: float = 0.0) -> None:
+    velocity, duration = draw_movement(rng, cfg, depth, keep_direction)
     state.vertical_velocity = velocity
     state.movement_deadline = now + duration
     state.movement_epoch += 1
@@ -193,11 +197,12 @@ def _bind(state: UwnState, slot: SlotPayload, now: float) -> Emission:
     return Emission(state.emission_bearing, state.matched_id)
 
 
-def on_access(state: UwnState, now: float, cfg: SimConfig) -> None:
-    """Confirmation received: mark accessed and head back to the original depth."""
+def on_access(state: UwnState, now: float, cfg: SimConfig,
+              depth: float) -> None:
+    """Confirmation received at `depth`: mark accessed, head back home."""
     state.lifecycle = NODE_ACCESSED
     state.access_time = now
-    displacement = state.own_depth - state.original_depth
+    displacement = depth - state.original_depth
     if abs(displacement) > cfg.return_tolerance_m:
         state.vertical_velocity = -math.copysign(cfg.v_return_mps, displacement)
         state.movement_deadline = now + abs(displacement) / cfg.v_return_mps
@@ -208,14 +213,14 @@ def on_access(state: UwnState, now: float, cfg: SimConfig) -> None:
 
 
 def on_movement_expiry(state: UwnState, cfg: SimConfig, rng: Random,
-                       now: float) -> None:
+                       now: float, depth: float) -> None:
     """A movement interval ended: continue while conflicted, stop otherwise.
 
     A still-conflicted node draws a fresh speed and interval but keeps its
     heading; only a reset command (or a region boundary) turns it around.
     """
     if state.lifecycle is NODE_CONFLICT_MOVING:
-        _start_movement(state, cfg, rng, now,
+        _start_movement(state, cfg, rng, now, depth,
                         keep_direction=state.vertical_velocity)
     elif state.vertical_velocity != 0.0:
         state.vertical_velocity = 0.0
@@ -224,34 +229,31 @@ def on_movement_expiry(state: UwnState, cfg: SimConfig, rng: Random,
 
 
 def match_frame_indexed(state: UwnState, index: FrameIndex, model: DepthModel,
-                        cfg: SimConfig, rng: Random,
-                        now: float) -> list[Emission]:
-    """Match one broadcast frame's shared, read-only slots; return beams."""
+                        cfg: SimConfig, rng: Random, now: float,
+                        depth: float) -> list[Emission]:
+    """Match one broadcast frame's shared, read-only slots at `depth`."""
     if state.lifecycle is NODE_DORMANT:
         return []
     if state.lifecycle is NODE_ACTIVATED:
         state.lifecycle = NODE_MATCHING
 
     if state.matched_id is not None:
+        # bound, so emitting or accessed
         slot = index.by_id.get(state.matched_id)
-        if slot is None:
+        if not heeds(state, slot):
             return []
-        if state.lifecycle is NODE_EMITTING:
-            if slot.stage is SLOT_CONFIRM:
-                on_access(state, now, cfg)
-                return []
-            if slot.stage in (SLOT_ASSIGN, SLOT_RELAY_TX):
-                # refreshed angles; RELAY_TX retargets the beam at the relay
-                state.emission_bearing = slot_bearing(slot)
-                return [Emission(state.emission_bearing, state.matched_id)]
-            return []
-        if state.lifecycle is NODE_ACCESSED \
-                and slot.stage is SLOT_RELAY_RX:
+        if state.lifecycle is NODE_ACCESSED:
             state.relay_duty = RelayDuty(slot.partner_id, slot_bearing(slot))
+        elif slot.stage is SLOT_CONFIRM:
+            on_access(state, now, cfg, depth)
+        elif slot.stage in (SLOT_ASSIGN, SLOT_RELAY_TX):
+            # refreshed angles; RELAY_TX retargets the beam at the relay
+            state.emission_bearing = slot_bearing(slot)
+            return [Emission(state.emission_bearing, state.matched_id)]
         return []
 
     # unbound: match the advertised depth codes against our own depth
-    bucket = model.bucket(state.own_depth)
+    bucket = model.bucket(depth)
     candidates = index.assign_by_code.get(bucket)
     if not candidates:
         return []
@@ -268,22 +270,24 @@ def match_frame_indexed(state: UwnState, index: FrameIndex, model: DepthModel,
     if state.lifecycle is not NODE_CONFLICT_MOVING:
         state.lifecycle = NODE_CONFLICT_MOVING
         state.conflict_entered_at = now
-        _start_movement(state, cfg, rng, now)
+        _start_movement(state, cfg, rng, now, depth)
     elif state.vertical_velocity == 0.0:
-        _start_movement(state, cfg, rng, now)
+        _start_movement(state, cfg, rng, now, depth)
     else:
         for slot in candidates:
             if slot.reset_bit != state.last_reset_bit:
                 state.last_reset_bit = slot.reset_bit
-                _start_movement(state, cfg, rng, now)
+                _start_movement(state, cfg, rng, now, depth)
                 break
     return []
 
 
 def match_frame(state: UwnState, frame: SuperFrame, model: DepthModel,
-                cfg: SimConfig, rng: Random, now: float) -> list[Emission]:
+                cfg: SimConfig, rng: Random, now: float,
+                depth: float) -> list[Emission]:
     """Convenience wrapper building the per-frame index on the fly."""
-    return match_frame_indexed(state, FrameIndex(frame), model, cfg, rng, now)
+    return match_frame_indexed(state, FrameIndex(frame), model, cfg, rng, now,
+                               depth)
 
 
 def forward_beam(state: UwnState, claimed_id: int) -> Emission | None:

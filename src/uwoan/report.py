@@ -180,7 +180,10 @@ def export_topology(report: SimReport, fmt: str = "json") -> str:
 
 def parse_topology(text: str) -> dict:
     """Parse exported JSON topology back into its dict form."""
-    payload = json.loads(text)
-    if set(payload) != {"nodes", "edges"}:
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ReportError(f"invalid topology JSON: {exc}") from None
+    if not isinstance(payload, dict) or set(payload) != {"nodes", "edges"}:
         raise ReportError("topology JSON must have exactly nodes and edges")
     return payload

@@ -116,8 +116,9 @@ class TestAllocate:
         stages = [bs.registry[i].stage for i in (1, 2, 3)]
         assert stages == [HandshakeStage.CONFLICTED, HandshakeStage.CONFLICTED,
                           HandshakeStage.ASSIGNED]
-        assert bs.registry[1].conflict_flag and bs.registry[2].conflict_flag
-        assert not bs.registry[3].conflict_flag
+        # the broadcast conflict flag is the record's stage
+        flags = [s.conflict_flag for s in bs.compose_superframe(0.1).slots]
+        assert flags == [True, True, False]
 
     def test_id_space_exhaustion(self):
         bs = make_bs()
@@ -325,7 +326,8 @@ class TestDecomposition:
         bs.update_decomposition(self.depth_pair(bs, 100.0, 101.2), 1.0)
         assert all(r.stage is HandshakeStage.ASSIGNED
                    for r in bs.registry.values())
-        assert not any(r.conflict_flag for r in bs.registry.values())
+        assert not any(s.conflict_flag
+                       for s in bs.compose_superframe(1.1).slots)
 
     def test_persistent_conflict_flips_reset_bit(self):
         bs = make_bs(conflict_reset_after_s=5.0)
@@ -364,8 +366,9 @@ class TestDecomposition:
         # node 1 is auto-unique because accessed codes are out of the pool
         bs.update_decomposition(trio(100.0, 105.0, 100.1), 3.0)
         assert bs.registry[1].stage is HandshakeStage.ASSIGNED
-        assert not bs.registry[1].conflict_flag
         assert bs.registry[3].stage is HandshakeStage.ACCESSED
+        slot = bs.compose_superframe(3.1).slots[0]
+        assert (slot.network_id, slot.conflict_flag) == (1, False)
 
 
 class TestRelaySelectionOracle:
@@ -435,8 +438,6 @@ class TestInvariants:
          "record 1 track 0 maps elsewhere"),
         (lambda bs: setattr(bs.registry[3], "access_time", None),
          "record 3 accessed without"),
-        (lambda bs: setattr(bs.registry[1], "conflict_flag", True),
-         "record 1 flags a conflict in stage RELAY_PENDING"),
         (lambda bs: setattr(bs.registry[3], "relay_of", 1),
          "record 3 second relay for 1"),
         (lambda bs: setattr(bs.registry[1], "relay_of", 3),

@@ -131,6 +131,18 @@ class TestUnusableOut:
         assert needle in capsys.readouterr().err
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("out", ["", "  "])
+    def test_empty_out(self, cfg_file, tmp_path, monkeypatch, capsys, out):
+        # an empty path would mean the working directory
+        monkeypatch.chdir(tmp_path)
+        for command in (["run"], ["sweep", "--c-list", "0.056",
+                                  "--seeds", "2"]):
+            assert main(command + ["--config", str(cfg_file),
+                                   "--out", out]) == 2
+            assert capsys.readouterr().err \
+                == f"error: --out is empty: '{out}'\n"
+        assert list(tmp_path.iterdir()) == [cfg_file]
+
 
 class TestRunCommand:
     def test_writes_all_artifacts(self, cfg_file, tmp_path, capsys):
@@ -256,6 +268,18 @@ class TestSweepCommand:
                      "--c-list", "0.056,0.12,0.151,0.120", "--seeds", "1",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: --c-list repeats 0.12\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("c_list", ["0.05,,0.12", "0.056,", " ,0.056",
+                                        "0.056, ,0.151", ",", "", "  "])
+    def test_empty_coefficient_exits_2(self, cfg_file, tmp_path, capsys,
+                                       c_list):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg_file),
+                     "--c-list", c_list, "--seeds", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err \
+            == f"error: --c-list has an empty entry: '{c_list}'\n"
         assert not out.exists()
 
     def test_rows_sorted_by_c0_then_seed(self, cfg_file, tmp_path):

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import itertools
 import math
@@ -6,6 +7,7 @@ import random
 from contextlib import contextmanager
 from functools import reduce
 from heapq import heappop
+from pathlib import Path
 
 import pytest
 
@@ -1354,3 +1356,33 @@ class TestShortcuts:
                                           plain_loop):
         with plain_loop(shortcut):
             assert shortcut_runs() == runs_with_shortcuts
+
+
+def slot_stage_names(source):
+    """Every slot-stage name a source file imports or reads off a module."""
+    found = []
+    for stmt in ast.walk(ast.parse(source)):
+        if isinstance(stmt, ast.ImportFrom):
+            names = [alias.name for alias in stmt.names]
+        elif isinstance(stmt, ast.Attribute):
+            names = [stmt.attr]
+        else:
+            continue
+        found += [name for name in names
+                  if name.startswith("SLOT_") or name == "SlotStage"]
+    return sorted(found)
+
+
+def test_engine_leaves_the_bound_slot_rule_to_node():
+    # `node.heeds` is the one statement of which slots a bound node heeds
+    source = Path(engine.__file__).read_text()
+    assert slot_stage_names(source) == []
+
+
+def test_slot_stage_guard_sees_each_form():
+    source = ("from .frame import SLOT_RELAY_RX, FrameIndex\n"
+              "from .base_station import SLOT_CONFIRM as confirm\n"
+              "from .frame import SlotStage\n"
+              "stage = frame.SLOT_ASSIGN\n")
+    assert slot_stage_names(source) \
+        == ["SLOT_ASSIGN", "SLOT_CONFIRM", "SLOT_RELAY_RX", "SlotStage"]

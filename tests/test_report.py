@@ -143,6 +143,16 @@ class TestTopologyExport:
         with pytest.raises(ReportError, match="unknown topology format"):
             export_topology(small_report(), "svg")
 
+    def test_parse_rejects_invalid_json(self):
+        with pytest.raises(ReportError, match="invalid topology JSON"):
+            parse_topology("not json")
+
+    @pytest.mark.parametrize("text", ['["edges", "nodes"]', '"nodesedges"',
+                                      "5", "null", '{"nodes": []}'])
+    def test_parse_rejects_other_shapes(self, text):
+        with pytest.raises(ReportError, match="exactly nodes and edges"):
+            parse_topology(text)
+
 
 class TestMetricsInvariants:
     def test_dual_hop_never_exceeds_access(self):

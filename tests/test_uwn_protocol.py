@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from uwoan.node import (
     UwnState,
     draw_movement,
     forward_beam,
+    heeds,
     match_frame,
     on_access,
     on_movement_expiry,
@@ -53,14 +55,14 @@ def mkframe(*slots, seq=1):
 
 
 def fresh_node(depth=100.0, lifecycle=Lifecycle.MATCHING):
-    state = UwnState(node=0, original_depth=depth)
+    state = UwnState(original_depth=depth)
     state.lifecycle = lifecycle
     return state
 
 
 class TestTrigger:
     def test_dormant_activates(self):
-        state = UwnState(node=0, original_depth=50.0)
+        state = UwnState(original_depth=50.0)
         on_trigger(state)
         assert state.lifecycle is Lifecycle.ACTIVATED
 
@@ -71,7 +73,7 @@ class TestTrigger:
 
     def test_out_of_range_node_stays_dormant(self):
         # the engine never delivers to out-of-range nodes; no trigger, no change
-        state = UwnState(node=0, original_depth=50.0)
+        state = UwnState(original_depth=50.0)
         assert state.lifecycle is Lifecycle.DORMANT
 
 
@@ -80,7 +82,8 @@ class TestMatching:
         state = fresh_node(100.0)
         rng = random.Random(1)
         slot = mkslot(7, MODEL.bucket(100.0), azimuth=10.0, elevation=60.0)
-        actions = match_frame(state, mkframe(slot), MODEL, PARAMS, rng, 1.0)
+        actions = match_frame(state, mkframe(slot),
+                              MODEL, PARAMS, rng, 1.0, 100.0)
         assert state.lifecycle is Lifecycle.EMITTING
         assert state.matched_id == 7
         assert state.emission_bearing == slot_bearing(slot)
@@ -91,7 +94,7 @@ class TestMatching:
         rng = random.Random(2)
         bucket = MODEL.bucket(100.0)
         frame = mkframe(mkslot(1, bucket), mkslot(2, bucket))
-        actions = match_frame(state, frame, MODEL, PARAMS, rng, 1.0)
+        actions = match_frame(state, frame, MODEL, PARAMS, rng, 1.0, 100.0)
         assert actions == []
         assert state.lifecycle is Lifecycle.CONFLICT_MOVING
         assert state.vertical_velocity != 0.0
@@ -100,28 +103,30 @@ class TestMatching:
     def test_conflict_flag_on_single_match_starts_conflict(self):
         state = fresh_node(100.0)
         frame = mkframe(mkslot(3, MODEL.bucket(100.0), conflict=True))
-        match_frame(state, frame, MODEL, PARAMS, random.Random(3), 1.0)
+        match_frame(state, frame, MODEL, PARAMS, random.Random(3), 1.0, 100.0)
         assert state.lifecycle is Lifecycle.CONFLICT_MOVING
 
     def test_no_match_keeps_listening(self):
         state = fresh_node(100.0)
         frame = mkframe(mkslot(3, MODEL.bucket(100.0) + 5))
-        assert match_frame(state, frame, MODEL, PARAMS, random.Random(4), 1.0) == []
+        assert match_frame(state, frame,
+                           MODEL, PARAMS, random.Random(4), 1.0, 100.0) == []
         assert state.lifecycle is Lifecycle.MATCHING
 
     def test_activated_becomes_matching_on_first_frame(self):
         state = fresh_node(100.0, lifecycle=Lifecycle.ACTIVATED)
         frame = mkframe()
-        match_frame(state, frame, MODEL, PARAMS, random.Random(5), 0.5)
+        match_frame(state, frame, MODEL, PARAMS, random.Random(5), 0.5, 100.0)
         assert state.lifecycle is Lifecycle.MATCHING
 
     def test_confirm_for_matched_id_accesses(self):
         state = fresh_node(100.0)
         rng = random.Random(6)
         bucket = MODEL.bucket(100.0)
-        match_frame(state, mkframe(mkslot(7, bucket)), MODEL, PARAMS, rng, 1.0)
+        match_frame(state, mkframe(mkslot(7, bucket)),
+                    MODEL, PARAMS, rng, 1.0, 100.0)
         match_frame(state, mkframe(mkslot(7, bucket, stage=SlotStage.CONFIRM)),
-                    MODEL, PARAMS, rng, 2.0)
+                    MODEL, PARAMS, rng, 2.0, 100.0)
         assert state.lifecycle is Lifecycle.ACCESSED
         assert state.access_time == 2.0
 
@@ -131,22 +136,24 @@ class TestMatching:
         state.matched_id = 3
         plain = SlotPayload(3, 10, 0, 9000, 1)
         match_frame(state, mkframe(plain), MODEL, PARAMS, random.Random(8),
-                    1.0)
+                    1.0, 100.0)
         assert state.lifecycle is Lifecycle.EMITTING
         member = decode(encode(mkframe(
             SlotPayload(3, 10, 0, 9000, SlotStage.CONFIRM))))
-        match_frame(state, member, MODEL, PARAMS, random.Random(8), 2.0)
+        match_frame(state, member, MODEL, PARAMS, random.Random(8), 2.0, 100.0)
         assert state.lifecycle is Lifecycle.ACCESSED
 
     def test_matched_id_never_changes_after_confirm(self):
         state = fresh_node(100.0)
         rng = random.Random(7)
         bucket = MODEL.bucket(100.0)
-        match_frame(state, mkframe(mkslot(7, bucket)), MODEL, PARAMS, rng, 1.0)
+        match_frame(state, mkframe(mkslot(7, bucket)),
+                    MODEL, PARAMS, rng, 1.0, 100.0)
         match_frame(state, mkframe(mkslot(7, bucket, stage=SlotStage.CONFIRM)),
-                    MODEL, PARAMS, rng, 2.0)
+                    MODEL, PARAMS, rng, 2.0, 100.0)
         # another assignment for our bucket must not rebind an accessed node
-        match_frame(state, mkframe(mkslot(9, bucket)), MODEL, PARAMS, rng, 3.0)
+        match_frame(state, mkframe(mkslot(9, bucket)),
+                    MODEL, PARAMS, rng, 3.0, 100.0)
         assert state.matched_id == 7
         assert state.lifecycle is Lifecycle.ACCESSED
 
@@ -155,12 +162,12 @@ class TestMatching:
         rng = random.Random(8)
         bucket = MODEL.bucket(100.0)
         match_frame(state, mkframe(mkslot(7, bucket, elevation=80.0)),
-                    MODEL, PARAMS, rng, 1.0)
+                    MODEL, PARAMS, rng, 1.0, 100.0)
         relay_slot = mkslot(7, bucket, stage=SlotStage.RELAY_TX, partner=2,
                             azimuth=90.0, elevation=10.0)
         partner_slot = mkslot(2, 50, stage=SlotStage.RELAY_RX, partner=7)
         actions = match_frame(state, mkframe(relay_slot, partner_slot),
-                              MODEL, PARAMS, rng, 2.0)
+                              MODEL, PARAMS, rng, 2.0, 100.0)
         assert state.lifecycle is Lifecycle.EMITTING
         assert state.emission_bearing == Bearing(90.0, 10.0)
         assert actions == [Emission(Bearing(90.0, 10.0), 7)]
@@ -169,13 +176,15 @@ class TestMatching:
         state = fresh_node(100.0)
         rng = random.Random(9)
         bucket = MODEL.bucket(100.0)
-        match_frame(state, mkframe(mkslot(7, bucket)), MODEL, PARAMS, rng, 1.0)
+        match_frame(state, mkframe(mkslot(7, bucket)),
+                    MODEL, PARAMS, rng, 1.0, 100.0)
         match_frame(state, mkframe(mkslot(7, bucket, stage=SlotStage.CONFIRM)),
-                    MODEL, PARAMS, rng, 2.0)
+                    MODEL, PARAMS, rng, 2.0, 100.0)
         duty_slot = mkslot(7, bucket, stage=SlotStage.RELAY_RX, partner=4,
                            azimuth=200.0, elevation=-30.0)
         other = mkslot(4, 80, stage=SlotStage.RELAY_TX, partner=7)
-        match_frame(state, mkframe(duty_slot, other), MODEL, PARAMS, rng, 3.0)
+        match_frame(state, mkframe(duty_slot, other),
+                    MODEL, PARAMS, rng, 3.0, 100.0)
         assert state.lifecycle is Lifecycle.ACCESSED
         assert state.relay_duty == RelayDuty(4, Bearing(200.0, -30.0))
 
@@ -183,7 +192,8 @@ class TestMatching:
         # a stationary node must not adopt a slot tracking a diving node
         state = fresh_node(100.0)
         slot = mkslot(7, MODEL.bucket(100.0), marker=MovementMarker.DIVING)
-        match_frame(state, mkframe(slot), MODEL, PARAMS, random.Random(10), 1.0)
+        match_frame(state, mkframe(slot),
+                    MODEL, PARAMS, random.Random(10), 1.0, 100.0)
         assert state.lifecycle is Lifecycle.MATCHING
         assert state.matched_id is None
 
@@ -191,7 +201,8 @@ class TestMatching:
         state = fresh_node(100.0)
         params = SimConfig(match_on_motion_marker=False)
         slot = mkslot(7, MODEL.bucket(100.0), marker=MovementMarker.DIVING)
-        match_frame(state, mkframe(slot), MODEL, params, random.Random(10), 1.0)
+        match_frame(state, mkframe(slot),
+                    MODEL, params, random.Random(10), 1.0, 100.0)
         assert state.lifecycle is Lifecycle.EMITTING
 
     def test_reset_bit_toggle_redraws_movement(self):
@@ -200,7 +211,7 @@ class TestMatching:
         bucket = MODEL.bucket(100.0)
         conflict = mkframe(mkslot(1, bucket, conflict=True),
                            mkslot(2, bucket, conflict=True))
-        match_frame(state, conflict, MODEL, PARAMS, rng, 1.0)
+        match_frame(state, conflict, MODEL, PARAMS, rng, 1.0, 100.0)
         assert state.lifecycle is Lifecycle.CONFLICT_MOVING
         epoch = state.movement_epoch
         # the broadcast marker tracks the node's drawn motion from here on
@@ -208,21 +219,60 @@ class TestMatching:
                   else MovementMarker.RISING)
         tracked = mkframe(mkslot(1, bucket, conflict=True, marker=marker),
                           mkslot(2, bucket, conflict=True, marker=marker))
-        match_frame(state, tracked, MODEL, PARAMS, rng, 2.0)
+        match_frame(state, tracked, MODEL, PARAMS, rng, 2.0, 100.0)
         assert state.movement_epoch == epoch  # no toggle: keep the draw
         toggled = mkframe(
             mkslot(1, bucket, conflict=True, marker=marker, reset=1),
             mkslot(2, bucket, conflict=True, marker=marker, reset=1))
-        match_frame(state, toggled, MODEL, PARAMS, rng, 3.0)
+        match_frame(state, toggled, MODEL, PARAMS, rng, 3.0, 100.0)
         assert state.movement_epoch == epoch + 1
         assert state.last_reset_bit == 1
+
+    def test_matches_the_depth_it_is_given(self):
+        # a node 4 m below its deployment depth matches the code there
+        state = fresh_node(100.0)
+        slots = mkslot(3, MODEL.bucket(100.0)), mkslot(4, MODEL.bucket(104.0))
+        match_frame(state, mkframe(*slots), MODEL, PARAMS, random.Random(0),
+                    1.0, 104.0)
+        assert state.matched_id == 4
 
     def test_dormant_ignores_frames(self):
         state = fresh_node(100.0, lifecycle=Lifecycle.DORMANT)
         frame = mkframe(mkslot(7, MODEL.bucket(100.0)))
         assert match_frame(state, frame, MODEL, PARAMS,
-                           random.Random(0), 1.0) == []
+                           random.Random(0), 1.0, 100.0) == []
         assert state.lifecycle is Lifecycle.DORMANT
+
+
+class TestHeeds:
+    """A bound node heeds its own slot; once accessed, only a RELAY_RX."""
+
+    def bound(self, lifecycle):
+        state = fresh_node(100.0, lifecycle=lifecycle)
+        state.matched_id = 7
+        return state
+
+    @pytest.mark.parametrize("stage", list(SlotStage))
+    def test_emitting_node_heeds_its_slot(self, stage):
+        state = self.bound(Lifecycle.EMITTING)
+        assert heeds(state, mkslot(7, 10, stage=stage))
+        assert not heeds(state, None)
+
+    @pytest.mark.parametrize("stage", list(SlotStage))
+    def test_accessed_node_heeds_a_relay_assignment(self, stage):
+        state = self.bound(Lifecycle.ACCESSED)
+        assert heeds(state, mkslot(7, 10, stage=stage)) \
+            == (stage is SlotStage.RELAY_RX)
+        assert not heeds(state, None)
+
+    def test_unheeded_slot_changes_nothing(self):
+        state = self.bound(Lifecycle.ACCESSED)
+        before = dataclasses.replace(state)
+        frame = mkframe(mkslot(7, 10, stage=SlotStage.CONFIRM),
+                        mkslot(8, MODEL.bucket(100.0)))
+        assert match_frame(state, frame, MODEL, PARAMS, random.Random(0),
+                           1.0, 100.0) == []
+        assert state == before
 
 
 class TestDrawMovement:
@@ -269,18 +319,16 @@ class TestAccess:
     def test_return_to_depth_kinematics(self):
         # oracle: 4 m displacement at 0.5 m/s takes 8 s
         state = fresh_node(100.0, lifecycle=Lifecycle.EMITTING)
-        state.own_depth = 104.0
-        on_access(state, 10.0, PARAMS)
+        on_access(state, 10.0, PARAMS, 104.0)
         assert state.lifecycle is Lifecycle.ACCESSED
         assert state.vertical_velocity == pytest.approx(-0.5)
         assert state.movement_deadline == pytest.approx(18.0)
-        state.own_depth = 100.0
-        on_movement_expiry(state, PARAMS, random.Random(0), 18.0)
+        on_movement_expiry(state, PARAMS, random.Random(0), 18.0, 100.0)
         assert state.vertical_velocity == 0.0
 
     def test_no_movement_when_at_original_depth(self):
         state = fresh_node(100.0, lifecycle=Lifecycle.EMITTING)
-        on_access(state, 5.0, PARAMS)
+        on_access(state, 5.0, PARAMS, 100.0)
         assert state.vertical_velocity == 0.0
         assert state.movement_deadline is None
 
@@ -289,11 +337,11 @@ class TestAccess:
         rng = random.Random(3)
         bucket = MODEL.bucket(100.0)
         conflict = mkframe(mkslot(1, bucket), mkslot(2, bucket))
-        match_frame(state, conflict, MODEL, PARAMS, rng, 2.0)
+        match_frame(state, conflict, MODEL, PARAMS, rng, 2.0, 100.0)
         assert state.lifecycle is Lifecycle.CONFLICT_MOVING
         state.vertical_velocity = 0.0  # pretend motion settled; marker NONE
         unique = mkframe(mkslot(1, bucket))
-        match_frame(state, unique, MODEL, PARAMS, rng, 9.5)
+        match_frame(state, unique, MODEL, PARAMS, rng, 9.5, 100.0)
         assert state.lifecycle is Lifecycle.EMITTING
         assert state.total_conflict_time == pytest.approx(7.5)
 
@@ -304,10 +352,10 @@ class TestMovementExpiry:
         rng = random.Random(5)
         bucket = MODEL.bucket(100.0)
         match_frame(state, mkframe(mkslot(1, bucket), mkslot(2, bucket)),
-                    MODEL, PARAMS, rng, 1.0)
+                    MODEL, PARAMS, rng, 1.0, 100.0)
         epoch = state.movement_epoch
         deadline = state.movement_deadline
-        on_movement_expiry(state, PARAMS, rng, deadline)
+        on_movement_expiry(state, PARAMS, rng, deadline, 100.0)
         assert state.movement_epoch == epoch + 1
         assert state.movement_deadline > deadline
 
