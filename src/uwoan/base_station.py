@@ -93,7 +93,7 @@ class Detection(NamedTuple):
     depth_code: int
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeRecord:
     network_id: int
     track_key: int
@@ -355,9 +355,10 @@ class BsState:
 
         An accessed record's CONFIRM or RELAY_RX slot is kept: every later
         frame carries that same object while its content stands, and a
-        fresh object once it changes.  The run loop relies on this.  A
-        RELAY_RX slot that is the very object a relay already heeded
-        re-sets an equal duty, so its arrival changes nothing.
+        fresh object once it changes.  No slot is written to once composed,
+        so the run loop packs each slot object once, and a RELAY_RX slot
+        equal to the one a relay already heeded re-sets an equal duty, so
+        its arrival changes nothing.
         """
         bs_pos = self.bs_position
         registry = self.registry

@@ -151,7 +151,9 @@ def _cmd_sweep(args) -> int:
         replace(config, c0=c0)  # validate every coefficient up front
     out = _out_path(args.out)
     _check_out_file(out)
-    tasks = [(config, c0, seed) for c0 in c_values for seed in range(args.seeds)]
+    # seed-major, so each chunk a worker takes mixes the water types, whose
+    # runs differ in cost about twofold; the rows are sorted below
+    tasks = [(config, c0, seed) for seed in range(args.seeds) for c0 in c_values]
     # the pool starts every worker up front, so start no more than there
     # are tasks, nor more than the CPUs this process may run on
     workers = min(args.workers, len(tasks), _usable_cpus())

@@ -22,11 +22,18 @@ again while nothing it depends on changes.  It skips the sonar return of a
 record that saw no motion and holds the same position, whatever its stage
 (`BsState.sonar_scan`).  An untraced run keeps a frame arrival off the
 event queue when it is known to change nothing: the node is bound to an ID
-and does not heed the frame (`node.heeds`), or its slot is the very
-RELAY_RX object last queued to it while it was accessed.  Binding is never
+and does not heed the frame (`node.heeds`), or its slot equals the
+RELAY_RX slot last queued to it while it was accessed.  Binding is never
 undone and access is final, so that still holds when the arrival lands; a
 repeated RELAY_RX re-sets the duty the earlier one set, which has landed
-when every frame lands before the next one is sent.
+when every frame lands before the next one is sent.  The duty is a
+function of the slot's field values and is only ever read by value, so an
+equal slot object composed afresh is a repeat too.
+
+Each frame is encoded once for validation and the trace's byte count.
+Composed slots are never mutated, so each slot object is packed once per
+run: a frame reuses the bytes of every slot it carries again
+(`frame.encode`'s `packed` map), and checks only the frame-level rules.
 
 Every acoustic delivery, queued or kept off the queue, logs its arrival
 time and delay when it is sent, so the log is in sequence order.  Each
@@ -119,9 +126,11 @@ class Simulation:
         self._skip_idle_relays = not collect_trace
         # an untraced frame arrival known to change nothing is only logged
         self._tally_inert = not collect_trace
+        # each slot object's bytes, packed once: network ID -> (slot, bytes)
+        self._packed: dict[int, tuple[SlotPayload, bytes]] = {}
         # the RELAY_RX slot last queued to each accessed node.  When every
         # frame lands before the next one is sent, that arrival has landed
-        # by the next frame, so the same object again re-sets an equal duty
+        # by the next frame, so a slot equal to it re-sets an equal duty
         self._relay_rx_sent: dict[int, SlotPayload] | None = (
             {} if not collect_trace and (config.acoustic_range_m
                                          / self.profile.sound_speed
@@ -299,7 +308,9 @@ class Simulation:
     def _on_superframe_tx(self, t: float) -> None:
         if self.bs.registry:
             frame = self.bs.compose_superframe(t)
-            payload = encode(frame)  # validates the frame, sizes the trace
+            # validates the frame and sizes the trace; the bytes of a slot
+            # object sent before are reused
+            payload = encode(frame, self._packed)
             # receivers share the composed slots; decode(payload) == frame
             index = FrameIndex(frame)
             by_id = index.by_id
@@ -318,8 +329,8 @@ class Simulation:
                 arrivals.append((t + delay, delay))
                 if tally_inert:
                     # what a bound node does not heed now it never will:
-                    # binding is never undone and access is final.  The
-                    # RELAY_RX object last queued re-sets an equal duty
+                    # binding is never undone and access is final.  A slot
+                    # equal to the RELAY_RX last queued re-sets an equal duty
                     state = self.nodes[i]
                     if state.matched_id is not None:
                         slot = by_id.get(state.matched_id)
@@ -327,7 +338,7 @@ class Simulation:
                             continue
                         if relay_rx_sent is not None \
                                 and state.lifecycle is NODE_ACCESSED:
-                            if relay_rx_sent.get(i) is slot:
+                            if relay_rx_sent.get(i) == slot:
                                 continue
                             relay_rx_sent[i] = slot
                 self._push(t + delay, ACOUSTIC_ARRIVAL, i,

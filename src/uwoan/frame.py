@@ -201,51 +201,73 @@ def _require_partners(relays: list[tuple[int, int]], ids: set[int]) -> None:
                 f"relay slot {nid} names absent partner {partner}")
 
 
-def encode(frame: SuperFrame) -> bytes:
+def encode(frame: SuperFrame,
+           packed: dict[int, tuple[SlotPayload, bytes]] | None = None,
+           ) -> bytes:
     """Serialize a superframe to its normative byte layout.
 
     One pass packs every slot behind a single range-and-partner test;
     only a slot that fails it goes through `SlotPayload.validate`, which
     names the offending field.  A stage or marker must be an Enum member,
     as decode yields, not an equal int.
+
+    `packed` maps a network ID to the slot last packed under it and that
+    slot's bytes, and is updated as slots are packed.  A slot that is the
+    very object stored for its ID reuses the bytes and skips the per-slot
+    test, which it passed when it was packed: a caller that keeps the map
+    across frames must never mutate a slot once it is encoded.  Every
+    slot still goes through the frame-level checks: unique IDs, and a
+    present partner for every relay slot.
     """
     frame_seq, slots = frame.frame_seq, frame.slots
     if not 0 <= frame_seq <= MAX_FRAME_SEQ:
         raise FrameError(f"frame_seq {frame_seq} outside 32-bit range")
     if len(slots) > 0xFFFF:
         raise FrameError(f"too many slots: {len(slots)}")
+    if packed is None:
+        packed = {}
     pack = _SLOT.pack
     parts = [frame_seq.to_bytes(4, "big"), len(slots).to_bytes(2, "big")]
     ids: set[int] = set()
     relays: list[tuple[int, int]] = []
     for slot in slots:
         nid = slot.network_id
-        depth = slot.depth_code
-        az = slot.azimuth_centideg
-        el = slot.elevation_centideg
         stage = slot.stage
-        marker = slot.movement_marker
-        reset = slot.reset_bit
-        partner = slot.partner_id
-        # a member's value is in range, so only the partner rule reads it
-        if not (type(stage) is SlotStage and type(marker) is MovementMarker
-                and 0 <= nid <= MAX_NETWORK_ID and 0 <= depth <= MAX_DEPTH_CODE
-                and 0 <= az <= MAX_AZIMUTH_CD and 0 <= el <= MAX_ELEVATION_CD
-                and (reset == 0 or reset == 1)
-                and (partner == 0 if stage <= 1
-                     else 0 < partner <= MAX_NETWORK_ID and partner != nid)):
-            slot.validate()
+        hit = packed.get(nid)
+        if hit is not None and hit[0] is slot:
+            parts.append(hit[1])
+        else:
+            depth = slot.depth_code
+            az = slot.azimuth_centideg
+            el = slot.elevation_centideg
+            marker = slot.movement_marker
+            reset = slot.reset_bit
+            partner = slot.partner_id
+            # a member's value is in range, so only the partner rule reads it
+            if not (type(stage) is SlotStage
+                    and type(marker) is MovementMarker
+                    and 0 <= nid <= MAX_NETWORK_ID
+                    and 0 <= depth <= MAX_DEPTH_CODE
+                    and 0 <= az <= MAX_AZIMUTH_CD
+                    and 0 <= el <= MAX_ELEVATION_CD
+                    and (reset == 0 or reset == 1)
+                    and (partner == 0 if stage <= 1
+                         else 0 < partner <= MAX_NETWORK_ID
+                         and partner != nid)):
+                slot.validate()
+            data = pack(
+                (nid << 6) | (depth >> 8), depth & 0xFF, az,
+                (el << _SH_ELEVATION) | (stage << _SH_STAGE)
+                | (_CONFLICT_BIT if slot.conflict_flag else 0)
+                | (marker << _SH_MARKER) | (reset << _SH_RESET)
+                | (partner << _SH_PARTNER))
+            packed[nid] = slot, data
+            parts.append(data)
         if nid in ids:
             raise FrameError(f"duplicate network_id {nid}")
         ids.add(nid)
         if stage >= 2:
-            relays.append((nid, partner))
-        parts.append(pack(
-            (nid << 6) | (depth >> 8), depth & 0xFF, az,
-            (el << _SH_ELEVATION) | (stage << _SH_STAGE)
-            | (_CONFLICT_BIT if slot.conflict_flag else 0)
-            | (marker << _SH_MARKER) | (reset << _SH_RESET)
-            | (partner << _SH_PARTNER)))
+            relays.append((nid, slot.partner_id))
     _require_partners(relays, ids)
     return b"".join(parts)
 

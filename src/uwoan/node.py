@@ -88,7 +88,7 @@ class Emission(NamedTuple):
     relayed: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class UwnState:
     """Mutable per-node protocol state.
 

@@ -46,6 +46,8 @@ SHORTCUTS = {
     "kept_slots": (NodeRecord, "slot", _forgetful(lambda: None)),
     # an accessed relay's repeated RELAY_RX arrivals are queued
     "relay_rx_repeats": (Simulation, "_relay_rx_sent", _forgetful(dict)),
+    # every slot of every frame is range-checked and packed afresh
+    "packed_slots": (Simulation, "_packed", _forgetful(dict)),
 }
 
 

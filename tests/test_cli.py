@@ -1,5 +1,6 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +22,31 @@ def cfg_file(tmp_path):
     path = tmp_path / "scenario.cfg"
     path.write_text(BASE_CFG)
     return path
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """A stand-in sweep pool that maps in-process, so no worker process is
+    ever started, whatever the count asked for.  Records the size of each
+    pool made and every task handed to one."""
+    seen = SimpleNamespace(sizes=[], tasks=[])
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            seen.tasks.extend(tasks)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return seen
 
 
 class TestExitCodes:
@@ -208,28 +234,11 @@ class TestSweepCommand:
         (2, 3, 1, None),  # one CPU: no pool at all
     ])
     def test_pool_capped_at_task_count(self, cfg_file, tmp_path,
-                                       monkeypatch, workers, seeds, cpus,
-                                       pool_size):
-        # a stand-in pool that records its size and maps in-process, so no
-        # worker process is ever started, whatever the count asked for
-        sizes = []
+                                       monkeypatch, in_process_pool,
+                                       workers, seeds, cpus, pool_size):
+        sizes = in_process_pool.sizes
         monkeypatch.setattr(cli.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         c_list = "0.056" if seeds == 1 else "0.056,0.151"
         seq = tmp_path / "seq.csv"
         par = tmp_path / "par.csv"
@@ -241,6 +250,23 @@ class TestSweepCommand:
                      "--workers", str(workers)]) == 0
         assert sizes == ([] if pool_size is None else [pool_size])
         assert seq.read_bytes() == par.read_bytes()
+
+    def test_tasks_interleave_coefficients(self, cfg_file, tmp_path,
+                                           monkeypatch, in_process_pool):
+        # runs in turbid water cost about twice those in clear water, so
+        # every chunk a worker takes should mix the coefficients
+        handed = in_process_pool.tasks
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        c_values = [0.151, 0.056, 0.12]
+        assert main(["sweep", "--config", str(cfg_file),
+                     "--c-list", ",".join(map(str, c_values)),
+                     "--seeds", "2", "--out", str(tmp_path / "sweep.csv"),
+                     "--workers", "2"]) == 0
+        assert len(handed) == 6
+        assert sorted(c0 for _, c0, _ in handed[:len(c_values)]) \
+            == sorted(c_values)
+        assert sorted((c0, seed) for _, c0, seed in handed) \
+            == sorted((c0, seed) for c0 in c_values for seed in range(2))
 
     @pytest.mark.parametrize("cpu_count,usable", [(3, 3), (None, 1)])
     def test_usable_cpus_without_affinity(self, monkeypatch, cpu_count,

@@ -655,8 +655,11 @@ def recorded_runs(monkeypatch, traced):
     real_match = uwn.match_frame_indexed
     real_power = Simulation._delivery_power
 
-    def recording_encode(frame):
-        data = real_encode(frame)
+    def recording_encode(frame, *args):
+        data = real_encode(frame, *args)
+        # the engine reuses packed slot bytes; they must be what a fresh
+        # encode gives
+        assert data == real_encode(frame), frame.frame_seq
         sent.append((frame, data))
         return data
 
@@ -763,6 +766,40 @@ class TestKeptSlots:
         def payloads(runs):
             return [[data for _, data in sent] for _, sent, _, _ in runs]
         assert payloads(fresh) == payloads(untraced_runs)
+
+
+class TestSlotsStayUnchanged:
+    """No composed slot is ever written to.
+
+    Kept slots, the engine's packed slot bytes and the RELAY_RX repeat
+    test all rely on it: each slot object must hold the values it was
+    composed with for the rest of the run.  Its values are recorded when
+    it is first composed and compared when the run ends.
+    """
+
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    def test_composed_slots_keep_their_values(self, traced, monkeypatch):
+        composed = {}
+        real = BsState.compose_superframe
+
+        def recording(self, now):
+            frame = real(self, now)
+            for slot in frame.slots:
+                if id(slot) not in composed:
+                    composed[id(slot)] = slot, SLOT_FIELDS(slot)
+            return frame
+
+        monkeypatch.setattr(BsState, "compose_superframe", recording)
+        slots = 0
+        for cfg, seed, world in scenario_runs():
+            composed.clear()
+            simulate(cfg, seed, world, collect_trace=traced)
+            changed = [(values, slot) for slot, values in composed.values()
+                       if SLOT_FIELDS(slot) != values]
+            assert changed == []
+            slots += len(composed)
+        assert slots > 10_000
 
 
 class TestDeliveryCache:
@@ -1273,6 +1310,62 @@ class TestInertArrivals:
             plain = [simulate(cfg, seed, world).report
                      for cfg, seed, world in scenario_runs()]
         assert fast == plain and len(handled) > n_fast
+
+    @pytest.mark.parametrize("partner_dives", [False, True],
+                             ids=["drifting", "partner_dives"])
+    def test_equal_relay_rx_slots_are_tallied(self, partner_dives,
+                                              monkeypatch, plain_loop):
+        # node 1 relays for node 0, which lies 10 m east of the point below
+        # it.  Both drift east together, so each ping recomposes the
+        # RELAY_RX slot as a fresh object with the same angles.  A partner
+        # that dives from 20 s to 24 s changes the angles at those pings.
+        # The relay must handle exactly the arrivals whose slot differs
+        # from the one before, and end as in the plain loop
+        cfg = SimConfig(n_uwn=2, c0=0.151, current_east_mps=0.02)
+        handled = []
+        real_arrival = Simulation._on_acoustic_arrival
+        real_ping = Simulation._on_ping
+
+        def arrival(self, t, i, payload):
+            state = self.nodes[i]
+            if i == 1 and payload[0] == "frame" \
+                    and state.lifecycle is Lifecycle.ACCESSED:
+                slot = payload[1].by_id.get(state.matched_id)
+                if slot is not None and slot.stage is SlotStage.RELAY_RX:
+                    handled.append((t, slot))
+            real_arrival(self, t, i, payload)
+
+        def ping(self, t):
+            if partner_dives and t in (20.0, 24.0):
+                self.world.set_vertical_velocity(0, 0.5 * (t == 20.0), t)
+            real_ping(self, t)
+
+        monkeypatch.setattr(Simulation, "_on_acoustic_arrival", arrival)
+        monkeypatch.setattr(Simulation, "_on_ping", ping)
+
+        def run():
+            handled.clear()
+            world = World(cfg.bs_position(), [Position(110.0, 100.0, 180.0),
+                                              Position(100.0, 100.0, 90.0)],
+                          (200.0, 200.0, 200.0), current=(0.02, 0.0))
+            sim = Simulation(cfg, seed=1, world=world)
+            return sim.run(), sim.nodes, handled[:]
+
+        # no settled-tail replay, so every frame goes through the loop
+        with plain_loop("fast_forward"):
+            report, nodes, fast = run()
+        with plain_loop("fast_forward", "relay_rx_repeats"):
+            plain_report, plain_nodes, plain = run()
+        assert (report, nodes) == (plain_report, plain_nodes)
+        assert report.nodes[0].relay == "u1"
+        assert len(plain) > 40
+        changed = [t for k, (t, slot) in enumerate(plain) if k == 0
+                   or SLOT_FIELDS(slot) != SLOT_FIELDS(plain[k - 1][1])]
+        assert [t for t, _ in fast] == changed
+        assert len(changed) == (5 if partner_dives else 1)
+        # the slots the relay was spared were fresh objects, not repeats
+        # of one object
+        assert len({id(slot) for _, slot in plain}) > 2 * len(changed)
 
     def test_log_stays_bounded(self, monkeypatch):
         # a lossy run never replays, so it folds at every one of its 400

@@ -6,17 +6,23 @@ global.  The engine, base-station, node and frame modules therefore bind
 each member to a module-level alias once, and no function in them reads a
 member through its class.  Class bodies (dataclass field defaults) are
 evaluated once and may keep the class form.
+
+The state classes read and written on every step declare `__slots__`, so
+their instances have no `__dict__`: attribute access goes straight to a
+fixed offset, and a misspelt attribute raises instead of being stored.
 """
 
 import ast
 import inspect
+from dataclasses import dataclass
 
 import pytest
 
 from uwoan import base_station, engine, frame, node
-from uwoan.base_station import HandshakeStage
-from uwoan.frame import MovementMarker, SlotStage
-from uwoan.node import Lifecycle
+from uwoan.base_station import HandshakeStage, NodeRecord
+from uwoan.frame import MovementMarker, SlotPayload, SlotStage
+from uwoan.node import Lifecycle, UwnState
+from uwoan.world import _Body
 
 HOT_MODULES = (engine, base_station, node, frame)
 
@@ -103,3 +109,31 @@ def test_importers_share_the_aliases():
                         and name[len(prefix):] in cls.__members__:
                     assert value is getattr(home, name), \
                         f"{module.__name__}.{name}"
+
+
+STEP_STATE = (NodeRecord, UwnState, SlotPayload, _Body)
+
+
+def has_instance_dict(cls) -> bool:
+    return "__dict__" in dir(cls)
+
+
+@pytest.mark.parametrize("cls", STEP_STATE, ids=lambda c: c.__name__)
+def test_step_state_has_no_instance_dict(cls):
+    assert not has_instance_dict(cls)
+
+
+def test_slots_guard_catches_a_dict_class():
+    @dataclass
+    class Plain:
+        x: int
+
+    @dataclass(slots=True)
+    class Slotted:
+        x: int
+
+    class Subclass(Slotted):  # no __slots__ of its own: regains a dict
+        pass
+
+    assert has_instance_dict(Plain) and has_instance_dict(Subclass)
+    assert not has_instance_dict(Slotted)
