@@ -115,6 +115,9 @@ class NodeRecord:
     # content stands: dropped when this record's or its relay partner's
     # position changes value, and when a relay is bound or released
     slot: SlotPayload | None = None
+    # the last ASSIGN slot composed for this record, sent again while every
+    # field it carries has the same value
+    assign_slot: SlotPayload | None = None
 
 
 def _slot_angles(origin: Position, target: Position) -> tuple[int, int]:
@@ -355,10 +358,16 @@ class BsState:
 
         An accessed record's CONFIRM or RELAY_RX slot is kept: every later
         frame carries that same object while its content stands, and a
-        fresh object once it changes.  No slot is written to once composed,
-        so the run loop packs each slot object once, and a RELAY_RX slot
-        equal to the one a relay already heeded re-sets an equal duty, so
-        its arrival changes nothing.
+        fresh object once it changes.  A record in an ASSIGN stage is sent
+        its last ASSIGN slot again, the same object, while every field that
+        slot carries has the same value; the network ID and the stage are
+        fixed by construction, so no change needs to drop it.  No slot is
+        written to once composed, so the run loop packs each slot object
+        once, a RELAY_RX slot equal to the one a relay already heeded
+        re-sets an equal duty, and an ASSIGN slot object whose direct beam
+        already missed the base station, sent to a node at the same
+        position, draws a beam that misses again: none of those arrivals
+        changes anything.
         """
         bs_pos = self.bs_position
         registry = self.registry
@@ -401,10 +410,18 @@ class BsState:
                         rec.access_time = now
                         del self._live[rec.network_id]
                 else:
-                    slot = SlotPayload(
-                        rec.network_id, rec.depth_code, az, el,
-                        SLOT_ASSIGN, stage is STAGE_CONFLICTED,
-                        rec.observed_motion, rec.reset_bit)
+                    conflicted = stage is STAGE_CONFLICTED
+                    marker, reset = rec.observed_motion, rec.reset_bit
+                    slot = rec.assign_slot
+                    if slot is None or slot.depth_code != rec.depth_code \
+                            or slot.azimuth_centideg != az \
+                            or slot.elevation_centideg != el \
+                            or slot.conflict_flag != conflicted \
+                            or slot.movement_marker is not marker \
+                            or slot.reset_bit != reset:
+                        slot = rec.assign_slot = SlotPayload(
+                            rec.network_id, rec.depth_code, az, el,
+                            SLOT_ASSIGN, conflicted, marker, reset)
                     if stage is STAGE_ASSIGNED:
                         rec.stage = STAGE_AWAITING_BEAM
             slots.append(slot)

@@ -158,8 +158,11 @@ def _cmd_sweep(args) -> int:
     # are tasks, nor more than the CPUs this process may run on
     workers = min(args.workers, len(tasks), _usable_cpus())
     if workers > 1:
+        # small chunks, so that no worker idles long through another's last
+        # one: a 60-run sweep on two workers is 15 chunks of 4, not 4 of
+        # 16.  Chunks of one task cost more in IPC than they save
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, tasks, chunksize=16))
+            results = list(pool.map(_sweep_one, tasks, chunksize=4))
     else:
         results = [_sweep_one(task) for task in tasks]
     results.sort(key=lambda item: (item[0], item[1]))
@@ -186,7 +189,10 @@ def _cmd_topo(args) -> int:
     if not path.is_file():
         raise ConfigError(f"report file not found: {path}")
     try:
-        report = report_from_json(path.read_text())
+        report = report_from_json(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                          f"{exc.start}") from None
     except ReportError as exc:
         raise ConfigError(str(exc))
     sys.stdout.write(export_topology(report, args.format))

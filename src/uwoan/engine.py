@@ -17,18 +17,23 @@ physical arrival, so traced runs offer each beam to every relay.
 
 Settled nodes cost little.  The base station's per-period passes walk only
 its live records, those neither accessed nor failed (`BsState.settled`
-tells when none is left), and it sends an accessed record's kept slot
-again while nothing it depends on changes.  It skips the sonar return of a
-record that saw no motion and holds the same position, whatever its stage
+tells when none is left).  It sends an accessed record's kept slot, and a
+waiting record's last ASSIGN slot, again as the same object while nothing
+it depends on changes.  It skips the sonar return of a record that saw no
+motion and holds the same position, whatever its stage
 (`BsState.sonar_scan`).  An untraced run keeps a frame arrival off the
 event queue when it is known to change nothing: the node is bound to an ID
-and does not heed the frame (`node.heeds`), or its slot equals the
-RELAY_RX slot last queued to it while it was accessed.  Binding is never
-undone and access is final, so that still holds when the arrival lands; a
-repeated RELAY_RX re-sets the duty the earlier one set, which has landed
-when every frame lands before the next one is sent.  The duty is a
-function of the slot's field values and is only ever read by value, so an
-equal slot object composed afresh is a repeat too.
+and does not heed the frame (`node.heeds`); or its slot equals the
+RELAY_RX slot last queued to it while it was accessed; or it is emitting,
+and its slot is the very ASSIGN object whose direct beam the base station
+did not receive, from the very position that beam left (`_dead_retries`),
+so a direct retry that missed once is tallied until its slot changes.
+Binding is never undone and access is final, so that still holds when the
+arrival lands; a repeated RELAY_RX re-sets the duty the earlier one set,
+which has landed when every frame lands before the next one is sent.  The
+duty is a function of the slot's field values and is only ever read by
+value, so an equal slot object composed afresh is a repeat too.
+`_on_superframe_tx` gives the argument for a missed direct retry.
 
 Each frame is encoded once for validation and the trace's byte count.
 Composed slots are never mutated, so each slot object is packed once per
@@ -62,7 +67,8 @@ from .frame import FrameIndex, SlotPayload, encode
 # decode is unused here; perfbench/tracing.py and its tests patch it
 from .frame import decode  # noqa: F401
 from .geometry import Bearing, Position, angle_between, unit_vector
-from .node import NODE_ACCESSED, NODE_CONFLICT_MOVING, NODE_DORMANT, heeds
+from .node import (NODE_ACCESSED, NODE_CONFLICT_MOVING, NODE_DORMANT,
+                   answers_directly, heeds)
 from .report import NodeOutcome, SimReport, TopologyEdge
 from .world import World, deploy
 
@@ -128,14 +134,20 @@ class Simulation:
         self._tally_inert = not collect_trace
         # each slot object's bytes, packed once: network ID -> (slot, bytes)
         self._packed: dict[int, tuple[SlotPayload, bytes]] = {}
-        # the RELAY_RX slot last queued to each accessed node.  When every
-        # frame lands before the next one is sent, that arrival has landed
-        # by the next frame, so a slot equal to it re-sets an equal duty
+        # an untraced run in which every frame lands before the next one is
+        # sent: a frame's arrivals have all landed by the next frame
+        lands_first = not collect_trace and (
+            config.acoustic_range_m / self.profile.sound_speed
+            <= config.superframe_period_s)
+        # the RELAY_RX slot last queued to each accessed node: a slot equal
+        # to it re-sets an equal duty
         self._relay_rx_sent: dict[int, SlotPayload] | None = (
-            {} if not collect_trace and (config.acoustic_range_m
-                                         / self.profile.sound_speed
-                                         <= config.superframe_period_s)
-            else None)
+            {} if lands_first else None)
+        # (ASSIGN slot, source position) of each emitting node's last direct
+        # beam that the base station did not receive; no Position object
+        # repeats in a drifting world
+        self._dead_retries: dict[int, tuple[SlotPayload, Position]] | None = (
+            {} if lands_first and not self.world.drifting else None)
         self._next_tx = config.first_superframe_offset_s
         # once the network settles, the only observable tail activity is the
         # repeated per-frame delivery delays, which can be replayed exactly;
@@ -306,6 +318,27 @@ class Simulation:
             self._trace(t, TIMEOUT_CHECK, "bs", "")
 
     def _on_superframe_tx(self, t: float) -> None:
+        """Compose, encode and broadcast a frame; queue what can matter.
+
+        An untraced run keeps a bound node's arrival off the queue when the
+        node is emitting, its slot is the very ASSIGN object of a direct
+        beam the base station did not receive, and `position_of` gives the
+        very `Position` that beam left from (`_dead_retries`).  Its answer
+        would miss again:
+        - Every frame lands before the next one is sent, so no earlier
+          frame is in flight, and a bound emitting node changes only
+          through its own frame arrivals: its state when the arrival lands
+          is its state now.
+        - The slot is the same object, so the node re-sets an equal
+          `emission_bearing` and sends the same beam from the same position.
+        - The base station's verdict is a pure function of those inputs.
+        - No relay forwards the beam: a duty only ever names a record that
+          was RELAY_PENDING when its RELAY_RX was composed, and no record
+          returns to an ASSIGN stage after that.  A beam reaching another
+          relay in an untraced run changes nothing (`_emit`).
+        - A bound node draws no random number for the arrival.
+        - Skipped pushes shift later sequence numbers but keep their order.
+        """
         if self.bs.registry:
             frame = self.bs.compose_superframe(t)
             # validates the frame and sizes the trace; the bytes of a slot
@@ -320,6 +353,8 @@ class Simulation:
             arrivals = self._arrivals
             tally_inert = self._tally_inert
             relay_rx_sent = self._relay_rx_sent
+            dead_retries = self._dead_retries
+            position_of = self.world.position_of
             for i, d in enumerate(self.world.bs_distances(t)):
                 if d > reach:
                     continue
@@ -336,11 +371,16 @@ class Simulation:
                         slot = by_id.get(state.matched_id)
                         if not heeds(state, slot):
                             continue
-                        if relay_rx_sent is not None \
-                                and state.lifecycle is NODE_ACCESSED:
-                            if relay_rx_sent.get(i) == slot:
+                        if state.lifecycle is NODE_ACCESSED:
+                            if relay_rx_sent is not None:
+                                if relay_rx_sent.get(i) == slot:
+                                    continue
+                                relay_rx_sent[i] = slot
+                        elif dead_retries is not None:
+                            dead = dead_retries.get(i)
+                            if dead is not None and dead[0] is slot \
+                                    and dead[1] is position_of(i, t):
                                 continue
-                            relay_rx_sent[i] = slot
                 self._push(t + delay, ACOUSTIC_ARRIVAL, i,
                            ("frame", index, d, delay))
             if self.trace_lines is not None:
@@ -382,8 +422,13 @@ class Simulation:
         self._sync_motion(i, t, epoch_before)
         if state.relay_duty is not None and duty_before is None:
             self._duty_nodes.append(i)
+        dead_retries = self._dead_retries
         for emission in emissions:
-            self._emit(i, emission, t)
+            missed_from = self._emit(i, emission, t)
+            if missed_from is not None and dead_retries is not None:
+                slot = index.by_id.get(state.matched_id)
+                if answers_directly(state, slot):
+                    dead_retries[i] = (slot, missed_from)
 
     def _on_movement_expiry(self, t: float, i: int, epoch: int) -> None:
         state = self.nodes[i]
@@ -397,7 +442,13 @@ class Simulation:
                         f"v={state.vertical_velocity!r}")
         self._sync_motion(i, t, before)
 
-    def _emit(self, src: int, emission: uwn.Emission, t: float) -> None:
+    def _emit(self, src: int, emission: uwn.Emission,
+              t: float) -> Position | None:
+        """Offer a beam to its receivers.
+
+        Returns the position the beam left from if the base station does
+        not receive it, and None if it does.
+        """
         # A relay forwards only a beam that claims its partner's ID when the
         # arrival pops, at this same t.  Only an acoustic arrival can rebind
         # the partner, and only one already queued at t pops first, so with
@@ -407,8 +458,8 @@ class Simulation:
         idle_skip = self._skip_idle_relays and (not heap or heap[0][0] > t)
         src_pos = self.world.position_of(src, t)
         beam_dir = unit_vector(emission.bearing)  # one per beam, not receiver
-        self._try_deliver(src, emission, beam_dir, src_pos, "bs",
-                          self.world.bs_position, None, math.pi / 2, t)
+        heard = self._try_deliver(src, emission, beam_dir, src_pos, "bs",
+                                  self.world.bs_position, None, math.pi / 2, t)
         claimed_id = emission.claimed_id
         for j in self._duty_nodes:
             if j == src:
@@ -420,11 +471,12 @@ class Simulation:
                               self.world.position_of(j, t),
                               duty.receiver_bearing,
                               self.budget.rx_fov_half_angle, t)
+        return None if heard else src_pos
 
     def _try_deliver(self, src: int, emission: uwn.Emission,
                      beam_dir: tuple[float, float, float], src_pos: Position,
                      receiver, rx_pos: Position, rx_bearing: Bearing | None,
-                     fov: float, t: float) -> None:
+                     fov: float, t: float) -> bool:
         # geometry and link outcome are pure in the inputs below; identical
         # repeats (retries while nothing moved) hit the cache
         key = (src, receiver)
@@ -439,9 +491,10 @@ class Simulation:
             self._deliver_cache[key] = (src_pos, rx_pos, beam, rx_bearing,
                                         power)
         if power is None:
-            return
+            return False
         self._push(t, OPTICAL_ARRIVAL, receiver,
                    (src, emission.claimed_id, emission.relayed, power))
+        return True
 
     def _delivery_power(self, src_pos: Position,
                         beam_dir: tuple[float, float, float],

@@ -45,6 +45,7 @@ __all__ = [
     "UwnState",
     "slot_bearing",
     "heeds",
+    "answers_directly",
     "on_trigger",
     "match_frame",
     "match_frame_indexed",
@@ -125,6 +126,16 @@ def heeds(state: UwnState, slot: SlotPayload | None) -> bool:
     """
     return slot is not None and (state.lifecycle is not NODE_ACCESSED
                                  or slot.stage is SLOT_RELAY_RX)
+
+
+def answers_directly(state: UwnState, slot: SlotPayload | None) -> bool:
+    """Whether a bound node answers its ID's slot with a direct beam.
+
+    An emitting node answers an ASSIGN slot along the slot's angles, at the
+    base station; a RELAY_TX slot aims its beam at a relay instead.
+    """
+    return (slot is not None and slot.stage is SLOT_ASSIGN
+            and state.lifecycle is not NODE_ACCESSED)
 
 
 def on_trigger(state: UwnState) -> None:

@@ -48,6 +48,10 @@ SHORTCUTS = {
     "relay_rx_repeats": (Simulation, "_relay_rx_sent", _forgetful(dict)),
     # every slot of every frame is range-checked and packed afresh
     "packed_slots": (Simulation, "_packed", _forgetful(dict)),
+    # every frame composes a fresh ASSIGN slot
+    "assign_slots": (NodeRecord, "assign_slot", _forgetful(lambda: None)),
+    # a direct retry the base station cannot hear is queued
+    "dead_retries": (Simulation, "_dead_retries", _forgetful(dict)),
 }
 
 
@@ -69,3 +73,9 @@ def plain_loop():
 def shortcut(request):
     """The name of each shortcut in turn."""
     return request.param
+
+
+@pytest.fixture
+def shortcut_entry(shortcut):
+    """The `SHORTCUTS` entry of each shortcut in turn."""
+    return SHORTCUTS[shortcut]

@@ -17,7 +17,7 @@ from uwoan.base_station import (
     _slot_angles,
     nearest_eligible_relay,
 )
-from uwoan.frame import MovementMarker, SlotStage
+from uwoan.frame import MovementMarker, SlotPayload, SlotStage
 from uwoan.config import SimConfig
 from uwoan.geometry import Bearing, GeometryError, Position, bearing_from_to
 
@@ -144,6 +144,28 @@ class TestAllocate:
         assert len(bs.registry) == 1
 
 
+def moved_to(position):
+    def move(rec):
+        rec.sonar_position, rec.bs_angles = position, None
+    return move
+
+
+# ASSIGN slot field -> a change to the record, at (30, 40, 120), that
+# changes that field alone
+ASSIGN_FIELD_CHANGES = {
+    "depth_code": lambda rec: setattr(rec, "depth_code", rec.depth_code + 1),
+    # mirrored through the point below the base station
+    "azimuth_centideg": moved_to(Position(170, 160, 120)),
+    # nearer the base station along the same azimuth
+    "elevation_centideg": moved_to(Position(65, 70, 120)),
+    "conflict_flag": lambda rec: setattr(rec, "stage",
+                                         HandshakeStage.CONFLICTED),
+    "movement_marker": lambda rec: setattr(rec, "observed_motion",
+                                           MovementMarker.DIVING),
+    "reset_bit": lambda rec: setattr(rec, "reset_bit", 1),
+}
+
+
 class TestComposeSuperframe:
     def test_node_below_bs_gets_vertical_emission(self):
         bs = make_bs()
@@ -193,6 +215,31 @@ class TestComposeSuperframe:
         assert fwd.elevation == pytest.approx(-back.elevation)
         assert tx.elevation_centideg == round((fwd.elevation + 90) * 100)
         assert rx.elevation_centideg == round((back.elevation + 90) * 100)
+
+    def test_unchanged_assign_slot_is_sent_again(self):
+        bs = make_bs()
+        bs.allocate(scan(bs, [Position(30, 40, 120)]), 0.0)
+        first = bs.compose_superframe(0.1).slots[0]
+        assert bs.registry[1].stage is HandshakeStage.AWAITING_BEAM
+        assert bs.compose_superframe(1.1).slots[0] is first
+        # an equal position in a new object: values decide, so no change
+        # needs to drop the slot
+        rec = bs.registry[1]
+        rec.sonar_position, rec.bs_angles = Position(30, 40, 120), None
+        assert bs.compose_superframe(2.1).slots[0] is first
+
+    @pytest.mark.parametrize("field", list(ASSIGN_FIELD_CHANGES))
+    def test_changed_field_gives_a_fresh_assign_slot(self, field):
+        bs = make_bs()
+        bs.allocate(scan(bs, [Position(30, 40, 120)]), 0.0)
+        first = bs.compose_superframe(0.1).slots[0]
+        ASSIGN_FIELD_CHANGES[field](bs.registry[1])
+        second = bs.compose_superframe(1.1).slots[0]
+        assert second.stage is SlotStage.ASSIGN
+        assert [f.name for f in dataclasses.fields(SlotPayload)
+                if getattr(first, f.name) != getattr(second, f.name)] \
+            == [field]
+        assert bs.compose_superframe(2.1).slots[0] is second
 
     def test_frame_seq_strictly_increasing(self):
         bs = make_bs()

@@ -120,6 +120,29 @@ class TestExitCodes:
                      "--format", "svg"]) == 1
 
 
+class TestUndecodableInput:
+    """A file that is not UTF-8 text is an input error: exit 2, no output."""
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--config"],
+        ["sweep", "--c-list", "0.056", "--seeds", "1", "--config"],
+        ["topo", "--report"],
+    ], ids=["run", "sweep", "topo"])
+    def test_exits_2(self, tmp_path, capsys, command):
+        bad = tmp_path / "bin.cfg"
+        bad.write_bytes(b"\xff\xfe\x00n_uwn = 3\n")
+        out = tmp_path / "out"
+        argv = command + [str(bad)]
+        if command[0] != "topo":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {bad}: not UTF-8 text: invalid "
+                                "start byte at byte 0\n")
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == [bad]
+
+
 class TestUnusableOut:
     """An --out path that cannot be written exits 2 before any run."""
 

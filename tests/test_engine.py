@@ -16,8 +16,8 @@ from uwoan import node as uwn
 from uwoan.base_station import BsState, HandshakeStage
 from uwoan.config import SimConfig
 from uwoan.engine import Simulation, run, simulate, trace
-from uwoan.frame import (FrameIndex, SlotPayload, SlotStage, SuperFrame,
-                         decode)
+from uwoan.frame import (FrameIndex, MovementMarker, SlotPayload, SlotStage,
+                         SuperFrame, decode)
 from uwoan.geometry import Bearing, Position, bearing_from_to, distance
 from uwoan.node import Lifecycle, RelayDuty
 from uwoan.world import World, generate
@@ -1428,6 +1428,184 @@ class TestSettledReturns:
         assert (n_skipped > 0) == (not overrides)
 
 
+class TestDeadRetries:
+    """A direct retry the base station cannot hear stays off the queue.
+
+    The base station sends an unchanged ASSIGN slot again as the same
+    object.  While an emitting node at the same position is sent the very
+    slot whose beam already missed, its arrival is only logged.  The
+    oracle is the plain loop with every shortcut off.
+    """
+
+    @staticmethod
+    def relay_run():
+        """Node 0 lies too deep for a direct link in turbid water; node 1,
+        above it, relays.  Returns the report, the ASSIGN slots sent to
+        record 1 and handled at node 0, and record 1's stage and retries
+        after each timeout check."""
+        cfg = SimConfig(n_uwn=2, c0=0.151)
+        world = World(cfg.bs_position(), [Position(100.0, 100.0, 180.0),
+                                          Position(100.0, 100.0, 90.0)],
+                      (200.0, 200.0, 200.0))
+        sent, handled, timeline = [], [], []
+        real_compose = BsState.compose_superframe
+        real_arrival = Simulation._on_acoustic_arrival
+        real_timeouts = BsState.handle_timeouts
+
+        def assign_slot(frame):
+            """Record 1's slot in `frame` if it is ASSIGN, else None."""
+            slot = FrameIndex(frame).by_id.get(1)
+            return slot if slot and slot.stage is SlotStage.ASSIGN else None
+
+        def compose(self, now):
+            frame = real_compose(self, now)
+            slot = assign_slot(frame)
+            if slot is not None:
+                sent.append(slot)
+            return frame
+
+        def arrival(self, t, i, payload):
+            slot = assign_slot(payload[1].frame) \
+                if i == 0 and payload[0] == "frame" else None
+            if slot is not None:
+                handled.append(slot)
+            real_arrival(self, t, i, payload)
+
+        def timeouts(self, now):
+            real_timeouts(self, now)
+            rec = self.registry.get(1)
+            if rec is not None:
+                timeline.append((now, rec.stage, rec.retries_remaining))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BsState, "compose_superframe", compose)
+            patch.setattr(Simulation, "_on_acoustic_arrival", arrival)
+            patch.setattr(BsState, "handle_timeouts", timeouts)
+            report = Simulation(cfg, seed=1, world=world).run()
+        assert report.nodes[0].relay == "u1"
+        return report, sent, handled, timeline
+
+    def test_one_queued_arrival_per_slot_object(self, plain_loop):
+        # no settled-tail replay, so both runs check timeouts to the end
+        with plain_loop("fast_forward"):
+            report, sent, handled, timeline = self.relay_run()
+        with plain_loop():
+            plain_report, plain_sent, plain_handled, plain_timeline = \
+                self.relay_run()
+        assert (report, timeline) == (plain_report, plain_timeline)
+        assert [SLOT_FIELDS(s) for s in sent] \
+            == [SLOT_FIELDS(s) for s in plain_sent]
+        # every direct retry burns before the relay takes over
+        assert len(sent) == SimConfig().direct_retries
+        assert plain_handled == plain_sent
+        first_sent = [s for k, s in enumerate(sent)
+                      if not any(s is earlier for earlier in sent[:k])]
+        assert len(first_sent) == 1
+        assert len(handled) == len(first_sent) \
+            and all(a is b for a, b in zip(handled, first_sent))
+
+    @pytest.mark.parametrize("change", [
+        None,
+        lambda rec: setattr(rec, "reset_bit", 1),
+        lambda rec: setattr(rec, "observed_motion", MovementMarker.DIVING),
+        lambda rec: setattr(rec, "depth_code", rec.depth_code + 1),
+    ], ids=["unchanged", "reset_bit", "marker", "depth_code"])
+    def test_changed_slot_is_queued_again(self, change, plain_loop):
+        # node 0 binds to the slot of the frame at 1.0 and answers it with
+        # a beam that misses.  A change to its record before the frame at
+        # 3.0 makes a fresh slot, whose arrival must be handled; the frames
+        # at 2.0 and 4.0 repeat the slot before them
+        def run_frames():
+            cfg = SimConfig(n_uwn=1, c0=0.151)
+            sim = TestInertArrivals.relay_world(
+                cfg, [Position(100.0, 100.0, 180.0)])
+            bs = sim.bs
+            bs.allocate(bs.sonar_scan(
+                [(0, sim.world.position_of(0, 0.0))], sim.rng), 0.0)
+            sim.nodes[0].lifecycle = Lifecycle.ACTIVATED  # as a ping would
+            sent = []
+            for t in (1.0, 2.0, 3.0, 4.0):
+                if t == 3.0 and change is not None:
+                    change(bs.registry[1])
+                sim._on_superframe_tx(t)
+                sent.append(bs.registry[1].assign_slot)
+                TestInertArrivals.drain(sim)
+            sim._fold(math.inf)
+            return sim, sent
+
+        with plain_loop(), popped_arrivals() as seen:
+            plain = run_frames(), seen
+        with popped_arrivals() as seen:
+            fast = run_frames()
+        state, sent = TestInertArrivals.check_drained(fast, plain)
+        assert state.lifecycle is Lifecycle.EMITTING
+        assert sent[0] is sent[1] and sent[2] is sent[3]
+        assert (sent[1] is sent[2]) == (change is None)
+        assert [math.floor(t) for t, *_ in plain[1]] == [1, 2, 3, 4]
+        assert [math.floor(t) for t, *_ in seen] \
+            == ([1] if change is None else [1, 3])
+
+    def test_no_duty_names_a_record_sent_an_assign_slot(self, monkeypatch,
+                                                        plain_loop):
+        # the premise that keeps a missed direct beam from every relay: at
+        # each frame, no node's duty names an ID whose slot is ASSIGN
+        indexes, duties = [], []
+        real_index = engine.FrameIndex
+        real_tx = Simulation._on_superframe_tx
+
+        def recording_index(frame):
+            indexes.append(real_index(frame))
+            return indexes[-1]
+
+        def tx(self, t):
+            indexes.clear()
+            real_tx(self, t)
+            for index in indexes:
+                for state in self.nodes:
+                    if state.relay_duty is not None:
+                        slot = index.by_id.get(state.relay_duty.partner_id)
+                        duties.append(slot and slot.stage)
+
+        monkeypatch.setattr(engine, "FrameIndex", recording_index)
+        monkeypatch.setattr(Simulation, "_on_superframe_tx", tx)
+        with plain_loop():
+            for cfg, seed, world in scenario_runs():
+                simulate(cfg, seed, world)
+        assert duties and SlotStage.ASSIGN not in duties
+        assert SlotStage.RELAY_TX in duties
+
+    # world -> (config overrides, co-depth placement)
+    WORLDS = {
+        "static": ({}, False),
+        "codepth": ({"n_uwn": 20}, True),
+        "loss": ({"p_frame_loss": 0.1}, False),
+        "misdetect": ({"p_misdetect": 0.05}, False),
+        "depth_noise": ({"sonar_depth_noise_std_m": 0.3}, False),
+    }
+
+    @pytest.mark.parametrize("name", list(WORLDS))
+    def test_runs_match_the_plain_loop(self, name, plain_loop):
+        overrides, placed = self.WORLDS[name]
+        runs = [(SimConfig(c0=c0, **overrides), seed)
+                for c0 in WATER_TYPES for seed in range(3)]
+
+        def reports():
+            with popped_arrivals() as seen:
+                return [simulate(cfg, seed, codepth_world(cfg, seed)
+                                 if placed else None).report
+                        for cfg, seed in runs], len(seen)
+
+        fast, n_fast = reports()
+        with plain_loop("dead_retries"):
+            _, n_queued = reports()
+        with plain_loop():
+            plain, _ = reports()
+        assert fast == plain
+        assert [r.avg_sound_delay_s for r in fast] \
+            == [r.avg_sound_delay_s for r in plain]
+        assert n_fast < n_queued  # the shortcut fired
+
+
 def shortcut_runs():
     """Untraced reports and traced results: static, drift and codepth."""
     def runs():
@@ -1449,6 +1627,16 @@ class TestShortcuts:
                                           plain_loop):
         with plain_loop(shortcut):
             assert shortcut_runs() == runs_with_shortcuts
+
+    def test_entry_names_an_attribute_of_its_owner(self, shortcut_entry):
+        # `plain_loop` patches with raising=False: a misspelt name would add
+        # an unused property, leave the shortcut on and pass the test above
+        owner, attribute, _ = shortcut_entry
+        slots = getattr(owner, "__slots__", None)
+        if slots is None:  # set on a fresh instance by the constructor
+            assert attribute in vars(owner(SimConfig()))
+        else:
+            assert attribute in slots
 
 
 def slot_stage_names(source):

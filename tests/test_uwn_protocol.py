@@ -18,6 +18,7 @@ from uwoan.node import (
     Lifecycle,
     RelayDuty,
     UwnState,
+    answers_directly,
     draw_movement,
     forward_beam,
     heeds,
@@ -273,6 +274,30 @@ class TestHeeds:
         assert match_frame(state, frame, MODEL, PARAMS, random.Random(0),
                            1.0, 100.0) == []
         assert state == before
+
+
+class TestAnswersDirectly:
+    """A bound node beams straight at the base station only for ASSIGN."""
+
+    @pytest.mark.parametrize("stage", list(SlotStage))
+    def test_emitting_node_answers_only_an_assign_slot(self, stage):
+        state = TestHeeds().bound(Lifecycle.EMITTING)
+        slot = mkslot(7, 10, stage=stage)
+        assert answers_directly(state, slot) == (stage is SlotStage.ASSIGN)
+        assert not answers_directly(state, None)
+
+    @pytest.mark.parametrize("stage", list(SlotStage))
+    def test_accessed_node_answers_nothing_directly(self, stage):
+        state = TestHeeds().bound(Lifecycle.ACCESSED)
+        assert not answers_directly(state, mkslot(7, 10, stage=stage))
+
+    def test_an_assign_answer_is_one_beam_along_the_slot(self):
+        state = TestHeeds().bound(Lifecycle.EMITTING)
+        slot = mkslot(7, 10, azimuth=30.0, elevation=45.0)
+        assert answers_directly(state, slot)
+        assert match_frame(state, mkframe(slot), MODEL, PARAMS,
+                           random.Random(0), 1.0, 100.0) \
+            == [Emission(slot_bearing(slot), 7)]
 
 
 class TestDrawMovement:
