@@ -363,11 +363,8 @@ class BsState:
         slot carries has the same value; the network ID and the stage are
         fixed by construction, so no change needs to drop it.  No slot is
         written to once composed, so the run loop packs each slot object
-        once, a RELAY_RX slot equal to the one a relay already heeded
-        re-sets an equal duty, and an ASSIGN slot object whose direct beam
-        already missed the base station, sent to a node at the same
-        position, draws a beam that misses again: none of those arrivals
-        changes anything.
+        once, and a RELAY_RX slot equal to the one a relay already heeded
+        re-sets an equal duty, which changes nothing.
         """
         bs_pos = self.bs_position
         registry = self.registry

@@ -23,6 +23,7 @@ __all__ = [
     "path_transmittance",
     "optical_received_power",
     "max_optical_range",
+    "optical_reach_bound",
 ]
 
 
@@ -162,3 +163,23 @@ def max_optical_range(budget: OpticalLinkBudget, profile: WaterProfile,
         else:
             hi = mid
     return lo
+
+
+def optical_reach_bound(budget: OpticalLinkBudget, profile: WaterProfile,
+                        floor: float, tol: float = 0.01) -> float:
+    """A length beyond which no optical link in the water column closes.
+
+    The column spans depths 0 to `floor`.  Received power falls with
+    length, and with the attenuation at the link's mean depth, which is
+    least at the surface when `gamma >= 0` and at the floor otherwise: so
+    no link closes that is longer than `max_optical_range` there.  One
+    `tol` covers the bisection, which stops at most `tol` short of that
+    range; the second keeps a power margin of at least a factor
+    exp(-c * tol) below the sensitivity, far wider than the rounding in
+    the power formulas.  A column whose attenuation is not positive
+    somewhere has no such length: the bound is then infinite.
+    """
+    depth = 0.0 if profile.gamma >= 0.0 else floor
+    if profile.c0 + profile.gamma * depth <= 0.0:
+        return math.inf
+    return max_optical_range(budget, profile, depth, tol) + 2.0 * tol

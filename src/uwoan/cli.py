@@ -189,7 +189,7 @@ def _cmd_topo(args) -> int:
     if not path.is_file():
         raise ConfigError(f"report file not found: {path}")
     try:
-        report = report_from_json(path.read_text(encoding="utf-8"))
+        report = report_from_json(path.read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte "
                           f"{exc.start}") from None

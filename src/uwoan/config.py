@@ -265,7 +265,7 @@ def load_config(path: str | Path) -> SimConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte "
                           f"{exc.start}") from None

@@ -24,16 +24,16 @@ motion and holds the same position, whatever its stage
 (`BsState.sonar_scan`).  An untraced run keeps a frame arrival off the
 event queue when it is known to change nothing: the node is bound to an ID
 and does not heed the frame (`node.heeds`); or its slot equals the
-RELAY_RX slot last queued to it while it was accessed; or it is emitting,
-and its slot is the very ASSIGN object whose direct beam the base station
-did not receive, from the very position that beam left (`_dead_retries`),
-so a direct retry that missed once is tallied until its slot changes.
-Binding is never undone and access is final, so that still holds when the
-arrival lands; a repeated RELAY_RX re-sets the duty the earlier one set,
-which has landed when every frame lands before the next one is sent.  The
-duty is a function of the slot's field values and is only ever read by
-value, so an equal slot object composed afresh is a repeat too.
-`_on_superframe_tx` gives the argument for a missed direct retry.
+RELAY_RX slot last queued to it while it was accessed; or it is bound but
+not accessed, and the beam it answers with can reach no receiver, being
+beyond optical reach of the base station and, for a RELAY_TX slot, of the
+relay (`_answer_misses`), in a static or a drifting world.  Binding is
+never undone and access is final, so that still holds when the arrival
+lands.  The last two need every frame to land before the next one is sent:
+a repeated RELAY_RX re-sets the duty the earlier one set, which has landed
+by then.  The duty is a function of the slot's field values and is only
+ever read by value, so an equal slot object composed afresh is a repeat
+too.  `_on_superframe_tx` gives the argument for an answer that misses.
 
 Each frame is encoded once for validation and the trace's byte count.
 Composed slots are never mutated, so each slot object is packed once per
@@ -61,13 +61,13 @@ from random import Random
 
 from . import node as uwn
 from .base_station import MAX_NETWORK_ID, STAGE_FAILED, BsState
-from .channel import optical_received_power
+from .channel import optical_reach_bound, optical_received_power
 from .config import ConfigError, SimConfig
 from .frame import FrameIndex, SlotPayload, encode
 # decode is unused here; perfbench/tracing.py and its tests patch it
 from .frame import decode  # noqa: F401
-from .geometry import Bearing, Position, angle_between, unit_vector
-from .node import (NODE_ACCESSED, NODE_CONFLICT_MOVING, NODE_DORMANT,
+from .geometry import Bearing, Position, angle_between, distance, unit_vector
+from .node import (NODE_ACCESSED, NODE_CONFLICT_MOVING, NODE_DORMANT, answers,
                    answers_directly, heeds)
 from .report import NodeOutcome, SimReport, TopologyEdge
 from .world import World, deploy
@@ -143,11 +143,13 @@ class Simulation:
         # to it re-sets an equal duty
         self._relay_rx_sent: dict[int, SlotPayload] | None = (
             {} if lands_first else None)
-        # (ASSIGN slot, source position) of each emitting node's last direct
-        # beam that the base station did not receive; no Position object
-        # repeats in a drifting world
-        self._dead_retries: dict[int, tuple[SlotPayload, Position]] | None = (
-            {} if lands_first and not self.world.drifting else None)
+        # no optical link longer than this closes: a bound node's answer
+        # from farther away from every receiver is only logged
+        self._optical_reach: float | None = optical_reach_bound(
+            self.budget, self.profile, self.world.region[2]) \
+            if lands_first else None
+        # how fast the current moves a body, or less against a wall
+        self._drift_speed = math.hypot(*self.world.current)
         self._next_tx = config.first_superframe_offset_s
         # once the network settles, the only observable tail activity is the
         # repeated per-frame delivery delays, which can be replayed exactly;
@@ -320,24 +322,29 @@ class Simulation:
     def _on_superframe_tx(self, t: float) -> None:
         """Compose, encode and broadcast a frame; queue what can matter.
 
-        An untraced run keeps a bound node's arrival off the queue when the
-        node is emitting, its slot is the very ASSIGN object of a direct
-        beam the base station did not receive, and `position_of` gives the
-        very `Position` that beam left from (`_dead_retries`).  Its answer
-        would miss again:
-        - Every frame lands before the next one is sent, so no earlier
-          frame is in flight, and a bound emitting node changes only
-          through its own frame arrivals: its state when the arrival lands
-          is its state now.
-        - The slot is the same object, so the node re-sets an equal
-          `emission_bearing` and sends the same beam from the same position.
-        - The base station's verdict is a pure function of those inputs.
-        - No relay forwards the beam: a duty only ever names a record that
-          was RELAY_PENDING when its RELAY_RX was composed, and no record
-          returns to an ASSIGN stage after that.  A beam reaching another
-          relay in an untraced run changes nothing (`_emit`).
-        - A bound node draws no random number for the arrival.
-        - Skipped pushes shift later sequence numbers but keep their order.
+        When every frame lands before the next one is sent, an untraced
+        run only logs the arrival of a bound, unaccessed node whose answer
+        can reach no receiver (`_answer_misses`), and sets the bearing
+        that answer leaves along now: the only write the arrival makes.
+        That is exact:
+        - No optical link longer than `_optical_reach` closes.
+        - The node, and a forwarder, move less before the arrival lands
+          than the margin `_answer_misses` takes off their distances.
+        - No relay forwards an ASSIGN answer: a duty only ever names a
+          record that was RELAY_PENDING when its RELAY_RX was composed, and
+          no record returns to an ASSIGN stage after that.
+        - A RELAY_TX answer has no forwarder but a node bound to the slot's
+          partner, the relay's ID: a record gets one relay at most, and a
+          node binds only to an ASSIGN slot, which no accessed record, so no
+          relay, is sent again.  A beam reaching another relay in an
+          untraced run changes nothing (`_emit`).
+        - No earlier frame is in flight, and a bound node changes only
+          through its own frame arrivals, so its state when the arrival
+          lands is its state now.  Nothing reads an unaccessed node's
+          bearing, and it draws no random number for the arrival.
+        - Skipped pushes shift later sequence numbers but keep their
+          order.  They leave `_emit`'s idle-relay test exact: such an
+          arrival rebinds no duty.
         """
         if self.bs.registry:
             frame = self.bs.compose_superframe(t)
@@ -350,11 +357,11 @@ class Simulation:
             reach = self.cfg.acoustic_range_m
             speed = self.profile.sound_speed
             p_loss = self.cfg.p_frame_loss
+            t_max = self.cfg.t_max_s
             arrivals = self._arrivals
             tally_inert = self._tally_inert
             relay_rx_sent = self._relay_rx_sent
-            dead_retries = self._dead_retries
-            position_of = self.world.position_of
+            optical_reach = self._optical_reach
             for i, d in enumerate(self.world.bs_distances(t)):
                 if d > reach:
                     continue
@@ -376,11 +383,12 @@ class Simulation:
                                 if relay_rx_sent.get(i) == slot:
                                     continue
                                 relay_rx_sent[i] = slot
-                        elif dead_retries is not None:
-                            dead = dead_retries.get(i)
-                            if dead is not None and dead[0] is slot \
-                                    and dead[1] is position_of(i, t):
-                                continue
+                        elif optical_reach is not None \
+                                and answers(state, slot) \
+                                and self._answer_misses(i, slot, t, d, delay):
+                            if t + delay < t_max:  # else it never lands
+                                uwn.aim(state, slot)
+                            continue
                 self._push(t + delay, ACOUSTIC_ARRIVAL, i,
                            ("frame", index, d, delay))
             if self.trace_lines is not None:
@@ -393,6 +401,37 @@ class Simulation:
                             f"slots={slots}")
         self._next_tx = t + self.cfg.superframe_period_s
         self._push(self._next_tx, SUPERFRAME_TX)
+
+    def _answer_misses(self, i: int, slot: SlotPayload, t: float, d: float,
+                       delay: float) -> bool:
+        """Whether node `i`'s answer to `slot` can reach no receiver.
+
+        The frame sent at `t` reaches the node, `d` from the base station,
+        after `delay`.  By then each end of a link has moved at most the
+        current's speed plus its vertical speed times the delay: the
+        current moves both ends alike, except against a wall, and a bound
+        node's vertical speed can only fall until a CONFIRM reaches it,
+        which this frame sends neither to the node nor to its relay.  The
+        answer misses if every receiver is still beyond `_optical_reach`:
+        the base station, and for a RELAY_TX answer every node bound to the
+        relay's ID.
+        """
+        bodies = self.world.bodies
+        optical_reach = self._optical_reach
+        moved = (self._drift_speed + abs(bodies[i].v_down)) * delay
+        if d - moved <= optical_reach:
+            return False
+        if answers_directly(self.nodes[i], slot):
+            return True
+        position_of = self.world.position_of
+        src = position_of(i, t)
+        relay_id = slot.partner_id
+        for j, state in enumerate(self.nodes):
+            if state.matched_id == relay_id \
+                    and distance(src, position_of(j, t)) \
+                    - (moved + abs(bodies[j].v_down) * delay) <= optical_reach:
+                return False
+        return True
 
     def _sync_motion(self, i: int, t: float, epoch_before: int) -> None:
         state = self.nodes[i]
@@ -422,13 +461,8 @@ class Simulation:
         self._sync_motion(i, t, epoch_before)
         if state.relay_duty is not None and duty_before is None:
             self._duty_nodes.append(i)
-        dead_retries = self._dead_retries
         for emission in emissions:
-            missed_from = self._emit(i, emission, t)
-            if missed_from is not None and dead_retries is not None:
-                slot = index.by_id.get(state.matched_id)
-                if answers_directly(state, slot):
-                    dead_retries[i] = (slot, missed_from)
+            self._emit(i, emission, t)
 
     def _on_movement_expiry(self, t: float, i: int, epoch: int) -> None:
         state = self.nodes[i]
@@ -442,13 +476,8 @@ class Simulation:
                         f"v={state.vertical_velocity!r}")
         self._sync_motion(i, t, before)
 
-    def _emit(self, src: int, emission: uwn.Emission,
-              t: float) -> Position | None:
-        """Offer a beam to its receivers.
-
-        Returns the position the beam left from if the base station does
-        not receive it, and None if it does.
-        """
+    def _emit(self, src: int, emission: uwn.Emission, t: float) -> None:
+        """Offer a beam to its receivers."""
         # A relay forwards only a beam that claims its partner's ID when the
         # arrival pops, at this same t.  Only an acoustic arrival can rebind
         # the partner, and only one already queued at t pops first, so with
@@ -458,8 +487,8 @@ class Simulation:
         idle_skip = self._skip_idle_relays and (not heap or heap[0][0] > t)
         src_pos = self.world.position_of(src, t)
         beam_dir = unit_vector(emission.bearing)  # one per beam, not receiver
-        heard = self._try_deliver(src, emission, beam_dir, src_pos, "bs",
-                                  self.world.bs_position, None, math.pi / 2, t)
+        self._try_deliver(src, emission, beam_dir, src_pos, "bs",
+                          self.world.bs_position, None, math.pi / 2, t)
         claimed_id = emission.claimed_id
         for j in self._duty_nodes:
             if j == src:
@@ -471,12 +500,11 @@ class Simulation:
                               self.world.position_of(j, t),
                               duty.receiver_bearing,
                               self.budget.rx_fov_half_angle, t)
-        return None if heard else src_pos
 
     def _try_deliver(self, src: int, emission: uwn.Emission,
                      beam_dir: tuple[float, float, float], src_pos: Position,
                      receiver, rx_pos: Position, rx_bearing: Bearing | None,
-                     fov: float, t: float) -> bool:
+                     fov: float, t: float) -> None:
         # geometry and link outcome are pure in the inputs below; identical
         # repeats (retries while nothing moved) hit the cache
         key = (src, receiver)
@@ -490,11 +518,9 @@ class Simulation:
                                          rx_bearing, fov)
             self._deliver_cache[key] = (src_pos, rx_pos, beam, rx_bearing,
                                         power)
-        if power is None:
-            return False
-        self._push(t, OPTICAL_ARRIVAL, receiver,
-                   (src, emission.claimed_id, emission.relayed, power))
-        return True
+        if power is not None:
+            self._push(t, OPTICAL_ARRIVAL, receiver,
+                       (src, emission.claimed_id, emission.relayed, power))
 
     def _delivery_power(self, src_pos: Position,
                         beam_dir: tuple[float, float, float],

@@ -45,7 +45,9 @@ __all__ = [
     "UwnState",
     "slot_bearing",
     "heeds",
+    "answers",
     "answers_directly",
+    "aim",
     "on_trigger",
     "match_frame",
     "match_frame_indexed",
@@ -128,6 +130,16 @@ def heeds(state: UwnState, slot: SlotPayload | None) -> bool:
                                  or slot.stage is SLOT_RELAY_RX)
 
 
+def answers(state: UwnState, slot: SlotPayload | None) -> bool:
+    """Whether a bound node answers its ID's slot with a beam.
+
+    An emitting node answers an ASSIGN or a RELAY_TX slot, along the
+    slot's angles (`aim`).
+    """
+    return (slot is not None and state.lifecycle is not NODE_ACCESSED
+            and (slot.stage is SLOT_ASSIGN or slot.stage is SLOT_RELAY_TX))
+
+
 def answers_directly(state: UwnState, slot: SlotPayload | None) -> bool:
     """Whether a bound node answers its ID's slot with a direct beam.
 
@@ -136,6 +148,12 @@ def answers_directly(state: UwnState, slot: SlotPayload | None) -> bool:
     """
     return (slot is not None and slot.stage is SLOT_ASSIGN
             and state.lifecycle is not NODE_ACCESSED)
+
+
+def aim(state: UwnState, slot: SlotPayload) -> Emission:
+    """Point a bound node's beam along its slot's angles: its answer."""
+    state.emission_bearing = slot_bearing(slot)
+    return Emission(state.emission_bearing, state.matched_id)
 
 
 def on_trigger(state: UwnState) -> None:
@@ -257,10 +275,9 @@ def match_frame_indexed(state: UwnState, index: FrameIndex, model: DepthModel,
             state.relay_duty = RelayDuty(slot.partner_id, slot_bearing(slot))
         elif slot.stage is SLOT_CONFIRM:
             on_access(state, now, cfg, depth)
-        elif slot.stage in (SLOT_ASSIGN, SLOT_RELAY_TX):
+        elif answers(state, slot):
             # refreshed angles; RELAY_TX retargets the beam at the relay
-            state.emission_bearing = slot_bearing(slot)
-            return [Emission(state.emission_bearing, state.matched_id)]
+            return [aim(state, slot)]
         return []
 
     # unbound: match the advertised depth codes against our own depth

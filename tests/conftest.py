@@ -50,8 +50,8 @@ SHORTCUTS = {
     "packed_slots": (Simulation, "_packed", _forgetful(dict)),
     # every frame composes a fresh ASSIGN slot
     "assign_slots": (NodeRecord, "assign_slot", _forgetful(lambda: None)),
-    # a direct retry the base station cannot hear is queued
-    "dead_retries": (Simulation, "_dead_retries", _forgetful(dict)),
+    # an answer beyond optical reach of every receiver is queued
+    "beyond_reach": (Simulation, "_optical_reach", _forgetful(lambda: None)),
 }
 
 

@@ -11,6 +11,7 @@ from uwoan.channel import (
     WaterProfile,
     acoustic_delay,
     max_optical_range,
+    optical_reach_bound,
     optical_received_power,
     path_transmittance,
 )
@@ -190,6 +191,77 @@ class TestMaxOpticalRange:
         shallow = max_optical_range(budget, prof, depth=0.0)
         deep = max_optical_range(budget, prof, depth=150.0)
         assert deep < shallow
+
+
+class TestOpticalReachBound:
+    """No link inside the water column closes beyond the bound."""
+
+    # a long, shallow box: every pair drawn lies inside it
+    BOX = (1000.0, 1000.0, 200.0)
+
+    @staticmethod
+    def pairs_beyond(bound, rng, count):
+        """Seeded endpoint pairs in BOX, up to 10% farther apart than `bound`.
+
+        The excess is log-uniform down to one part in 1e12 of the bound, so
+        many pairs sit at the edge where rounding could matter.
+        """
+        pairs = []
+        while len(pairs) < count:
+            a = Position(*(rng.uniform(0.0, side)
+                           for side in TestOpticalReachBound.BOX))
+            direction = [rng.gauss(0.0, 1.0) for _ in range(3)]
+            norm = math.sqrt(sum(x * x for x in direction))
+            length = bound * (1.0 + 10.0 ** rng.uniform(-12.0, -1.0))
+            b = [x + length * u / norm for x, u in zip(a, direction)]
+            if all(0.0 <= x <= side
+                   for x, side in zip(b, TestOpticalReachBound.BOX)):
+                pairs.append((a, Position(*b)))
+        return pairs
+
+    @pytest.mark.parametrize("gamma", [-0.0002, 0.0, 0.0005])
+    @pytest.mark.parametrize("c0", [0.056, 0.12, 0.151, 0.3])
+    def test_no_link_beyond_the_bound_closes(self, c0, gamma):
+        budget, profile = OpticalLinkBudget(), WaterProfile(c0=c0, gamma=gamma)
+        bound = optical_reach_bound(budget, profile, self.BOX[2])
+        rng = random.Random(f"{c0}:{gamma}")
+        for a, b in self.pairs_beyond(bound, rng, 300):
+            assert optical_received_power(a, b, budget, profile) \
+                < budget.rx_sensitivity, (a, b)
+
+    @pytest.mark.parametrize("gamma", [-0.0002, 0.0, 0.0005])
+    @pytest.mark.parametrize("c0", [0.056, 0.12, 0.151, 0.3])
+    def test_horizontal_link_at_max_range_closes(self, c0, gamma):
+        # at the depth of least attenuation the bound is no shorter than
+        # the range, which closes
+        budget, profile = OpticalLinkBudget(), WaterProfile(c0=c0, gamma=gamma)
+        floor = self.BOX[2]
+        depth = 0.0 if gamma >= 0.0 else floor
+        reach = max_optical_range(budget, profile, depth)
+        a = Position(100.0, 100.0, depth)
+        b = Position(100.0 + reach, 100.0, depth)
+        assert optical_received_power(a, b, budget, profile) \
+            >= budget.rx_sensitivity
+        assert reach < optical_reach_bound(budget, profile, floor)
+        # elsewhere in the column the range is shorter still
+        assert max_optical_range(budget, profile, floor - depth) <= reach
+
+    def test_unbounded_where_attenuation_is_not_positive(self):
+        # a column deeper than its profile is valid for
+        profile = WaterProfile(c0=0.056, gamma=-0.0002)
+        assert optical_reach_bound(OpticalLinkBudget(), profile, 280.0) \
+            == math.inf
+        assert optical_reach_bound(OpticalLinkBudget(), profile, 270.0) \
+            < math.inf
+
+    def test_sensitivity_above_tx_power(self):
+        budget = OpticalLinkBudget(tx_power=0.1, rx_sensitivity=0.2)
+        profile = WaterProfile(c0=0.056)
+        bound = optical_reach_bound(budget, profile, self.BOX[2])
+        assert bound == 0.02  # the range is 0.0; twice the default tol
+        for a, b in self.pairs_beyond(bound, random.Random(7), 50):
+            assert optical_received_power(a, b, budget, profile) \
+                < budget.rx_sensitivity
 
 
 class TestValidation:

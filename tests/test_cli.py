@@ -143,6 +143,52 @@ class TestUndecodableInput:
         assert sorted(tmp_path.iterdir()) == [bad]
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of an input file is skipped."""
+
+    @staticmethod
+    def twins(tmp_path, name, text):
+        """The same text written twice: plain, and after the mark."""
+        plain, marked = tmp_path / f"plain-{name}", tmp_path / f"bom-{name}"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        return plain, marked
+
+    def test_run(self, tmp_path, capsys):
+        outputs = []
+        for path in self.twins(tmp_path, "scenario.cfg", BASE_CFG.lstrip()):
+            out = tmp_path / f"out-{path.name}"
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            outputs.append((stdout, {p.name: p.read_bytes()
+                                     for p in sorted(out.iterdir())}))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1]) == 4
+
+    def test_sweep(self, tmp_path, capsys):
+        outputs = []
+        for path in self.twins(tmp_path, "scenario.cfg", BASE_CFG.lstrip()):
+            out = tmp_path / f"{path.name}.csv"
+            assert main(["sweep", "--config", str(path), "--c-list",
+                         "0.056,0.151", "--seeds", "2",
+                         "--out", str(out)]) == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_topo(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = (out / "report.json").read_text()
+        for fmt in ("json", "dot"):
+            printed = []
+            for path in self.twins(tmp_path, f"report-{fmt}.json", report):
+                assert main(["topo", "--report", str(path),
+                             "--format", fmt]) == 0
+                printed.append(capsys.readouterr().out)
+            assert printed[0] == printed[1] != ""
+
+
 class TestUnusableOut:
     """An --out path that cannot be written exits 2 before any run."""
 

@@ -1,9 +1,11 @@
 import ast
 import dataclasses
+import importlib.util
 import itertools
 import math
 import operator
 import random
+import sys
 from contextlib import contextmanager
 from functools import reduce
 from heapq import heappop
@@ -14,6 +16,7 @@ import pytest
 from uwoan import engine
 from uwoan import node as uwn
 from uwoan.base_station import BsState, HandshakeStage
+from uwoan.channel import optical_reach_bound
 from uwoan.config import SimConfig
 from uwoan.engine import Simulation, run, simulate, trace
 from uwoan.frame import (FrameIndex, MovementMarker, SlotPayload, SlotStage,
@@ -1428,13 +1431,28 @@ class TestSettledReturns:
         assert (n_skipped > 0) == (not overrides)
 
 
-class TestDeadRetries:
-    """A direct retry the base station cannot hear stays off the queue.
+def bench_spec(workload, k, seed=3):
+    """(config, seed, world) of the benchmark workload's spec `k`."""
+    path = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", path / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while they are built
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        run = module.WORKLOADS[workload].specs(seed)[k]
+    return run.config, run.seed, run.world()
 
-    The base station sends an unchanged ASSIGN slot again as the same
-    object.  While an emitting node at the same position is sent the very
-    slot whose beam already missed, its arrival is only logged.  The
-    oracle is the plain loop with every shortcut off.
+
+class TestBeyondReach:
+    """An answer that can reach no receiver stays off the queue.
+
+    When every frame lands before the next one is sent, an untraced run
+    only logs a bound, unaccessed node's frame arrival if the beam it
+    answers with is beyond optical reach of the base station and, for a
+    RELAY_TX slot, of every node bound to the relay's ID.  The oracle is the
+    plain loop with every shortcut off.
     """
 
     @staticmethod
@@ -1481,28 +1499,27 @@ class TestDeadRetries:
             patch.setattr(BsState, "compose_superframe", compose)
             patch.setattr(Simulation, "_on_acoustic_arrival", arrival)
             patch.setattr(BsState, "handle_timeouts", timeouts)
-            report = Simulation(cfg, seed=1, world=world).run()
+            sim = Simulation(cfg, seed=1, world=world)
+            report = sim.run()
         assert report.nodes[0].relay == "u1"
-        return report, sent, handled, timeline
+        return report, sim.nodes, sent, handled, timeline
 
-    def test_one_queued_arrival_per_slot_object(self, plain_loop):
+    def test_only_the_binding_assign_arrival_is_queued(self, plain_loop):
         # no settled-tail replay, so both runs check timeouts to the end
         with plain_loop("fast_forward"):
-            report, sent, handled, timeline = self.relay_run()
+            report, nodes, sent, handled, timeline = self.relay_run()
         with plain_loop():
-            plain_report, plain_sent, plain_handled, plain_timeline = \
-                self.relay_run()
-        assert (report, timeline) == (plain_report, plain_timeline)
+            plain_report, plain_nodes, plain_sent, plain_handled, \
+                plain_timeline = self.relay_run()
+        assert (report, nodes, timeline) \
+            == (plain_report, plain_nodes, plain_timeline)
         assert [SLOT_FIELDS(s) for s in sent] \
             == [SLOT_FIELDS(s) for s in plain_sent]
         # every direct retry burns before the relay takes over
         assert len(sent) == SimConfig().direct_retries
         assert plain_handled == plain_sent
-        first_sent = [s for k, s in enumerate(sent)
-                      if not any(s is earlier for earlier in sent[:k])]
-        assert len(first_sent) == 1
-        assert len(handled) == len(first_sent) \
-            and all(a is b for a, b in zip(handled, first_sent))
+        # the first arrival binds the node; the rest answer from 180 m
+        assert handled == sent[:1]
 
     @pytest.mark.parametrize("change", [
         None,
@@ -1510,11 +1527,11 @@ class TestDeadRetries:
         lambda rec: setattr(rec, "observed_motion", MovementMarker.DIVING),
         lambda rec: setattr(rec, "depth_code", rec.depth_code + 1),
     ], ids=["unchanged", "reset_bit", "marker", "depth_code"])
-    def test_changed_slot_is_queued_again(self, change, plain_loop):
+    def test_changed_slot_is_only_logged_too(self, change, plain_loop):
         # node 0 binds to the slot of the frame at 1.0 and answers it with
         # a beam that misses.  A change to its record before the frame at
-        # 3.0 makes a fresh slot, whose arrival must be handled; the frames
-        # at 2.0 and 4.0 repeat the slot before them
+        # 3.0 makes a fresh slot; the rule keeps no memory of slots, so
+        # that arrival is only logged like the repeats at 2.0 and 4.0
         def run_frames():
             cfg = SimConfig(n_uwn=1, c0=0.151)
             sim = TestInertArrivals.relay_world(
@@ -1542,8 +1559,81 @@ class TestDeadRetries:
         assert sent[0] is sent[1] and sent[2] is sent[3]
         assert (sent[1] is sent[2]) == (change is None)
         assert [math.floor(t) for t, *_ in plain[1]] == [1, 2, 3, 4]
-        assert [math.floor(t) for t, *_ in seen] \
-            == ([1] if change is None else [1, 3])
+        assert [math.floor(t) for t, *_ in seen] == [1]
+
+    @pytest.mark.parametrize("relay_depth, queued", [(90.0, True),
+                                                     (20.0, False)])
+    def test_relay_tx_answer_beyond_the_relay(self, relay_depth, queued,
+                                              plain_loop):
+        # node 0, 180 m below the base station in turbid water, falls back
+        # to node 1, which relays from 90 m (in reach) or 20 m (160 m off)
+        def run():
+            cfg = SimConfig(n_uwn=2, c0=0.151)
+            sim = TestInertArrivals.relay_world(
+                cfg, [Position(100.0, 100.0, 180.0),
+                      Position(100.0, 100.0, relay_depth)])
+            relay_tx = []
+            real = Simulation._on_acoustic_arrival
+
+            def arrival(self, t, i, payload):
+                slot = payload[1] and payload[1].by_id.get(1)
+                if i == 0 and slot and slot.stage is SlotStage.RELAY_TX:
+                    relay_tx.append(t)
+                real(self, t, i, payload)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(Simulation, "_on_acoustic_arrival", arrival)
+                report = sim.run()
+            return report, sim.nodes, relay_tx
+
+        with plain_loop("fast_forward"):
+            fast = run()
+        with plain_loop():
+            plain = run()
+        assert fast[:2] == plain[:2]
+        assert plain[2] and (fast[2] == plain[2]) == queued
+        if not queued:
+            assert fast[2] == [] and fast[0].n_failed == 1
+
+    def test_forwarder_is_the_node_bound_to_the_relay_id(self, plain_loop):
+        # node 2 took record 2's ID from node 1, its sonar track, and
+        # relays for record 1, node 0's.  All three lie straight below the
+        # base station in turbid water: node 0, at 190 m, is beyond reach of
+        # the base station and of node 1, at 10 m, but node 2, at 100 m,
+        # forwards its RELAY_TX answer to the base station
+        def run_frames():
+            cfg = SimConfig(n_uwn=3, c0=0.151)
+            sim = TestInertArrivals.relay_world(
+                cfg, [Position(100.0, 100.0, depth)
+                      for depth in (190.0, 10.0, 100.0)])
+            bs, nodes = sim.bs, sim.nodes
+            bs.allocate(bs.sonar_scan(
+                [(i, sim.world.position_of(i, 0.0)) for i in (0, 1)],
+                sim.rng), 0.0)
+            pending, relay = bs.registry[1], bs.registry[2]
+            relay.stage, relay.access_time = HandshakeStage.ACCESSED, 0.5
+            del bs._live[2]
+            relay.relay_of, pending.relayed_by = 1, 2
+            pending.stage = HandshakeStage.RELAY_PENDING
+            nodes[0].matched_id, nodes[0].lifecycle = 1, Lifecycle.EMITTING
+            nodes[2].matched_id, nodes[2].lifecycle = 2, Lifecycle.ACCESSED
+            nodes[2].emission_bearing = bearing_from_to(
+                sim.world.position_of(2, 0.0), sim.world.bs_position)
+            sim._on_superframe_tx(1.0)
+            while sim._heap:
+                t, _, kind, i, payload = heappop(sim._heap)
+                if kind == engine.ACOUSTIC_ARRIVAL:
+                    sim._on_acoustic_arrival(t, i, payload)
+                elif kind == engine.OPTICAL_ARRIVAL:
+                    sim._on_optical_arrival(t, i, payload)
+            return sim
+
+        with plain_loop():
+            plain = run_frames()
+        fast = run_frames()
+        assert fast.nodes == plain.nodes
+        assert fast.bs.registry[1].stage is plain.bs.registry[1].stage \
+            is HandshakeStage.CONFIRMING
 
     def test_no_duty_names_a_record_sent_an_assign_slot(self, monkeypatch,
                                                         plain_loop):
@@ -1574,45 +1664,133 @@ class TestDeadRetries:
         assert duties and SlotStage.ASSIGN not in duties
         assert SlotStage.RELAY_TX in duties
 
-    # world -> (config overrides, co-depth placement)
+    def test_duties_name_only_the_relays_partner(self, monkeypatch):
+        # the premise that gives a RELAY_TX answer no forwarder but the
+        # nodes bound to its relay's ID: at each frame, a node whose duty
+        # names record c is bound to the record relaying c.  The same runs
+        # show where the rule fires: beyond the reach of turbid and coastal
+        # water, never in clear water
+        checked, fired = [], set()
+        real_tx = Simulation._on_superframe_tx
+        real_misses = Simulation._answer_misses
+
+        def tx(self, t):
+            real_tx(self, t)
+            for state in self.nodes:
+                if state.relay_duty is not None:
+                    rec = self.bs.registry[state.relay_duty.partner_id]
+                    if rec.relayed_by is not None:
+                        checked.append(state.matched_id == rec.relayed_by)
+
+        def misses(self, *args):
+            missed = real_misses(self, *args)
+            if missed:
+                fired.add((self.cfg, self.seed))
+            return missed
+
+        monkeypatch.setattr(Simulation, "_on_superframe_tx", tx)
+        monkeypatch.setattr(Simulation, "_answer_misses", misses)
+        runs = list(scenario_runs())
+        for cfg, seed, world in runs:
+            simulate(cfg, seed, world)
+        assert checked and all(checked)
+        scattered = [(cfg, seed) for cfg, seed, world in runs
+                     if world is None]  # codepth's nodes stay near the BS
+        assert {run for run in scattered if run[0].c0 > 0.1} <= fired
+        assert not any(cfg.c0 < 0.1 for cfg, _ in fired)
+
+    # world -> (config overrides, co-depth placement): currents along each
+    # axis and one that clamps every node at a wall, attenuation
+    # gradients, imperfect channels, and periods at the gate and just
+    # below it
+    GATE = 1000.0 / 1500.0  # acoustic_range_m / sound_speed_mps
     WORLDS = {
         "static": ({}, False),
         "codepth": ({"n_uwn": 20}, True),
+        "east": ({"current_east_mps": 0.02}, False),
+        "north": ({"current_north_mps": -0.02}, False),
+        "both": ({"current_east_mps": 0.03, "current_north_mps": 0.02},
+                 False),
+        "wall": ({"current_east_mps": 5.0}, False),
+        "gamma+": ({"gamma": 0.0003}, False),
+        "gamma-": ({"gamma": -0.0002}, False),
         "loss": ({"p_frame_loss": 0.1}, False),
         "misdetect": ({"p_misdetect": 0.05}, False),
         "depth_noise": ({"sonar_depth_noise_std_m": 0.3}, False),
+        "at_gate": ({"superframe_period_s": GATE}, False),
+        "below_gate": ({"superframe_period_s": GATE * (1.0 - 1e-9)}, False),
     }
+
+    @staticmethod
+    def check_runs(runs, plain_loop):
+        """Reports and end states equal the plain loop's; returns how many
+        runs queued fewer events with the rule on."""
+        def results(*off):
+            with plain_loop(*off):
+                sims = [Simulation(cfg, seed, world() if world else None)
+                        for cfg, seed, world in runs]
+                return [(sim.run(), sim.nodes, sim._seq) for sim in sims]
+
+        fast = results("fast_forward")
+        queued = results("fast_forward", "beyond_reach")
+        plain = results()
+        assert [r[:2] for r in fast] == [r[:2] for r in plain]
+        assert [r[0].avg_sound_delay_s for r in fast] \
+            == [r[0].avg_sound_delay_s for r in plain]
+        return sum(f[2] < q[2] for f, q in zip(fast, queued))
 
     @pytest.mark.parametrize("name", list(WORLDS))
     def test_runs_match_the_plain_loop(self, name, plain_loop):
         overrides, placed = self.WORLDS[name]
-        runs = [(SimConfig(c0=c0, **overrides), seed)
-                for c0 in WATER_TYPES for seed in range(3)]
+        runs = [(cfg, seed, placed and (lambda cfg=cfg, seed=seed:
+                                        codepth_world(cfg, seed)))
+                for cfg in (SimConfig(c0=c0, **overrides)
+                            for c0 in WATER_TYPES)
+                for seed in range(2)]
+        fired = self.check_runs(runs, plain_loop)
+        assert (fired > 0) == (name != "below_gate")
 
-        def reports():
-            with popped_arrivals() as seen:
-                return [simulate(cfg, seed, codepth_world(cfg, seed)
-                                 if placed else None).report
-                        for cfg, seed in runs], len(seen)
+    @pytest.mark.parametrize("workload, k", [("drift", 24), ("codepth", 62)])
+    def test_stolen_id_runs_match_the_plain_loop(self, workload, k,
+                                                 plain_loop):
+        # two nodes end bound to one ID in each of these benchmark runs
+        cfg, seed, world = bench_spec(workload, k)
+        sim = Simulation(cfg, seed, world)
+        sim.run()
+        ids = [s.matched_id for s in sim.nodes if s.matched_id is not None]
+        assert len(ids) > len(set(ids))
+        turbid = dataclasses.replace(cfg, c0=0.151)
+        runs = [(c, seed, world and (lambda c=c: bench_spec(workload, k)[2]))
+                for c in (cfg, turbid)]
+        assert self.check_runs(runs, plain_loop) >= 1
 
-        fast, n_fast = reports()
-        with plain_loop("dead_retries"):
-            _, n_queued = reports()
-        with plain_loop():
-            plain, _ = reports()
-        assert fast == plain
-        assert [r.avg_sound_delay_s for r in fast] \
-            == [r.avg_sound_delay_s for r in plain]
-        assert n_fast < n_queued  # the shortcut fired
+    @pytest.mark.parametrize("offset, fires", [(-0.001, False),
+                                               (0.001, True)])
+    def test_node_at_the_bound(self, offset, fires, plain_loop):
+        # one static node straight below the base station in turbid water,
+        # just inside or just beyond the reach bound
+        cfg = SimConfig(n_uwn=1, c0=0.151)
+        bound = optical_reach_bound(cfg.link_budget(), cfg.water_profile(),
+                                    cfg.region_depth_m)
+
+        def world():
+            return World(cfg.bs_position(),
+                         [Position(100.0, 100.0, bound + offset)],
+                         (200.0, 200.0, 200.0))
+
+        assert self.check_runs([(cfg, 0, world)], plain_loop) == int(fires)
 
 
 def shortcut_runs():
-    """Untraced reports and traced results: static, drift and codepth."""
+    """Untraced reports, traced results, and the events each untraced run
+    pushed: static, drift and codepth."""
     def runs():
         return scenario_runs(("static", "drift", "codepth"), seeds=range(2))
-    return ([simulate(cfg, seed, world).report for cfg, seed, world in runs()],
+    sims = [Simulation(cfg, seed, world) for cfg, seed, world in runs()]
+    return ([sim.run() for sim in sims],
             [simulate(cfg, seed, world, collect_trace=True)
-             for cfg, seed, world in runs()])
+             for cfg, seed, world in runs()],
+            [sim._seq for sim in sims])
 
 
 @pytest.fixture(scope="module")
@@ -1623,10 +1801,19 @@ def runs_with_shortcuts():
 class TestShortcuts:
     """Turning any one shortcut off changes no report and no trace."""
 
+    # the shortcuts that keep events off the queue
+    QUEUE_SHORTCUTS = ("fast_forward", "inert_arrivals", "relay_rx_repeats",
+                       "beyond_reach")
+
     def test_runs_match_with_shortcut_off(self, shortcut, runs_with_shortcuts,
                                           plain_loop):
+        reports, results, pushed = runs_with_shortcuts
         with plain_loop(shortcut):
-            assert shortcut_runs() == runs_with_shortcuts
+            off_reports, off_results, off_pushed = shortcut_runs()
+        assert (off_reports, off_results) == (reports, results)
+        if shortcut in self.QUEUE_SHORTCUTS:
+            # the comparison above is not vacuous: the shortcut fired
+            assert any(off > on for off, on in zip(off_pushed, pushed))
 
     def test_entry_names_an_attribute_of_its_owner(self, shortcut_entry):
         # `plain_loop` patches with raising=False: a misspelt name would add

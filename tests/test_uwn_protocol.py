@@ -18,6 +18,8 @@ from uwoan.node import (
     Lifecycle,
     RelayDuty,
     UwnState,
+    aim,
+    answers,
     answers_directly,
     draw_movement,
     forward_beam,
@@ -274,6 +276,29 @@ class TestHeeds:
         assert match_frame(state, frame, MODEL, PARAMS, random.Random(0),
                            1.0, 100.0) == []
         assert state == before
+
+
+class TestAnswers:
+    """`answers` holds exactly when a bound node's match gives a beam, and
+    `aim` makes the match's one write and gives that beam."""
+
+    @pytest.mark.parametrize("lifecycle", [Lifecycle.EMITTING,
+                                           Lifecycle.ACCESSED])
+    @pytest.mark.parametrize("stage", list(SlotStage))
+    def test_answers_when_the_match_beams(self, lifecycle, stage):
+        state = TestHeeds().bound(lifecycle)
+        slot = mkslot(7, 10, stage=stage, azimuth=30.0,
+                      partner=3 if stage >= SlotStage.RELAY_RX else 0)
+        aimed = dataclasses.replace(state)
+        beams = match_frame(state, mkframe(slot), MODEL, PARAMS,
+                            random.Random(0), 1.0, 100.0)
+        assert bool(beams) == answers(aimed, slot) \
+            == (lifecycle is Lifecycle.EMITTING
+                and stage in (SlotStage.ASSIGN, SlotStage.RELAY_TX))
+        if beams:
+            assert beams == [aim(aimed, slot)]
+            assert aimed == state
+        assert not answers(state, None)
 
 
 class TestAnswersDirectly:
