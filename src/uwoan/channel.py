@@ -137,8 +137,12 @@ def _horizontal_power(length: float, depth: float,
     return budget.tx_power * math.exp(-c * length) * geometric
 
 
+# default bisection tolerance of `max_optical_range` (m)
+_RANGE_TOL = 0.01
+
+
 def max_optical_range(budget: OpticalLinkBudget, profile: WaterProfile,
-                      depth: float = 0.0, tol: float = 0.01) -> float:
+                      depth: float = 0.0, tol: float = _RANGE_TOL) -> float:
     """Largest horizontal link length at `depth` that still closes the link.
 
     Received power is strictly decreasing in length, so the root is found
@@ -166,20 +170,20 @@ def max_optical_range(budget: OpticalLinkBudget, profile: WaterProfile,
 
 
 def optical_reach_bound(budget: OpticalLinkBudget, profile: WaterProfile,
-                        floor: float, tol: float = 0.01) -> float:
+                        floor: float) -> float:
     """A length beyond which no optical link in the water column closes.
 
     The column spans depths 0 to `floor`.  Received power falls with
     length, and with the attenuation at the link's mean depth, which is
     least at the surface when `gamma >= 0` and at the floor otherwise: so
     no link closes that is longer than `max_optical_range` there.  One
-    `tol` covers the bisection, which stops at most `tol` short of that
-    range; the second keeps a power margin of at least a factor
-    exp(-c * tol) below the sensitivity, far wider than the rounding in
-    the power formulas.  A column whose attenuation is not positive
+    `_RANGE_TOL` covers the bisection, which stops at most that short of
+    the range; the second keeps a power margin of at least a factor
+    exp(-c * _RANGE_TOL) below the sensitivity, far wider than the
+    rounding in the power formulas.  A column whose attenuation is not positive
     somewhere has no such length: the bound is then infinite.
     """
     depth = 0.0 if profile.gamma >= 0.0 else floor
     if profile.c0 + profile.gamma * depth <= 0.0:
         return math.inf
-    return max_optical_range(budget, profile, depth, tol) + 2.0 * tol
+    return max_optical_range(budget, profile, depth) + 2.0 * _RANGE_TOL

@@ -1699,26 +1699,27 @@ class TestBeyondReach:
         assert {run for run in scattered if run[0].c0 > 0.1} <= fired
         assert not any(cfg.c0 < 0.1 for cfg, _ in fired)
 
-    # world -> (config overrides, co-depth placement): currents along each
-    # axis and one that clamps every node at a wall, attenuation
-    # gradients, imperfect channels, and periods at the gate and just
-    # below it
+    # world -> (config overrides, co-depth placement, seeds): currents
+    # along each axis and one that clamps every node at a wall,
+    # attenuation gradients, imperfect channels, and periods at the gate
+    # and just below it
     GATE = 1000.0 / 1500.0  # acoustic_range_m / sound_speed_mps
     WORLDS = {
-        "static": ({}, False),
-        "codepth": ({"n_uwn": 20}, True),
-        "east": ({"current_east_mps": 0.02}, False),
-        "north": ({"current_north_mps": -0.02}, False),
+        "static": ({}, False, 3),
+        "codepth": ({"n_uwn": 20}, True, 3),
+        "east": ({"current_east_mps": 0.02}, False, 2),
+        "north": ({"current_north_mps": -0.02}, False, 2),
         "both": ({"current_east_mps": 0.03, "current_north_mps": 0.02},
-                 False),
-        "wall": ({"current_east_mps": 5.0}, False),
-        "gamma+": ({"gamma": 0.0003}, False),
-        "gamma-": ({"gamma": -0.0002}, False),
-        "loss": ({"p_frame_loss": 0.1}, False),
-        "misdetect": ({"p_misdetect": 0.05}, False),
-        "depth_noise": ({"sonar_depth_noise_std_m": 0.3}, False),
-        "at_gate": ({"superframe_period_s": GATE}, False),
-        "below_gate": ({"superframe_period_s": GATE * (1.0 - 1e-9)}, False),
+                 False, 2),
+        "wall": ({"current_east_mps": 5.0}, False, 2),
+        "gamma+": ({"gamma": 0.0003}, False, 2),
+        "gamma-": ({"gamma": -0.0002}, False, 2),
+        "loss": ({"p_frame_loss": 0.1}, False, 3),
+        "misdetect": ({"p_misdetect": 0.05}, False, 3),
+        "depth_noise": ({"sonar_depth_noise_std_m": 0.3}, False, 3),
+        "at_gate": ({"superframe_period_s": GATE}, False, 2),
+        "below_gate": ({"superframe_period_s": GATE * (1.0 - 1e-9)},
+                       False, 2),
     }
 
     @staticmethod
@@ -1741,12 +1742,12 @@ class TestBeyondReach:
 
     @pytest.mark.parametrize("name", list(WORLDS))
     def test_runs_match_the_plain_loop(self, name, plain_loop):
-        overrides, placed = self.WORLDS[name]
+        overrides, placed, seeds = self.WORLDS[name]
         runs = [(cfg, seed, placed and (lambda cfg=cfg, seed=seed:
                                         codepth_world(cfg, seed)))
                 for cfg in (SimConfig(c0=c0, **overrides)
                             for c0 in WATER_TYPES)
-                for seed in range(2)]
+                for seed in range(seeds)]
         fired = self.check_runs(runs, plain_loop)
         assert (fired > 0) == (name != "below_gate")
 
