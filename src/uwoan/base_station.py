@@ -109,15 +109,10 @@ class NodeRecord:
     access_time: float | None = None
     conflict_since: float | None = None
     last_reset_at: float | None = None
-    # encoded emission angles toward the BS, invalidated on position updates
-    bs_angles: tuple[int, int] | None = None
-    # an accessed record's CONFIRM or RELAY_RX slot, sent again while its
-    # content stands: dropped when this record's or its relay partner's
-    # position changes value, and when a relay is bound or released
+    # the last slot composed for this record, of whatever kind, sent again
+    # while its content stands: dropped when this record's or its relay
+    # partner's position changes value, and when a relay is bound or released
     slot: SlotPayload | None = None
-    # the last ASSIGN slot composed for this record, sent again while every
-    # field it carries has the same value
-    assign_slot: SlotPayload | None = None
 
 
 def _slot_angles(origin: Position, target: Position) -> tuple[int, int]:
@@ -202,11 +197,11 @@ class BsState:
         With neither noise nor misdetection, a return is skipped when its
         record, whatever its stage, observed no motion and holds this very
         `Position` object.  Folding it would change nothing: the marker
-        stays NONE, the position stays the same object, and no cached angle
-        or slot is dropped.  A depth-matchable record's depth code already
-        comes from that object, since no record goes back to such a stage
-        once it has left one, and no random draw is skipped with it.  Such
-        a record was detected at this position before, so it is in reach;
+        stays NONE, the position stays the same object, and no kept slot is
+        dropped.  A depth-matchable record's depth code already comes from
+        that object, since no record goes back to such a stage once it has
+        left one, and no random draw is skipped with it.  Such a record was
+        detected at this position before, so it is in reach;
         `unchanged_returns` counts the skipped returns, which are
         detections all the same.
         """
@@ -292,11 +287,13 @@ class BsState:
             rec.sonar_position = new
             if (new.east != old.east or new.north != old.north
                     or new.depth != old.depth):
-                rec.bs_angles = None
                 rec.slot = None
                 if rec.relayed_by is not None:
                     # the relay's RELAY_RX slot points at this position
                     self.registry[rec.relayed_by].slot = None
+                if rec.relay_of is not None:
+                    # the partner's RELAY_TX slot points at this position
+                    self.registry[rec.relay_of].slot = None
             if rec.stage in _DEPTH_MATCHABLE:
                 rec.depth_code = det.depth_code
         self._recompute_conflicts(now)
@@ -356,71 +353,58 @@ class BsState:
         Composing also advances stages: freshly assigned records start
         awaiting their beam, and confirmations mark the record accessed.
 
-        An accessed record's CONFIRM or RELAY_RX slot is kept: every later
-        frame carries that same object while its content stands, and a
-        fresh object once it changes.  A record in an ASSIGN stage is sent
-        its last ASSIGN slot again, the same object, while every field that
-        slot carries has the same value; the network ID and the stage are
-        fixed by construction, so no change needs to drop it.  No slot is
-        written to once composed, so the run loop packs each slot object
-        once, and a RELAY_RX slot equal to the one a relay already heeded
-        re-sets an equal duty, which changes nothing.
+        Each record keeps the last slot composed for it and is sent it
+        again, the same object, while its content stands.  The stage gives
+        the slot's kind; the slot is made afresh when its kind, depth code,
+        conflict flag, movement marker or reset bit differs from the one
+        the record would send now.  Its angles and partner need no test:
+        a change of either position they are taken from, and a relay bound
+        or released, drops the slot.  An accessed record's slot is sent
+        with no test at all, since its depth code is frozen and its kind
+        follows `relay_of`.  No slot is written to once composed, so the
+        run loop packs each slot object once, and a RELAY_RX slot equal to
+        the one a relay already heeded re-sets an equal duty, which changes
+        nothing.
         """
         bs_pos = self.bs_position
         registry = self.registry
         slots: list[SlotPayload] = []
         for rec in registry.values():
             slot = rec.slot
-            if slot is not None:
+            stage = rec.stage
+            if stage is STAGE_ACCESSED and slot is not None:
                 slots.append(slot)
                 continue
-            stage = rec.stage
             if stage is STAGE_FAILED:
                 continue
-            if stage is STAGE_ACCESSED and rec.relay_of is not None:
-                partner = registry[rec.relay_of]
-                az, el = _slot_angles(rec.sonar_position,
-                                      partner.sonar_position)
-                slot = rec.slot = SlotPayload(
-                    rec.network_id, rec.depth_code, az, el,
-                    SLOT_RELAY_RX, partner_id=partner.network_id)
+            conflicted, marker, reset, partner = False, MARKER_NONE, 0, 0
+            if stage in _DEPTH_MATCHABLE:
+                kind = SLOT_ASSIGN
+                conflicted = stage is STAGE_CONFLICTED
+                marker, reset = rec.observed_motion, rec.reset_bit
+                if stage is STAGE_ASSIGNED:
+                    rec.stage = STAGE_AWAITING_BEAM
             elif stage is STAGE_RELAY_PENDING:
-                relay = registry[rec.relayed_by]
-                az, el = _slot_angles(rec.sonar_position,
-                                      relay.sonar_position)
-                slot = SlotPayload(
-                    rec.network_id, rec.depth_code, az, el,
-                    SLOT_RELAY_TX, partner_id=relay.network_id)
+                kind, partner = SLOT_RELAY_TX, rec.relayed_by
+            elif rec.relay_of is not None:
+                kind, partner = SLOT_RELAY_RX, rec.relay_of
             else:
-                # read once, so a cache that keeps nothing still gives angles
-                bs_angles = rec.bs_angles
-                if bs_angles is None:
-                    bs_angles = rec.bs_angles = _slot_angles(
-                        rec.sonar_position, bs_pos)
-                az, el = bs_angles
-                if stage is STAGE_ACCESSED or stage is STAGE_CONFIRMING:
-                    slot = rec.slot = SlotPayload(
-                        rec.network_id, rec.depth_code, az, el,
-                        SLOT_CONFIRM)
-                    if stage is STAGE_CONFIRMING:
-                        rec.stage = STAGE_ACCESSED
-                        rec.access_time = now
-                        del self._live[rec.network_id]
-                else:
-                    conflicted = stage is STAGE_CONFLICTED
-                    marker, reset = rec.observed_motion, rec.reset_bit
-                    slot = rec.assign_slot
-                    if slot is None or slot.depth_code != rec.depth_code \
-                            or slot.azimuth_centideg != az \
-                            or slot.elevation_centideg != el \
-                            or slot.conflict_flag != conflicted \
-                            or slot.movement_marker is not marker \
-                            or slot.reset_bit != reset:
-                        slot = rec.assign_slot = SlotPayload(
-                            rec.network_id, rec.depth_code, az, el,
-                            SLOT_ASSIGN, conflicted, marker, reset)
-                    if stage is STAGE_ASSIGNED:
-                        rec.stage = STAGE_AWAITING_BEAM
+                kind = SLOT_CONFIRM
+                if stage is STAGE_CONFIRMING:
+                    rec.stage = STAGE_ACCESSED
+                    rec.access_time = now
+                    del self._live[rec.network_id]
+            if slot is None or slot.stage is not kind \
+                    or slot.depth_code != rec.depth_code \
+                    or slot.conflict_flag != conflicted \
+                    or slot.movement_marker is not marker \
+                    or slot.reset_bit != reset:
+                target = registry[partner].sonar_position if partner \
+                    else bs_pos
+                az, el = _slot_angles(rec.sonar_position, target)
+                slot = rec.slot = SlotPayload(
+                    rec.network_id, rec.depth_code, az, el, kind,
+                    conflicted, marker, reset, partner)
             slots.append(slot)
         frame = SuperFrame(self.next_frame_seq, tuple(slots))
         self.next_frame_seq += 1
@@ -535,16 +519,20 @@ class BsState:
                 raise _broken(nid, f"is {'' if final else 'not '}live in "
                                    f"stage {rec.stage.name}")
             slot = rec.slot
-            if slot is not None:
-                if slot.network_id != nid:
-                    raise _broken(nid, f"keeps the slot of record "
-                                       f"{slot.network_id}")
-                if rec.relay_of is None:
-                    if slot.stage is not SLOT_CONFIRM:
-                        raise _broken(nid, f"keeps a {slot.stage.name} slot "
-                                           "but relays for no record")
-                elif slot.stage is not SLOT_RELAY_RX \
-                        or slot.partner_id != rec.relay_of:
-                    raise _broken(nid, f"relays for {rec.relay_of} but keeps "
-                                       f"a {slot.stage.name} slot for "
-                                       f"{slot.partner_id}")
+            if slot is None:
+                continue
+            if slot.network_id != nid:
+                raise _broken(nid, f"keeps the slot of record "
+                                   f"{slot.network_id}")
+            # an accessed record's slot is sent with no test of its kind
+            if rec.stage is not STAGE_ACCESSED:
+                continue
+            if rec.relay_of is None:
+                if slot.stage is not SLOT_CONFIRM:
+                    raise _broken(nid, f"keeps a {slot.stage.name} slot "
+                                       "but relays for no record")
+            elif slot.stage is not SLOT_RELAY_RX \
+                    or slot.partner_id != rec.relay_of:
+                raise _broken(nid, f"relays for {rec.relay_of} but keeps "
+                                   f"a {slot.stage.name} slot for "
+                                   f"{slot.partner_id}")

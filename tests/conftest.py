@@ -31,8 +31,6 @@ SHORTCUTS = {
     # static positions and base-station distances are recomputed per call
     "cached_pos": (_Body, "cached_pos", _forgetful(lambda: None)),
     "cached_bs_dist": (_Body, "cached_bs_dist", _forgetful(lambda: None)),
-    # slot angles toward the base station are recomputed per frame
-    "bs_angles": (NodeRecord, "bs_angles", _forgetful(lambda: None)),
     # every beam is offered to every relay, as in a traced run
     "idle_relays": (Simulation, "_skip_idle_relays",
                     _forgetful(lambda: False)),
@@ -42,14 +40,12 @@ SHORTCUTS = {
     # every frame arrival goes through the event queue, as in a traced run
     "inert_arrivals": (Simulation, "_tally_inert",
                        _forgetful(lambda: False)),
-    # every frame composes an accessed record's slot afresh
+    # every frame composes every slot afresh
     "kept_slots": (NodeRecord, "slot", _forgetful(lambda: None)),
     # an accessed relay's repeated RELAY_RX arrivals are queued
     "relay_rx_repeats": (Simulation, "_relay_rx_sent", _forgetful(dict)),
     # every slot of every frame is range-checked and packed afresh
     "packed_slots": (Simulation, "_packed", _forgetful(dict)),
-    # every frame composes a fresh ASSIGN slot
-    "assign_slots": (NodeRecord, "assign_slot", _forgetful(lambda: None)),
     # an answer beyond optical reach of every receiver is queued
     "beyond_reach": (Simulation, "_optical_reach", _forgetful(lambda: None)),
 }

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import uwoan
+from uwoan import base_station
 from uwoan.base_station import (
     BsState,
     Detection,
@@ -146,7 +148,8 @@ class TestAllocate:
 
 def moved_to(position):
     def move(rec):
-        rec.sonar_position, rec.bs_angles = position, None
+        # as `update_decomposition` does when the position changes value
+        rec.sonar_position, rec.slot = position, None
     return move
 
 
@@ -222,10 +225,13 @@ class TestComposeSuperframe:
         first = bs.compose_superframe(0.1).slots[0]
         assert bs.registry[1].stage is HandshakeStage.AWAITING_BEAM
         assert bs.compose_superframe(1.1).slots[0] is first
-        # an equal position in a new object: values decide, so no change
-        # needs to drop the slot
+        # an equal position in a new object: only a change of value drops
+        # the slot
         rec = bs.registry[1]
-        rec.sonar_position, rec.bs_angles = Position(30, 40, 120), None
+        bs.update_decomposition(
+            [Detection(rec.track_key, Position(30, 40, 120), rec.depth_code)],
+            2.0)
+        assert rec.slot is first
         assert bs.compose_superframe(2.1).slots[0] is first
 
     @pytest.mark.parametrize("field", list(ASSIGN_FIELD_CHANGES))
@@ -240,6 +246,30 @@ class TestComposeSuperframe:
                 if getattr(first, f.name) != getattr(second, f.name)] \
             == [field]
         assert bs.compose_superframe(2.1).slots[0] is second
+
+    def test_relay_tx_slot_is_kept_until_the_relay_moves(self):
+        bs = make_bs(direct_retries=1)
+        pos_a, pos_r = Position(30, 40, 120), Position(90, 90, 60)
+        bs.allocate(scan(bs, [pos_a, pos_r]), 0.0)
+        bs.compose_superframe(0.1)
+        walk_to_accessed(bs, 2, 0.3)
+        bs.handle_timeouts(2.0)
+        assert bs.registry[1].stage is HandshakeStage.RELAY_PENDING
+        first = bs.compose_superframe(2.1).slots[0]
+        assert (first.stage, first.partner_id) == (SlotStage.RELAY_TX, 2)
+        assert bs.compose_superframe(3.1).slots[0] is first
+        # the relay rises 10 m: record 1's slot must point at it afresh
+        relay, risen = bs.registry[2], Position(90, 90, 50)
+        bs.update_decomposition(
+            [Detection(relay.track_key, risen, relay.depth_code)], 3.5)
+        second = bs.compose_superframe(4.1).slots[0]
+        assert second is not first
+        assert (first.azimuth_centideg, first.elevation_centideg) \
+            == _slot_angles(pos_a, pos_r)
+        assert (second.azimuth_centideg, second.elevation_centideg) \
+            == _slot_angles(pos_a, risen) != _slot_angles(pos_a, pos_r)
+        assert (second.stage, second.partner_id) == (SlotStage.RELAY_TX, 2)
+        assert bs.compose_superframe(5.1).slots[0] is second
 
     def test_frame_seq_strictly_increasing(self):
         bs = make_bs()
@@ -509,6 +539,9 @@ class TestInvariants:
         (lambda bs: setattr(bs.registry[2], "slot", dataclasses.replace(
             bs.registry[3].slot, network_id=2)),
          "record 2 relays for 1 but keeps a CONFIRM slot for 0"),
+        (lambda bs: setattr(bs.registry[1], "slot", dataclasses.replace(
+            bs.registry[1].slot, network_id=3)),
+         "record 1 keeps the slot of record 3"),
     ])
     def test_corrupt_registry_raises_naming_the_record(self, corrupt, needle):
         bs = relay_pair()
@@ -558,6 +591,45 @@ except ProtocolError as exc:
         assert done.returncode == 0, done.stderr
         assert "record 2 relays for 1" in done.stdout
         assert "record 2 keeps the slot of record 1" in done.stdout
+
+
+def call_sites(source, name):
+    """The function around each call of `name`, bare or dotted, in order."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == name \
+                        or getattr(func, "attr", None) == name:
+                    sites.append(where)
+            visit(child, where)
+    visit(ast.parse(source), None)
+    return sites
+
+
+@pytest.mark.parametrize("name", ["SlotPayload", "_slot_angles"])
+def test_one_site_composes_slots(name):
+    # one reuse rule decides when a slot is made afresh; a second site that
+    # builds slots or their angles would be a second rule
+    source = Path(base_station.__file__).read_text()
+    assert call_sites(source, name) == ["compose_superframe"]
+
+
+def test_call_site_guard_sees_each_form():
+    source = ("slot = SlotPayload(1, 0, 0, 0)\n"
+              "def build(frame):\n"
+              "    return frame.SlotPayload(*_slot_angles(a, b))\n"
+              "class Holder:\n"
+              "    def method(self):\n"
+              "        kind = SlotPayload\n"
+              "        return lambda: SlotPayload(kind)\n")
+    assert call_sites(source, "SlotPayload") == [None, "build", "method"]
+    assert call_sites(source, "_slot_angles") == ["build"]
 
 
 def reference_slot_angles(origin, target):

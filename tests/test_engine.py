@@ -755,11 +755,11 @@ class TestComposedFrame:
 
 
 class TestKeptSlots:
-    """An accessed record's kept slot is sent only while it is current.
+    """A record's kept slot is sent only while it is current.
 
     Composing every slot afresh must broadcast the same bytes in every
     frame, so a kept slot is dropped whenever its record, or the partner
-    its RELAY_RX slot points at, moves.
+    its RELAY_RX or RELAY_TX slot points at, moves.
     """
 
     def test_frames_match_freshly_composed(self, untraced_runs, plain_loop):
@@ -1545,7 +1545,7 @@ class TestBeyondReach:
                 if t == 3.0 and change is not None:
                     change(bs.registry[1])
                 sim._on_superframe_tx(t)
-                sent.append(bs.registry[1].assign_slot)
+                sent.append(bs.registry[1].slot)
                 TestInertArrivals.drain(sim)
             sim._fold(math.inf)
             return sim, sent
