@@ -120,21 +120,19 @@ def optical_received_power(tx: Position, rx: Position,
     length = distance(tx, rx)
     if length == 0.0:
         raise ChannelError("coincident transmitter and receiver")
+    return _power(length, profile.attenuation_at((tx.depth + rx.depth) / 2.0),
+                  budget)
+
+
+def _power(length: float, c: float, budget: OpticalLinkBudget) -> float:
+    """Received power over `length` meters of water with mean attenuation
+    `c`: the one formula behind every link verdict and range."""
     spot_area = math.pi * (length * math.tan(budget.divergence_half_angle)) ** 2
     # a spot no larger than the aperture is caught whole, also one that
     # underflowed to zero on a link shorter than about 1e-160 m
     aperture = budget.rx_aperture_area
     geometric = 1.0 if spot_area <= aperture else aperture / spot_area
-    return budget.tx_power * path_transmittance(tx, rx, profile) * geometric
-
-
-def _horizontal_power(length: float, depth: float,
-                      budget: OpticalLinkBudget, profile: WaterProfile) -> float:
-    c = profile.attenuation_at(depth)
-    spot_area = math.pi * (length * math.tan(budget.divergence_half_angle)) ** 2
-    aperture = budget.rx_aperture_area
-    geometric = 1.0 if spot_area <= aperture else aperture / spot_area
-    return budget.tx_power * math.exp(-c * length) * geometric
+    return budget.tx_power * math.exp(-length * c) * geometric
 
 
 # default bisection tolerance of `max_optical_range` (m)
@@ -151,18 +149,19 @@ def max_optical_range(budget: OpticalLinkBudget, profile: WaterProfile,
     """
     if budget.rx_sensitivity > budget.tx_power:
         return 0.0
+    c = profile.attenuation_at(depth)
     lo = tol
-    if _horizontal_power(lo, depth, budget, profile) < budget.rx_sensitivity:
+    if _power(lo, c, budget) < budget.rx_sensitivity:
         return 0.0
     hi = 1.0
-    while _horizontal_power(hi, depth, budget, profile) >= budget.rx_sensitivity:
+    while _power(hi, c, budget) >= budget.rx_sensitivity:
         lo = hi
         hi *= 2.0
-        if hi > 1e7:  # attenuation is positive, so this cannot trigger
+        if hi > 1e7:  # near-clear water and a tiny sensitivity
             raise ChannelError("no upper bracket for optical range")
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
-        if _horizontal_power(mid, depth, budget, profile) >= budget.rx_sensitivity:
+        if _power(mid, c, budget) >= budget.rx_sensitivity:
             lo = mid
         else:
             hi = mid
@@ -180,10 +179,14 @@ def optical_reach_bound(budget: OpticalLinkBudget, profile: WaterProfile,
     `_RANGE_TOL` covers the bisection, which stops at most that short of
     the range; the second keeps a power margin of at least a factor
     exp(-c * _RANGE_TOL) below the sensitivity, far wider than the
-    rounding in the power formulas.  A column whose attenuation is not positive
-    somewhere has no such length: the bound is then infinite.
+    rounding in the power formulas.  The bound is infinite for a column
+    whose attenuation is not positive somewhere, which has no such length,
+    and for a range beyond `max_optical_range`'s search.
     """
     depth = 0.0 if profile.gamma >= 0.0 else floor
     if profile.c0 + profile.gamma * depth <= 0.0:
         return math.inf
-    return max_optical_range(budget, profile, depth) + 2.0 * _RANGE_TOL
+    try:
+        return max_optical_range(budget, profile, depth) + 2.0 * _RANGE_TOL
+    except ChannelError:  # no upper bracket
+        return math.inf

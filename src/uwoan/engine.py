@@ -10,10 +10,11 @@ still sequenced through the queue so causality is explicit.
 Per superframe period the base station re-scans (sonar ping), checks
 timeouts, composes and broadcasts the TDMA frame; nodes react to every
 arrival.  Emitted beams are delivered to any receiver that passes the
-pointing, link-budget, and field-of-view checks.  An untraced run offers
-a beam to a relay only if the relay would forward it: an arrival that the
-relay drops changes nothing a report shows, while the trace logs every
-physical arrival, so traced runs offer each beam to every relay.
+pointing, link-budget, and field-of-view checks; a beam beyond optical
+reach fails first (`_delivery_power`).  An untraced run offers a beam to
+a relay only if the relay would forward it: an arrival that the relay
+drops changes nothing a report shows, while the trace logs every physical
+arrival, so traced runs offer each beam to every relay.
 
 Settled nodes cost little.  The base station's per-period passes walk only
 its live records, those neither accessed nor failed (`BsState.settled`
@@ -123,10 +124,6 @@ class Simulation:
         self._delay_count = 0
         # ACCESSED nodes holding a relay duty; neither is ever undone
         self._duty_nodes: list[int] = []
-        # emissions repeat identically while nothing moves; a delivery
-        # verdict is reused while both positions are the same objects and
-        # both bearings have the same values
-        self._deliver_cache: dict[tuple, tuple] = {}
         # an untraced relay arrival only matters if the relay forwards it,
         # so `_emit` skips relays whose partner is not the beam's claim
         self._skip_idle_relays = not collect_trace
@@ -134,20 +131,20 @@ class Simulation:
         self._tally_inert = not collect_trace
         # each slot object's bytes, packed once: network ID -> (slot, bytes)
         self._packed: dict[int, tuple[SlotPayload, bytes]] = {}
-        # an untraced run in which every frame lands before the next one is
-        # sent: a frame's arrivals have all landed by the next frame
-        lands_first = not collect_trace and (
+        # gates the two skips below: an untraced run in which every frame
+        # lands before the next one is sent, so a frame's arrivals have all
+        # landed by the next frame
+        self._lands_first = not collect_trace and (
             config.acoustic_range_m / self.profile.sound_speed
             <= config.superframe_period_s)
         # the RELAY_RX slot last queued to each accessed node: a slot equal
         # to it re-sets an equal duty
-        self._relay_rx_sent: dict[int, SlotPayload] | None = (
-            {} if lands_first else None)
-        # no optical link longer than this closes: a bound node's answer
-        # from farther away from every receiver is only logged
-        self._optical_reach: float | None = optical_reach_bound(
-            self.budget, self.profile, self.world.region[2]) \
-            if lands_first else None
+        self._relay_rx_sent: dict[int, SlotPayload] = {}
+        # no optical link longer than this closes: no longer beam reaches
+        # the pointing math, and a bound node's answer from farther away
+        # from every receiver is only logged
+        self._optical_reach = optical_reach_bound(
+            self.budget, self.profile, self.world.region[2])
         # how fast the current moves a body, or less against a wall
         self._drift_speed = math.hypot(*self.world.current)
         self._next_tx = config.first_superframe_offset_s
@@ -359,8 +356,8 @@ class Simulation:
             t_max = self.cfg.t_max_s
             arrivals = self._arrivals
             tally_inert = self._tally_inert
+            lands_first = self._lands_first
             relay_rx_sent = self._relay_rx_sent
-            optical_reach = self._optical_reach
             for i, d in enumerate(self.world.bs_distances(t)):
                 if d > reach:
                     continue
@@ -378,12 +375,11 @@ class Simulation:
                         if not heeds(state, slot):
                             continue
                         if state.lifecycle is NODE_ACCESSED:
-                            if relay_rx_sent is not None:
+                            if lands_first:
                                 if relay_rx_sent.get(i) == slot:
                                     continue
                                 relay_rx_sent[i] = slot
-                        elif optical_reach is not None \
-                                and answers(state, slot) \
+                        elif lands_first and answers(state, slot) \
                                 and self._answer_misses(i, slot, t, d, delay):
                             if t + delay < t_max:  # else it never lands
                                 uwn.aim(state, slot)
@@ -476,7 +472,8 @@ class Simulation:
         self._sync_motion(i, t, before)
 
     def _emit(self, src: int, emission: uwn.Emission, t: float) -> None:
-        """Offer a beam to its receivers."""
+        """Offer a beam to its receivers: queue its arrival at each one
+        `_delivery_power` lets it reach, the base station first."""
         # A relay forwards only a beam that claims its partner's ID when the
         # arrival pops, at this same t.  Only an acoustic arrival can rebind
         # the partner, and only one already queued at t pops first, so with
@@ -486,50 +483,43 @@ class Simulation:
         idle_skip = self._skip_idle_relays and (not heap or heap[0][0] > t)
         src_pos = self.world.position_of(src, t)
         beam_dir = unit_vector(emission.bearing)  # one per beam, not receiver
-        self._try_deliver(src, emission, beam_dir, src_pos, "bs",
-                          self.world.bs_position, None, math.pi / 2, t)
-        claimed_id = emission.claimed_id
+        claimed_id, relayed = emission.claimed_id, emission.relayed
+        power = self._delivery_power(src_pos, beam_dir, self.world.bs_position,
+                                     None, math.pi / 2)
+        if power is not None:
+            self._push(t, OPTICAL_ARRIVAL, "bs",
+                       (src, claimed_id, relayed, power))
         for j in self._duty_nodes:
             if j == src:
                 continue
             duty = self.nodes[j].relay_duty
             if idle_skip and duty.partner_id != claimed_id:
                 continue
-            self._try_deliver(src, emission, beam_dir, src_pos, j,
-                              self.world.position_of(j, t),
-                              duty.receiver_bearing,
-                              self.budget.rx_fov_half_angle, t)
-
-    def _try_deliver(self, src: int, emission: uwn.Emission,
-                     beam_dir: tuple[float, float, float], src_pos: Position,
-                     receiver, rx_pos: Position, rx_bearing: Bearing | None,
-                     fov: float, t: float) -> None:
-        # geometry and link outcome are pure in the inputs below; identical
-        # repeats (retries while nothing moved) hit the cache
-        key = (src, receiver)
-        beam = emission.bearing
-        hit = self._deliver_cache.get(key)
-        if hit is not None and hit[0] is src_pos and hit[1] is rx_pos \
-                and hit[2] == beam and hit[3] == rx_bearing:
-            power = hit[4]
-        else:
-            power = self._delivery_power(src_pos, beam_dir, rx_pos,
-                                         rx_bearing, fov)
-            self._deliver_cache[key] = (src_pos, rx_pos, beam, rx_bearing,
-                                        power)
-        if power is not None:
-            self._push(t, OPTICAL_ARRIVAL, receiver,
-                       (src, emission.claimed_id, emission.relayed, power))
+            power = self._delivery_power(src_pos, beam_dir,
+                                         self.world.position_of(j, t),
+                                         duty.receiver_bearing,
+                                         self.budget.rx_fov_half_angle)
+            if power is not None:
+                self._push(t, OPTICAL_ARRIVAL, j,
+                           (src, claimed_id, relayed, power))
 
     def _delivery_power(self, src_pos: Position,
                         beam_dir: tuple[float, float, float],
                         rx_pos: Position, rx_bearing: Bearing | None,
                         fov: float) -> float | None:
+        """The power a beam along `beam_dir` lands at `rx_pos`, or None.
+
+        None for a link longer than `_optical_reach`, which no closing link
+        is, before any pointing math; else None outside the beam cone or
+        the receiver's field of view, or below the sensitivity.
+        """
         disp = (rx_pos.east - src_pos.east, rx_pos.north - src_pos.north,
                 rx_pos.depth - src_pos.depth)
         # the squared length angle_between tests: it underflows to zero
-        # for points under about 1.5e-154 m apart on every axis
-        if disp[0] ** 2 + disp[1] ** 2 + disp[2] ** 2 == 0.0:
+        # for points under about 1.5e-154 m apart on every axis.  The
+        # bound's margin dwarfs the rounding of either square
+        length2 = disp[0] ** 2 + disp[1] ** 2 + disp[2] ** 2
+        if length2 == 0.0 or length2 > self._optical_reach ** 2:
             return None
         if angle_between(beam_dir, disp) \
                 > self.budget.divergence_half_angle:

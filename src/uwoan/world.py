@@ -3,8 +3,8 @@
 Positions integrate piecewise-constant vertical velocity in closed form
 (no step-size drift): each node stores a reference depth, the time it
 was set, and the current velocity.  Horizontal coordinates are fixed at
-deployment apart from an optional constant current.  All coordinates
-clip at the region boundaries, through `_clip` alone.
+deployment apart from an optional constant current.  Nodes start inside
+the region box, and all coordinates clip at it, through `_clip` alone.
 
 `positions(t)` and `bs_distances(t)` give every node's `position_of(i, t)`
 and `bs_distance_of(i, t)` in one pass over the bodies, bit for bit; a
@@ -20,7 +20,7 @@ from random import Random
 from typing import Callable
 
 from .config import SimConfig
-from .geometry import Position, distance
+from .geometry import GeometryError, Position, distance
 
 __all__ = ["World", "deploy", "generate"]
 
@@ -56,6 +56,12 @@ class World:
         self.region = region
         self.current = current
         self.drifting = current != (0.0, 0.0)
+        # every reader, clipped or cached, then sees the same position
+        for i, p in enumerate(node_positions):
+            for axis, value, limit in zip(("east", "north", "depth"), p, region):
+                if not 0.0 <= value <= limit:
+                    raise GeometryError(f"node {i} {axis} {value} outside "
+                                        f"the region's [0, {limit}]")
         self.bodies = [_Body(p.east, p.north, p.depth) for p in node_positions]
 
     @property

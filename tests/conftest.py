@@ -7,6 +7,7 @@ every write.  A new shortcut gets its equivalence test
 (`test_engine.TestShortcuts`) by adding its line to `SHORTCUTS`.
 """
 
+import math
 from contextlib import contextmanager
 
 import pytest
@@ -26,8 +27,6 @@ SHORTCUTS = {
     # the settled-tail replay is never allowed
     "fast_forward": (Simulation, "_may_fast_forward",
                      _forgetful(lambda: False)),
-    # every delivery verdict is computed afresh
-    "deliver_cache": (Simulation, "_deliver_cache", _forgetful(dict)),
     # static positions and base-station distances are recomputed per call
     "cached_pos": (_Body, "cached_pos", _forgetful(lambda: None)),
     "cached_bs_dist": (_Body, "cached_bs_dist", _forgetful(lambda: None)),
@@ -46,8 +45,10 @@ SHORTCUTS = {
     "relay_rx_repeats": (Simulation, "_relay_rx_sent", _forgetful(dict)),
     # every slot of every frame is range-checked and packed afresh
     "packed_slots": (Simulation, "_packed", _forgetful(dict)),
-    # an answer beyond optical reach of every receiver is queued
-    "beyond_reach": (Simulation, "_optical_reach", _forgetful(lambda: None)),
+    # an answer beyond optical reach of every receiver is queued, and a
+    # beam beyond it goes through the pointing math and the power formula
+    "beyond_reach": (Simulation, "_optical_reach",
+                     _forgetful(lambda: math.inf)),
 }
 
 

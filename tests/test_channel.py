@@ -254,6 +254,15 @@ class TestOpticalReachBound:
         assert optical_reach_bound(OpticalLinkBudget(), profile, 270.0) \
             < math.inf
 
+    def test_unbounded_past_the_range_search(self):
+        # near-clear water and a tiny sensitivity put the range beyond the
+        # search's bracket
+        budget = OpticalLinkBudget(rx_sensitivity=1e-30)
+        profile = WaterProfile(c0=1e-9)
+        with pytest.raises(ChannelError):
+            max_optical_range(budget, profile)
+        assert optical_reach_bound(budget, profile, self.BOX[2]) == math.inf
+
     def test_sensitivity_above_tx_power(self):
         budget = OpticalLinkBudget(tx_power=0.1, rx_sensitivity=0.2)
         profile = WaterProfile(c0=0.056)

@@ -21,7 +21,8 @@ from uwoan.config import SimConfig
 from uwoan.engine import Simulation, run, simulate, trace
 from uwoan.frame import (FrameIndex, MovementMarker, SlotPayload, SlotStage,
                          SuperFrame, decode)
-from uwoan.geometry import Bearing, Position, bearing_from_to, distance
+from uwoan.geometry import (Bearing, GeometryError, Position, bearing_from_to,
+                            distance)
 from uwoan.node import Lifecycle, RelayDuty
 from uwoan.world import World, generate
 
@@ -377,6 +378,19 @@ class TestWorldGeneration:
     def test_empty_world(self):
         assert generate(SimConfig(n_uwn=0), 1).n == 0
 
+    @pytest.mark.parametrize("outside, axis", [
+        (Position(50.0, 50.0, 250.0), "depth"),
+        (Position(-1.0, 50.0, 50.0), "east"),
+        (Position(50.0, 200.5, 50.0), "north"),
+    ])
+    def test_node_outside_the_region_is_rejected(self, outside, axis):
+        # clipped readers and the static caches would disagree on it
+        bs = SimConfig().bs_position()
+        inside = [Position(0.0, 200.0, 200.0), Position(50.0, 50.0, 0.0)]
+        assert World(bs, inside, (200.0, 200.0, 200.0)).n == 2
+        with pytest.raises(GeometryError, match=f"node 2 {axis}"):
+            World(bs, inside + [outside], (200.0, 200.0, 200.0))
+
     def test_marginals_uniform_chi_square(self):
         from scipy.stats import chisquare
         cfg = SimConfig(n_uwn=100_000)
@@ -559,9 +573,8 @@ class TestBeamVector:
 
         monkeypatch.setattr(engine_module, "unit_vector", counting_unit_vector)
         monkeypatch.setattr(Simulation, "_emit", counting_emit)
-        # drifting nodes move every period, so every delivery check misses
-        # the cache and reaches the beam-cone test; with idle relays offered
-        # too, as in a traced run, each beam has every relay as a receiver
+        # with idle relays offered too, as in a traced run, each beam has
+        # every relay as a receiver
         cfg = SimConfig(c0=0.151, current_east_mps=0.02)
         with plain_loop("idle_relays"):
             for seed in range(3):
@@ -649,14 +662,16 @@ SLOT_FIELDS = operator.attrgetter(
 def recorded_runs(monkeypatch, traced):
     """Run every scenario with the engine's frame path recorded.
 
-    Yields (result, sent, seen, computed) per run: its SimResult, the
-    (frame, bytes) of every broadcast, every index a receiver matched and
-    how many delivery verdicts were computed.  `decode` raises throughout.
+    Yields (result, sent, seen, computed, powers) per run: its SimResult,
+    the (frame, bytes) of every broadcast, every index a receiver matched,
+    how many delivery verdicts were computed and how many of them reached
+    the power formula.  `decode` raises throughout.
     """
-    sent, seen, computed = [], {}, []
+    sent, seen, computed, powers = [], {}, [], []
     real_encode = engine.encode
     real_match = uwn.match_frame_indexed
     real_power = Simulation._delivery_power
+    real_formula = engine.optical_received_power
 
     def recording_encode(frame, *args):
         data = real_encode(frame, *args)
@@ -674,6 +689,10 @@ def recorded_runs(monkeypatch, traced):
         computed.append(None)
         return real_power(self, *args)
 
+    def counted_formula(*args):
+        powers.append(None)
+        return real_formula(*args)
+
     def no_decode(data):
         raise AssertionError("the run loop decoded a frame")
 
@@ -681,17 +700,21 @@ def recorded_runs(monkeypatch, traced):
     monkeypatch.setattr(engine, "decode", no_decode)
     monkeypatch.setattr(uwn, "match_frame_indexed", recording_match)
     monkeypatch.setattr(Simulation, "_delivery_power", counted_power)
+    monkeypatch.setattr(engine, "optical_received_power", counted_formula)
     for cfg, seed, world in scenario_runs():
         result = simulate(cfg, seed, world, collect_trace=traced)
-        yield result, sent[:], list(seen.values()), len(computed)
+        yield (result, sent[:], list(seen.values()), len(computed),
+               len(powers))
         sent.clear()
         seen.clear()
         computed.clear()
+        powers.clear()
 
 
 @pytest.fixture(scope="module")
 def traced_runs():
-    # shared by the frame and the cache tests: traced runs cost the most
+    # shared by the frame and the reach-bound tests: traced runs cost the
+    # most
     with pytest.MonkeyPatch.context() as monkeypatch:
         return list(recorded_runs(monkeypatch, traced=True))
 
@@ -717,7 +740,7 @@ class TestComposedFrame:
     @staticmethod
     def check_runs(runs):
         frames = matches = 0
-        for _, sent, seen, _ in runs:
+        for _, sent, seen, *_ in runs:
             TestComposedFrame.check_broadcasts(sent, seen)
             frames += len(sent)
             matches += len(seen)
@@ -767,7 +790,7 @@ class TestKeptSlots:
             fresh = list(recorded_runs(patch, traced=False))
 
         def payloads(runs):
-            return [[data for _, data in sent] for _, sent, _, _ in runs]
+            return [[data for _, data in sent] for _, sent, *_ in runs]
         assert payloads(fresh) == payloads(untraced_runs)
 
 
@@ -805,70 +828,20 @@ class TestSlotsStayUnchanged:
         assert slots > 10_000
 
 
-class TestDeliveryCache:
-    """`_deliver_cache` must give exactly the verdicts of computing afresh."""
-
-    def test_runs_match_uncached_runs(self, traced_runs, monkeypatch,
-                                      plain_loop):
-        computed = plain_computed = 0
-        with plain_loop("deliver_cache"):
-            for (cached, _, _, n), (plain, _, _, n_plain) in zip(
-                    traced_runs, recorded_runs(monkeypatch, traced=True)):
-                assert cached == plain  # report and trace
-                computed += n
-                plain_computed += n_plain
-        assert computed < 0.9 * plain_computed  # the cache does hit
-
-    @staticmethod
-    def relay_scene(traced=False, src=Position(100.0, 60.0, 120.0)):
-        """Node 0 beams at node 1, an accessed relay looking back at it."""
-        cfg = SimConfig(n_uwn=2, c0=0.056)
-        relay = Position(100.0, 100.0, 80.0)
-        sim = Simulation(cfg, seed=0, world=World(
-            cfg.bs_position(), [src, relay], (200.0, 200.0, 200.0)),
-            collect_trace=traced)
-        state = sim.nodes[1]
-        state.lifecycle = Lifecycle.ACCESSED
-        state.matched_id = 2
-        state.emission_bearing = bearing_from_to(relay, cfg.bs_position())
-        state.relay_duty = RelayDuty(1, bearing_from_to(relay, src))
-        sim._duty_nodes = [1]
-        return sim, uwn.Emission(bearing_from_to(src, relay), claimed_id=1)
-
-    @staticmethod
-    def change_between_beams(change, sim, beam):
-        """Make the change one clause of the hit test guards against.
-
-        Returns node 0's next beam; every change alters node 1's verdict.
-        """
-        if change == "source moves":
-            sim.world.set_vertical_velocity(0, 0.5, 1.0)
-        elif change == "receiver moves":
-            sim.world.set_vertical_velocity(1, 0.5, 1.0)
-        elif change == "receiver turns":  # to look along the beam, away
-            sim.nodes[1].relay_duty = RelayDuty(1, beam.bearing)
-        elif change == "beam turns":  # toward the base station
-            return beam._replace(bearing=bearing_from_to(
-                sim.world.position_of(0, 2.0), sim.world.bs_position))
-        return beam
-
-    @pytest.mark.parametrize("change", ["source moves", "receiver moves",
-                                        "beam turns", "receiver turns"])
-    def test_each_hit_clause_guards_a_change(self, change, plain_loop):
-        def relay_deliveries():
-            sim, beam = self.relay_scene()
-            sim._emit(0, beam, 1.0)
-            sim._emit(0, self.change_between_beams(change, sim, beam), 2.0)
-            return [(t, power) for t, _, kind, receiver, (*_, power)
-                    in sorted(sim._heap)
-                    if kind == "OPTICAL_ARRIVAL" and receiver == 1]
-
-        cached = relay_deliveries()
-        with plain_loop("deliver_cache"):
-            plain = relay_deliveries()
-        # the first beam lands, and the second verdict differs from it
-        assert plain[0][0] == 1.0 and plain[1:] != [(2.0, plain[0][1])]
-        assert cached == plain
+def relay_scene(traced=False, src=Position(100.0, 60.0, 120.0)):
+    """Node 0 beams at node 1, an accessed relay looking back at it."""
+    cfg = SimConfig(n_uwn=2, c0=0.056)
+    relay = Position(100.0, 100.0, 80.0)
+    sim = Simulation(cfg, seed=0, world=World(
+        cfg.bs_position(), [src, relay], (200.0, 200.0, 200.0)),
+        collect_trace=traced)
+    state = sim.nodes[1]
+    state.lifecycle = Lifecycle.ACCESSED
+    state.matched_id = 2
+    state.emission_bearing = bearing_from_to(relay, cfg.bs_position())
+    state.relay_duty = RelayDuty(1, bearing_from_to(relay, src))
+    sim._duty_nodes = [1]
+    return sim, uwn.Emission(bearing_from_to(src, relay), claimed_id=1)
 
 
 class TestIdleRelays:
@@ -890,7 +863,7 @@ class TestIdleRelays:
     def test_only_the_partner_beam_is_offered(self, traced, src,
                                               reaches_bs, plain_loop):
         def offered(claimed_id):
-            sim, beam = TestDeliveryCache.relay_scene(traced, src)
+            sim, beam = relay_scene(traced, src)
             sim._emit(0, beam._replace(claimed_id=claimed_id), 1.0)
             assert self.offers(sim, "bs") \
                 == ([(1.0, claimed_id)] if reaches_bs else [])
@@ -906,7 +879,7 @@ class TestIdleRelays:
     def test_partner_rebound_at_the_same_instant(self, plain_loop):
         # node 1 relays for ID 7 until a frame arrival already queued at the
         # beam's instant names ID 1, node 0's claim, as its partner
-        sim, _ = TestDeliveryCache.relay_scene()
+        sim, _ = relay_scene()
         toward_src = sim.nodes[1].relay_duty.receiver_bearing
         slot = SlotPayload(2, 0, round(toward_src.azimuth * 100) % 36000,
                            round((toward_src.elevation + 90.0) * 100),
@@ -914,7 +887,7 @@ class TestIdleRelays:
         arrival = ("frame", FrameIndex(SuperFrame(0, (slot,))), 80.0, 0.05)
 
         def emit_after_rebind_queued():
-            sim, beam = TestDeliveryCache.relay_scene()
+            sim, beam = relay_scene()
             sim.nodes[1].relay_duty = RelayDuty(7, toward_src)
             sim._push(1.0, engine.ACOUSTIC_ARRIVAL, 1, arrival)
             sim._emit(0, beam, 1.0)
@@ -942,7 +915,7 @@ class TestIdleRelays:
                                             monkeypatch, plain_loop):
         computed = plain_computed = 0
         with plain_loop("idle_relays"):
-            for (skipping, _, _, n), (plain, _, _, n_plain) in zip(
+            for (skipping, _, _, n, _), (plain, _, _, n_plain, _) in zip(
                     untraced_runs, recorded_runs(monkeypatch, traced=False)):
                 assert skipping == plain
                 computed += n
@@ -1765,9 +1738,12 @@ class TestBeyondReach:
                 for c in (cfg, turbid)]
         assert self.check_runs(runs, plain_loop) >= 1
 
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
     @pytest.mark.parametrize("offset, fires", [(-0.001, False),
                                                (0.001, True)])
-    def test_node_at_the_bound(self, offset, fires, plain_loop):
+    def test_node_at_the_bound(self, offset, fires, traced, monkeypatch,
+                               plain_loop):
         # one static node straight below the base station in turbid water,
         # just inside or just beyond the reach bound
         cfg = SimConfig(n_uwn=1, c0=0.151)
@@ -1779,7 +1755,43 @@ class TestBeyondReach:
                          [Position(100.0, 100.0, bound + offset)],
                          (200.0, 200.0, 200.0))
 
-        assert self.check_runs([(cfg, 0, world)], plain_loop) == int(fires)
+        if not traced:
+            assert self.check_runs([(cfg, 0, world)], plain_loop) \
+                == int(fires)
+            return
+        # a traced run queues every answer; the bound drops its beams
+        # before the power formula
+        powers = []
+        real = engine.optical_received_power
+        monkeypatch.setattr(engine, "optical_received_power",
+                            lambda *args: powers.append(None) or real(*args))
+
+        def traced_run():
+            powers.clear()
+            return simulate(cfg, 0, world(), collect_trace=True), len(powers)
+
+        result, n = traced_run()
+        with plain_loop("beyond_reach"):
+            plain, n_plain = traced_run()
+        assert result == plain and n_plain > 0
+        assert n == (0 if fires else n_plain)
+
+    def test_range_past_the_search_runs(self):
+        # an infinite bound drops no beam and skips no answer
+        cfg = SimConfig(n_uwn=3, c0=1e-9, rx_sensitivity_w=1e-30)
+        assert simulate(cfg, 1).report \
+            == simulate(cfg, 1, collect_trace=True).report
+
+    def test_traced_beams_beyond_reach_skip_the_power_formula(
+            self, traced_runs, monkeypatch, plain_loop):
+        # traced runs queue every answer, so the bound acts on beams alone:
+        # the traces stay the same and the test is not vacuous
+        with plain_loop("beyond_reach"):
+            plain = list(recorded_runs(monkeypatch, traced=True))
+        assert [r[0] for r in traced_runs] == [r[0] for r in plain]
+        powers = [(r[4], p[4]) for r, p in zip(traced_runs, plain)]
+        assert all(on <= off for on, off in powers)
+        assert sum(on for on, _ in powers) < sum(off for _, off in powers)
 
 
 def shortcut_runs():
