@@ -361,10 +361,9 @@ class BsState:
         a change of either position they are taken from, and a relay bound
         or released, drops the slot.  An accessed record's slot is sent
         with no test at all, since its depth code is frozen and its kind
-        follows `relay_of`.  No slot is written to once composed, so the
-        run loop packs each slot object once, and a RELAY_RX slot equal to
-        the one a relay already heeded re-sets an equal duty, which changes
-        nothing.
+        follows `relay_of`.  No slot is written to once composed, so a
+        RELAY_RX slot equal to the one a relay already heeded re-sets an
+        equal duty, which changes nothing.
         """
         bs_pos = self.bs_position
         registry = self.registry

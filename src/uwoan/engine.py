@@ -36,10 +36,8 @@ values and is only ever read by value, so an equal slot object composed
 afresh is a repeat too.  `_on_superframe_tx` gives the argument for an
 answer that misses.
 
-Each frame is encoded once for validation and the trace's byte count.
-Composed slots are never mutated, so each slot object is packed once per
-run: a frame reuses the bytes of every slot it carries again
-(`frame.encode`'s `packed` map), and checks only the frame-level rules.
+Each frame is checked against the wire rules (`SuperFrame.validate`) when
+it is sent, but never encoded: receivers share the composed slots.
 
 Every acoustic delivery, queued or kept off the queue, logs its arrival
 time and delay when it is sent, so the log is in sequence order.  Each
@@ -64,9 +62,9 @@ from . import node as uwn
 from .base_station import MAX_NETWORK_ID, STAGE_FAILED, BsState
 from .channel import optical_reach_bound, optical_received_power
 from .config import ConfigError, SimConfig
-from .frame import FrameIndex, SlotPayload, encode
-# decode is unused here; perfbench/tracing.py and its tests patch it
-from .frame import decode  # noqa: F401
+from .frame import FrameIndex, SlotPayload
+# the run loop calls neither; perfbench/tracing.py and its tests patch both
+from .frame import decode, encode  # noqa: F401
 from .geometry import Bearing, Position, angle_between, distance, unit_vector
 from .node import (NODE_ACCESSED, NODE_CONFLICT_MOVING, NODE_DORMANT, answers,
                    answers_directly, heeds)
@@ -129,8 +127,6 @@ class Simulation:
         self._skip_idle_relays = not collect_trace
         # an untraced frame arrival known to change nothing is only logged
         self._tally_inert = not collect_trace
-        # each slot object's bytes, packed once: network ID -> (slot, bytes)
-        self._packed: dict[int, tuple[SlotPayload, bytes]] = {}
         # gates the two skips below: an untraced run in which every frame
         # lands before the next one is sent, so a frame's arrivals have all
         # landed by the next frame
@@ -316,7 +312,7 @@ class Simulation:
             self._trace(t, TIMEOUT_CHECK, "bs", "")
 
     def _on_superframe_tx(self, t: float) -> None:
-        """Compose, encode and broadcast a frame; queue what can matter.
+        """Compose, check and broadcast a frame; queue what can matter.
 
         When every frame lands before the next one is sent, an untraced
         run only logs the arrival of a bound, unaccessed node whose answer
@@ -344,10 +340,8 @@ class Simulation:
         """
         if self.bs.registry:
             frame = self.bs.compose_superframe(t)
-            # validates the frame and sizes the trace; the bytes of a slot
-            # object sent before are reused
-            payload = encode(frame, self._packed)
-            # receivers share the composed slots; decode(payload) == frame
+            frame.validate()
+            # receivers share the composed slots
             index = FrameIndex(frame)
             by_id = index.by_id
             reach = self.cfg.acoustic_range_m
@@ -392,7 +386,7 @@ class Simulation:
                     f"{':C' if s.conflict_flag else ''}"
                     for s in frame.slots)
                 self._trace(t, SUPERFRAME_TX, "bs",
-                            f"frame={frame.frame_seq} nbytes={len(payload)} "
+                            f"frame={frame.frame_seq} nbytes={frame.nbytes} "
                             f"slots={slots}")
         self._next_tx = t + self.cfg.superframe_period_s
         self._push(self._next_tx, SUPERFRAME_TX)

@@ -17,7 +17,8 @@ Wire layout (all integers big-endian / most-significant-bit first):
 
 Each slot is exactly 9 bytes; a frame is 6 + 9*slot_count bytes.  Slot
 network_ids are unique within a frame, and relay slots must name a
-partner slot present in the same frame.
+partner slot present in the same frame.  `SuperFrame.validate` states
+these rules once; `encode` and `decode` both go through it.
 """
 
 from __future__ import annotations
@@ -157,20 +158,53 @@ class SuperFrame:
     def slot_count(self) -> int:
         return len(self.slots)
 
+    @property
+    def nbytes(self) -> int:
+        """Length of the frame on the wire."""
+        return HEADER_NBYTES + SLOT_NBYTES * len(self.slots)
+
     def validate(self) -> None:
-        if not 0 <= self.frame_seq <= MAX_FRAME_SEQ:
-            raise FrameError(f"frame_seq {self.frame_seq} outside 32-bit range")
-        if self.slot_count > 0xFFFF:
-            raise FrameError(f"too many slots: {self.slot_count}")
-        ids = set()
-        for slot in self.slots:
-            slot.validate()
-            if slot.network_id in ids:
-                raise FrameError(f"duplicate network_id {slot.network_id}")
-            ids.add(slot.network_id)
-        for slot in self.slots:
-            if slot.stage in (SLOT_RELAY_RX, SLOT_RELAY_TX) \
-                    and slot.partner_id not in ids:
+        """Raise FrameError unless the frame obeys every wire rule.
+
+        The codec's one statement of its rules: `encode` checks a frame with
+        it before packing, and `decode` after parsing.  One pass puts every
+        slot through a single range, type and partner test; only a slot
+        that fails it goes through `SlotPayload.validate`, which names the
+        field at fault.  A stage or marker must be an Enum member, as
+        decode yields, not an equal int.  Network IDs are unique, and every
+        relay slot names a partner present in the same frame.
+        """
+        frame_seq, slots = self.frame_seq, self.slots
+        if not 0 <= frame_seq <= MAX_FRAME_SEQ:
+            raise FrameError(f"frame_seq {frame_seq} outside 32-bit range")
+        if len(slots) > 0xFFFF:
+            raise FrameError(f"too many slots: {len(slots)}")
+        ids: set[int] = set()
+        relays: list[SlotPayload] = []
+        for slot in slots:
+            nid = slot.network_id
+            stage = slot.stage
+            partner = slot.partner_id
+            reset = slot.reset_bit
+            # a member's value is in range, so only the partner rule reads it
+            if not (type(stage) is SlotStage
+                    and type(slot.movement_marker) is MovementMarker
+                    and 0 <= nid <= MAX_NETWORK_ID
+                    and 0 <= slot.depth_code <= MAX_DEPTH_CODE
+                    and 0 <= slot.azimuth_centideg <= MAX_AZIMUTH_CD
+                    and 0 <= slot.elevation_centideg <= MAX_ELEVATION_CD
+                    and (reset == 0 or reset == 1)
+                    and (partner == 0 if stage <= 1
+                         else 0 < partner <= MAX_NETWORK_ID
+                         and partner != nid)):
+                slot.validate()  # raises, naming the field at fault
+            if nid in ids:
+                raise FrameError(f"duplicate network_id {nid}")
+            ids.add(nid)
+            if stage >= 2:
+                relays.append(slot)
+        for slot in relays:
+            if slot.partner_id not in ids:
                 raise FrameError(
                     f"relay slot {slot.network_id} names absent partner "
                     f"{slot.partner_id}")
@@ -194,90 +228,36 @@ _STAGES = tuple(SlotStage)
 _MARKERS = tuple(MovementMarker)
 
 
-def _require_partners(relays: list[tuple[int, int]], ids: set[int]) -> None:
-    for nid, partner in relays:
-        if partner not in ids:
-            raise FrameError(
-                f"relay slot {nid} names absent partner {partner}")
-
-
-def encode(frame: SuperFrame,
-           packed: dict[int, tuple[SlotPayload, bytes]] | None = None,
-           ) -> bytes:
+def encode(frame: SuperFrame) -> bytes:
     """Serialize a superframe to its normative byte layout.
 
-    One pass packs every slot behind a single range-and-partner test;
-    only a slot that fails it goes through `SlotPayload.validate`, which
-    names the offending field.  A stage or marker must be an Enum member,
-    as decode yields, not an equal int.
-
-    `packed` maps a network ID to the slot last packed under it and that
-    slot's bytes, and is updated as slots are packed.  A slot that is the
-    very object stored for its ID reuses the bytes and skips the per-slot
-    test, which it passed when it was packed: a caller that keeps the map
-    across frames must never mutate a slot once it is encoded.  Every
-    slot still goes through the frame-level checks: unique IDs, and a
-    present partner for every relay slot.
+    `SuperFrame.validate` checks the frame first, so packing trusts every
+    field.
     """
-    frame_seq, slots = frame.frame_seq, frame.slots
-    if not 0 <= frame_seq <= MAX_FRAME_SEQ:
-        raise FrameError(f"frame_seq {frame_seq} outside 32-bit range")
-    if len(slots) > 0xFFFF:
-        raise FrameError(f"too many slots: {len(slots)}")
-    if packed is None:
-        packed = {}
+    frame.validate()
     pack = _SLOT.pack
-    parts = [frame_seq.to_bytes(4, "big"), len(slots).to_bytes(2, "big")]
-    ids: set[int] = set()
-    relays: list[tuple[int, int]] = []
-    for slot in slots:
-        nid = slot.network_id
-        stage = slot.stage
-        hit = packed.get(nid)
-        if hit is not None and hit[0] is slot:
-            parts.append(hit[1])
-        else:
-            depth = slot.depth_code
-            az = slot.azimuth_centideg
-            el = slot.elevation_centideg
-            marker = slot.movement_marker
-            reset = slot.reset_bit
-            partner = slot.partner_id
-            # a member's value is in range, so only the partner rule reads it
-            if not (type(stage) is SlotStage
-                    and type(marker) is MovementMarker
-                    and 0 <= nid <= MAX_NETWORK_ID
-                    and 0 <= depth <= MAX_DEPTH_CODE
-                    and 0 <= az <= MAX_AZIMUTH_CD
-                    and 0 <= el <= MAX_ELEVATION_CD
-                    and (reset == 0 or reset == 1)
-                    and (partner == 0 if stage <= 1
-                         else 0 < partner <= MAX_NETWORK_ID
-                         and partner != nid)):
-                slot.validate()
-            data = pack(
-                (nid << 6) | (depth >> 8), depth & 0xFF, az,
-                (el << _SH_ELEVATION) | (stage << _SH_STAGE)
-                | (_CONFLICT_BIT if slot.conflict_flag else 0)
-                | (marker << _SH_MARKER) | (reset << _SH_RESET)
-                | (partner << _SH_PARTNER))
-            packed[nid] = slot, data
-            parts.append(data)
-        if nid in ids:
-            raise FrameError(f"duplicate network_id {nid}")
-        ids.add(nid)
-        if stage >= 2:
-            relays.append((nid, slot.partner_id))
-    _require_partners(relays, ids)
+    parts = [frame.frame_seq.to_bytes(4, "big"),
+             len(frame.slots).to_bytes(2, "big")]
+    for slot in frame.slots:
+        depth = slot.depth_code
+        parts.append(pack(
+            (slot.network_id << 6) | (depth >> 8), depth & 0xFF,
+            slot.azimuth_centideg,
+            (slot.elevation_centideg << _SH_ELEVATION)
+            | (slot.stage << _SH_STAGE)
+            | (_CONFLICT_BIT if slot.conflict_flag else 0)
+            | (slot.movement_marker << _SH_MARKER)
+            | (slot.reset_bit << _SH_RESET)
+            | (slot.partner_id << _SH_PARTNER)))
     return b"".join(parts)
 
 
 def decode(data: bytes) -> SuperFrame:
     """Parse bytes back into a superframe; exact inverse of encode.
 
-    One pass reads each slot and checks only what the bit widths leave
-    open: the azimuth, elevation and marker ranges, the pad bit, the
-    relay-partner rules, unique IDs and present partners.
+    Only what the wire alone can break is checked here: the lengths, the
+    pad bit and movement marker 3, which names no member.  The frame then
+    goes through `SuperFrame.validate`.
     """
     if len(data) < HEADER_NBYTES:
         raise FrameError(f"truncated frame: {len(data)} bytes, need at least "
@@ -293,34 +273,20 @@ def decode(data: bytes) -> SuperFrame:
                          f"{slot_count} slots")
     stages, markers = _STAGES, _MARKERS
     slots: list[SlotPayload] = []
-    ids: set[int] = set()
-    relays: list[tuple[int, int]] = []
     for hi, mid, az, lo in _SLOT.iter_unpack(data[HEADER_NBYTES:]):
-        nid = hi >> 6
-        el = lo >> _SH_ELEVATION
-        stage = (lo >> _SH_STAGE) & 0x3
         marker = (lo >> _SH_MARKER) & 0x3
-        partner = (lo >> _SH_PARTNER) & 0x3FF
         if lo & 1:
             raise FrameError("nonzero padding bits in slot")
         if marker == 3:
             raise FrameError("movement_marker 3 has no meaning")
-        slot = SlotPayload(
-            nid, ((hi & 0x3F) << 8) | mid, az, el, stages[stage],
-            lo & _CONFLICT_BIT != 0, markers[marker],
-            (lo >> _SH_RESET) & 0x1, partner)
-        if not (az <= MAX_AZIMUTH_CD and el <= MAX_ELEVATION_CD
-                and (partner == 0 if stage < 2
-                     else partner != 0 and partner != nid)):
-            slot.validate()  # raises, naming the field at fault
-        if nid in ids:
-            raise FrameError(f"duplicate network_id {nid}")
-        ids.add(nid)
-        if stage >= 2:
-            relays.append((nid, partner))
-        slots.append(slot)
-    _require_partners(relays, ids)
-    return SuperFrame(frame_seq, tuple(slots))
+        slots.append(SlotPayload(
+            hi >> 6, ((hi & 0x3F) << 8) | mid, az, lo >> _SH_ELEVATION,
+            stages[(lo >> _SH_STAGE) & 0x3], lo & _CONFLICT_BIT != 0,
+            markers[marker], (lo >> _SH_RESET) & 0x1,
+            (lo >> _SH_PARTNER) & 0x3FF))
+    frame = SuperFrame(frame_seq, tuple(slots))
+    frame.validate()
+    return frame
 
 
 class FrameIndex:

@@ -43,8 +43,6 @@ SHORTCUTS = {
     "kept_slots": (NodeRecord, "slot", _forgetful(lambda: None)),
     # an accessed relay's repeated RELAY_RX arrivals are queued
     "relay_rx_repeats": (Simulation, "_relay_rx_sent", _forgetful(dict)),
-    # every slot of every frame is range-checked and packed afresh
-    "packed_slots": (Simulation, "_packed", _forgetful(dict)),
     # an answer beyond optical reach of every receiver is queued, and a
     # beam beyond it goes through the pointing math and the power formula
     "beyond_reach": (Simulation, "_optical_reach",

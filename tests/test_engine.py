@@ -19,8 +19,8 @@ from uwoan.base_station import BsState, HandshakeStage
 from uwoan.channel import optical_reach_bound
 from uwoan.config import SimConfig
 from uwoan.engine import Simulation, run, simulate, trace
-from uwoan.frame import (FrameIndex, MovementMarker, SlotPayload, SlotStage,
-                         SuperFrame, decode)
+from uwoan.frame import (FrameError, FrameIndex, MovementMarker, SlotPayload,
+                         SlotStage, SuperFrame, decode, encode)
 from uwoan.geometry import (Bearing, GeometryError, Position, bearing_from_to,
                             distance)
 from uwoan.node import Lifecycle, RelayDuty
@@ -663,23 +663,20 @@ def recorded_runs(monkeypatch, traced):
     """Run every scenario with the engine's frame path recorded.
 
     Yields (result, sent, seen, computed, powers) per run: its SimResult,
-    the (frame, bytes) of every broadcast, every index a receiver matched,
-    how many delivery verdicts were computed and how many of them reached
-    the power formula.  `decode` raises throughout.
+    the index built over every frame broadcast, every index a receiver
+    matched, how many delivery verdicts were computed and how many of them
+    reached the power formula.  `encode` and `decode` raise throughout.
     """
     sent, seen, computed, powers = [], {}, [], []
-    real_encode = engine.encode
+    real_index = engine.FrameIndex
     real_match = uwn.match_frame_indexed
     real_power = Simulation._delivery_power
     real_formula = engine.optical_received_power
 
-    def recording_encode(frame, *args):
-        data = real_encode(frame, *args)
-        # the engine reuses packed slot bytes; they must be what a fresh
-        # encode gives
-        assert data == real_encode(frame), frame.frame_seq
-        sent.append((frame, data))
-        return data
+    def recording_index(frame):
+        index = real_index(frame)
+        sent.append(index)
+        return index
 
     def recording_match(state, index, *args):
         seen[id(index)] = index
@@ -693,11 +690,12 @@ def recorded_runs(monkeypatch, traced):
         powers.append(None)
         return real_formula(*args)
 
-    def no_decode(data):
-        raise AssertionError("the run loop decoded a frame")
+    def no_codec(*args):
+        raise AssertionError("the run loop encoded or decoded a frame")
 
-    monkeypatch.setattr(engine, "encode", recording_encode)
-    monkeypatch.setattr(engine, "decode", no_decode)
+    monkeypatch.setattr(engine, "FrameIndex", recording_index)
+    monkeypatch.setattr(engine, "encode", no_codec)
+    monkeypatch.setattr(engine, "decode", no_codec)
     monkeypatch.setattr(uwn, "match_frame_indexed", recording_match)
     monkeypatch.setattr(Simulation, "_delivery_power", counted_power)
     monkeypatch.setattr(engine, "optical_received_power", counted_formula)
@@ -729,46 +727,52 @@ def untraced_runs():
 class TestComposedFrame:
     """Receivers match the frame the base station composed; nothing decodes.
 
-    The engine encodes each frame (validation and the trace byte count) and
-    indexes the composed object itself.  For every frame broadcast, the
-    bytes must decode back to it field by field with the same types: node
-    code compares stages and markers by identity, and an IntEnum slot
-    field holding a plain int would still compare equal.  Decoding after
-    the run also catches a receiver that wrote to a shared slot.
+    The engine checks each frame against the wire rules and indexes the
+    composed object itself; it never encodes it.  Every frame broadcast
+    must survive a round trip through the codec field by field, with the
+    same types: node code compares stages and markers by identity, and an
+    IntEnum slot field holding a plain int would still compare equal.  Its
+    wire length must be the `nbytes=` the trace logs.  Round-tripping
+    after the run also catches a receiver that wrote to a shared slot.
     """
 
     @staticmethod
     def check_runs(runs):
         frames = matches = 0
-        for _, sent, seen, *_ in runs:
+        for result, sent, seen, *_ in runs:
             TestComposedFrame.check_broadcasts(sent, seen)
+            if result.trace_lines:
+                TestComposedFrame.check_trace(result.trace_lines, sent)
             frames += len(sent)
             matches += len(seen)
         assert frames > 3000 and matches > 3000
 
     @staticmethod
     def check_broadcasts(sent, seen):
-        for frame, data in sent:
+        for index in sent:
+            frame = index.frame
+            data = encode(frame)
+            assert len(data) == frame.nbytes, frame.frame_seq
             decoded = decode(data)
             assert decoded == frame, frame.frame_seq
             for got, composed in zip(decoded.slots, frame.slots):
                 got, composed = SLOT_FIELDS(got), SLOT_FIELDS(composed)
                 assert list(map(type, composed)) == list(map(type, got)), \
                     composed
-            want, have = FrameIndex(decoded), FrameIndex(frame)
-            assert list(have.by_id.items()) == list(want.by_id.items())
-            assert list(have.assign_by_code.items()) \
+            want = FrameIndex(decoded)
+            assert list(index.by_id.items()) == list(want.by_id.items())
+            assert list(index.assign_by_code.items()) \
                 == list(want.assign_by_code.items())
-        # every receiver was handed an index over the very slots encoded
-        encoded = {id(frame): frame for frame, _ in sent}
+        # every receiver was handed the index of a frame broadcast
+        broadcast = {id(index) for index in sent}
         for index in seen:
-            frame = index.frame
-            assert encoded.get(id(frame)) is frame, frame.frame_seq
-            slot_ids = {id(slot) for slot in frame.slots}
-            indexed = list(index.by_id.values())
-            for group in index.assign_by_code.values():
-                indexed += group
-            assert all(id(slot) in slot_ids for slot in indexed)
+            assert id(index) in broadcast, index.frame.frame_seq
+
+    @staticmethod
+    def check_trace(lines, sent):
+        logged = [int(line.split(" nbytes=", 1)[1].split(" ", 1)[0])
+                  for line in lines if " nbytes=" in line]
+        assert logged == [len(encode(index.frame)) for index in sent]
 
     def test_traced_runs(self, traced_runs):
         self.check_runs(traced_runs)
@@ -790,17 +794,86 @@ class TestKeptSlots:
             fresh = list(recorded_runs(patch, traced=False))
 
         def payloads(runs):
-            return [[data for _, data in sent] for _, sent, *_ in runs]
-        assert payloads(fresh) == payloads(untraced_runs)
+            return [[encode(index.frame) for index in sent]
+                    for _, sent, *_ in runs]
+        kept = payloads(untraced_runs)
+        assert payloads(fresh) == kept
+        assert sum(map(len, kept)) > 3000
+
+
+def out_of_range(slots):
+    if slots:
+        last = dataclasses.replace(slots[-1], azimuth_centideg=36000)
+        return (*slots[:-1], last)
+
+
+def partner_dropped(slots):
+    partners = [s.partner_id for s in slots if s.stage >= SlotStage.RELAY_RX]
+    if partners:
+        return tuple(s for s in slots if s.network_id != partners[0])
+
+
+def repeated_id(slots):
+    if slots:
+        return (*slots, slots[0])
+
+
+class TestCorruptFrame:
+    """A frame that breaks a wire rule stops the run when it is sent.
+
+    The run loop checks every frame it broadcasts, so a frame corrupted
+    after it is composed raises FrameError from the transmit handler, at
+    that frame's own time.  Each mutant corrupts the first frame, from the
+    fifth on, that it can.
+    """
+
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    @pytest.mark.parametrize("corrupt,match", [
+        (out_of_range, "azimuth_centideg 36000 outside"),
+        (partner_dropped, "names absent partner"),
+        (repeated_id, "duplicate network_id"),
+    ], ids=["out_of_range", "partner_dropped", "repeated_id"])
+    def test_raises_when_sent(self, corrupt, match, traced, monkeypatch):
+        real_compose = BsState.compose_superframe
+        real_transmit = Simulation._on_superframe_tx
+        corrupted, failed = [], []
+
+        def compose(self, now):
+            frame = real_compose(self, now)
+            if not corrupted and frame.frame_seq >= 4:
+                slots = corrupt(frame.slots)
+                if slots is not None:
+                    corrupted.append(now)
+                    return SuperFrame(frame.frame_seq, slots)
+            return frame
+
+        def transmit(self, t):
+            try:
+                real_transmit(self, t)
+            except FrameError:
+                failed.append(t)
+                raise
+
+        monkeypatch.setattr(BsState, "compose_superframe", compose)
+        monkeypatch.setattr(Simulation, "_on_superframe_tx", transmit)
+        for cfg, seed, world in scenario_runs(seeds=range(3)):
+            try:
+                simulate(cfg, seed, world, collect_trace=traced)
+            except FrameError as error:
+                assert match in str(error)
+                break
+            assert corrupted == []
+        assert len(corrupted) == 1 and failed == corrupted
 
 
 class TestSlotsStayUnchanged:
     """No composed slot is ever written to.
 
-    Kept slots, the engine's packed slot bytes and the RELAY_RX repeat
-    test all rely on it: each slot object must hold the values it was
-    composed with for the rest of the run.  Its values are recorded when
-    it is first composed and compared when the run ends.
+    Kept slots and the RELAY_RX repeat test both rely on it: each slot
+    object must hold the values it was composed with for the rest of the
+    run.  Its values are recorded when it is first composed and compared
+    when the run ends.
     """
 
     @pytest.mark.parametrize("traced", [False, True],

@@ -79,8 +79,28 @@ def raw_frame(*slots, frame_seq=1):
             + b"".join(slots))
 
 
+def reference_validate(frame):
+    """The wire rules checked field by field, independent of the codec."""
+    if not 0 <= frame.frame_seq <= 2**32 - 1:
+        raise FrameError(f"frame_seq {frame.frame_seq} outside 32-bit range")
+    if frame.slot_count > 0xFFFF:
+        raise FrameError(f"too many slots: {frame.slot_count}")
+    ids = set()
+    for slot in frame.slots:
+        slot.validate()
+        if slot.network_id in ids:
+            raise FrameError(f"duplicate network_id {slot.network_id}")
+        ids.add(slot.network_id)
+    for slot in frame.slots:
+        if slot.stage in (SlotStage.RELAY_RX, SlotStage.RELAY_TX) \
+                and slot.partner_id not in ids:
+            raise FrameError(
+                f"relay slot {slot.network_id} names absent partner "
+                f"{slot.partner_id}")
+
+
 def reference_decode(data):
-    """Bit-string parse plus `SuperFrame.validate`, independent of decode."""
+    """Bit-string parse plus `reference_validate`, independent of decode."""
     if len(data) < HEADER_NBYTES or \
             (len(data) - HEADER_NBYTES) % SLOT_NBYTES \
             or int.from_bytes(data[4:6], "big") \
@@ -97,7 +117,7 @@ def reference_decode(data):
         slots.append(SlotPayload(f[0], f[1], f[2], f[3], SlotStage(f[4]),
                                  bool(f[5]), MovementMarker(f[6]), f[7], f[8]))
     frame = SuperFrame(int.from_bytes(data[:4], "big"), tuple(slots))
-    frame.validate()
+    reference_validate(frame)
     return frame
 
 
@@ -248,13 +268,16 @@ class TestDifferential:
             frame = SuperFrame(rng.choice((0, 2**32 - 1, 2**32, -1)),
                                tuple(slots))
             try:
-                frame.validate()
+                reference_validate(frame)
             except FrameError as expected:
                 raised += 1
-                with pytest.raises(FrameError) as got:
-                    encode(frame)
-                assert str(got.value) == str(expected)
+                # the one-pass check names the same fault as the reference
+                for check in (frame.validate, lambda: encode(frame)):
+                    with pytest.raises(FrameError) as got:
+                        check()
+                    assert str(got.value) == str(expected)
             else:
+                frame.validate()
                 assert decode(encode(frame)) == frame
         assert 0.2 < raised / 20_000 < 0.9  # both outcomes well covered
 
@@ -279,79 +302,6 @@ class TestDifferential:
         assert 0.1 < rejected / 5_000 < 0.9
 
 
-class TestPackedSlots:
-    """`encode(frame, packed)` packs each slot object once.
-
-    A slot that is the very object stored for its ID reuses its bytes and
-    skips the per-slot checks, but the frame-level checks still see it.
-    """
-
-    @pytest.mark.parametrize("vec", VECTORS, ids=[v["name"] for v in VECTORS])
-    def test_golden_vectors(self, vec):
-        frame = frame_from_vector(vec["frame"])
-        packed = {}
-        assert encode(frame, packed).hex() == vec["hex"]
-        assert encode(frame, packed).hex() == vec["hex"]  # every slot a hit
-        assert {nid: slot for nid, (slot, _) in packed.items()} \
-            == {slot.network_id: slot for slot in frame.slots}
-
-    def test_frames_reusing_slot_objects(self):
-        # each frame keeps some slot objects, replaces others with fresh
-        # ones under the same ID, and shuffles the order
-        rng = random.Random(0x5107)
-        hits = 0
-        for _ in range(200):
-            ids = rng.sample(range(1, 1024), rng.randint(1, 8))
-            partners = {nid: [p for p in ids if p != nid] for nid in ids}
-            slots = {nid: random_slot(rng, nid, partners[nid]) for nid in ids}
-            packed = {}
-            for seq in range(10):
-                for nid in ids:
-                    if rng.random() < 0.3:
-                        slots[nid] = random_slot(rng, nid, partners[nid])
-                frame = SuperFrame(seq, tuple(
-                    slots[nid] for nid in rng.sample(ids, len(ids))))
-                hits += sum(packed.get(slot.network_id, (None,))[0] is slot
-                            for slot in frame.slots)
-                assert encode(frame, packed) == encode(frame)
-        assert hits > 3000
-
-    def test_hit_still_checks_unique_ids(self):
-        slot = SlotPayload(4, 10, 0, 9000)
-        packed = {}
-        encode(SuperFrame(1, (slot,)), packed)
-        with pytest.raises(FrameError, match="duplicate network_id 4"):
-            encode(SuperFrame(2, (slot, slot)), packed)
-        with pytest.raises(FrameError, match="duplicate network_id 4"):
-            encode(SuperFrame(3, (SlotPayload(4, 11, 0, 9000), slot)), packed)
-
-    def test_hit_still_checks_relay_partners(self):
-        rx = SlotPayload(5, 0, 0, 0, stage=SlotStage.RELAY_RX, partner_id=9)
-        tx = SlotPayload(9, 0, 0, 0, stage=SlotStage.RELAY_TX, partner_id=5)
-        packed = {}
-        encode(SuperFrame(1, (rx, tx)), packed)
-        assert packed[5][0] is rx and packed[9][0] is tx
-        with pytest.raises(FrameError,
-                           match="relay slot 5 names absent partner 9"):
-            encode(SuperFrame(2, (rx,)), packed)
-        with pytest.raises(FrameError,
-                           match="relay slot 9 names absent partner 5"):
-            encode(SuperFrame(3, (tx, SlotPayload(7, 0, 0, 0))), packed)
-
-    @pytest.mark.parametrize("bad,match", [
-        (SlotPayload(1, 0, 36000, 0), "azimuth"),
-        (SlotPayload(1, 16384, 0, 0), "depth_code"),
-        (SlotPayload(1, 0, 0, 0, 1), "is not a SlotStage member"),
-        (SlotPayload(1, 0, 0, 0, stage=SlotStage.RELAY_RX), "without a "
-                                                            "partner_id"),
-    ], ids=["azimuth", "depth", "plain_int_stage", "no_partner"])
-    def test_new_object_under_a_packed_id_is_checked(self, bad, match):
-        packed = {}
-        encode(SuperFrame(1, (SlotPayload(1, 0, 0, 0),)), packed)
-        with pytest.raises(FrameError, match=match):
-            encode(SuperFrame(2, (bad,)), packed)
-
-
 class TestOptimizedInterpreter:
     def test_codec_checks_survive_dash_o(self):
         # the codec's checks are explicit raises, not asserts, so they hold
@@ -359,6 +309,7 @@ class TestOptimizedInterpreter:
         script = """
 import sys
 from uwoan.frame import FrameError, SlotPayload, SuperFrame, decode, encode
+from uwoan.frame import SlotStage
 if __debug__:
     sys.exit("asserts are on")
 cases = [
@@ -370,6 +321,17 @@ cases = [
                                               movement_marker=2),))),
     lambda: decode(bytes.fromhex("00000001" "0001" "0000008ca0" "00000000")),
     lambda: decode(bytes.fromhex("00000001" "0001" "0040000000" "00000001")),
+    lambda: SuperFrame(1, (SlotPayload(1, 16384, 0, 0),)).validate(),
+    lambda: SuperFrame(1, (SlotPayload(1, 0, 0, 0),
+                           SlotPayload(1, 0, 0, 0))).validate(),
+    lambda: SuperFrame(1, (SlotPayload(3, 10, 0, 9000, 1),)).validate(),
+    lambda: SuperFrame(1, (SlotPayload(3, 10, 0, 9000,
+                                       reset_bit=2),)).validate(),
+    lambda: SuperFrame(1, (SlotPayload(3, 0, 0, 0, SlotStage.RELAY_RX,
+                                       partner_id=9),)).validate(),
+    lambda: SuperFrame(1, (SlotPayload(3, 0, 0, 0, SlotStage.RELAY_TX),
+                           )).validate(),
+    lambda: SuperFrame(2**32, ()).validate(),
 ]
 for case in cases:
     try:
