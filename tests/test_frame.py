@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -300,6 +301,65 @@ class TestDifferential:
                 assert encode(frame) == data
                 assert reference_decode(data) == frame
         assert 0.1 < rejected / 5_000 < 0.9
+
+
+class TestValidate:
+    """`SuperFrame.validate`, the check the run loop makes on each frame sent.
+
+    The base station reuses slot objects from frame to frame, so the
+    frame-level rules must hold for a frame built from slots that passed
+    before.  The one-pass range test must accept each field's top value
+    and reject one past either end, naming the field.
+    """
+
+    @pytest.mark.parametrize("vec", VECTORS, ids=[v["name"] for v in VECTORS])
+    def test_nbytes_is_the_wire_length(self, vec):
+        frame = frame_from_vector(vec["frame"])
+        frame.validate()
+        assert frame.nbytes == len(encode(frame)) == len(vec["hex"]) // 2
+
+    @pytest.mark.parametrize("name,top", [
+        ("network_id", 1023),
+        ("depth_code", 16383),
+        ("azimuth_centideg", 35999),
+        ("elevation_centideg", 18000),
+        ("reset_bit", 1),
+    ])
+    def test_field_bounds(self, name, top):
+        base = SlotPayload(1, 0, 0, 0)
+        SuperFrame(1, (dataclasses.replace(base, **{name: top}),)).validate()
+        for bad in (top + 1, -1):
+            frame = SuperFrame(1, (dataclasses.replace(base, **{name: bad}),))
+            with pytest.raises(FrameError, match=f"^{name} {bad} "):
+                frame.validate()
+
+    def test_relay_partner_bounds(self):
+        top = SlotPayload(1023, 0, 0, 0)
+        SuperFrame(1, (SlotPayload(5, 0, 0, 0, SlotStage.RELAY_RX,
+                                   partner_id=1023), top)).validate()
+        for bad in (1024, -1):
+            rx = SlotPayload(5, 0, 0, 0, SlotStage.RELAY_RX, partner_id=bad)
+            with pytest.raises(FrameError, match=f"^partner_id {bad} "):
+                SuperFrame(1, (rx, top)).validate()
+
+    def test_repeated_slot_object_rejected(self):
+        slot = SlotPayload(4, 10, 0, 9000)
+        SuperFrame(1, (slot,)).validate()
+        with pytest.raises(FrameError, match="duplicate network_id 4"):
+            SuperFrame(2, (slot, slot)).validate()
+        with pytest.raises(FrameError, match="duplicate network_id 4"):
+            SuperFrame(3, (SlotPayload(4, 11, 0, 9000), slot)).validate()
+
+    def test_partner_dropped_from_a_later_frame_rejected(self):
+        rx = SlotPayload(5, 0, 0, 0, stage=SlotStage.RELAY_RX, partner_id=9)
+        tx = SlotPayload(9, 0, 0, 0, stage=SlotStage.RELAY_TX, partner_id=5)
+        SuperFrame(1, (rx, tx)).validate()
+        with pytest.raises(FrameError,
+                           match="relay slot 5 names absent partner 9"):
+            SuperFrame(2, (rx,)).validate()
+        with pytest.raises(FrameError,
+                           match="relay slot 9 names absent partner 5"):
+            SuperFrame(3, (tx, SlotPayload(7, 0, 0, 0))).validate()
 
 
 class TestOptimizedInterpreter:
