@@ -9,6 +9,7 @@ dual-hop relay attempt before declaring a node failed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
@@ -206,7 +207,8 @@ class BsState:
         detections all the same.
         """
         c = self.cfg
-        bs_pos, bucket = self.bs_position, self.depth_model.bucket
+        bs_east, bs_north, bs_depth = self.bs_position
+        bucket, sqrt, new = self.depth_model.bucket, math.sqrt, tuple.__new__
         reach, p_miss = c.acoustic_range_m, c.p_misdetect
         noise, floor = c.sonar_depth_noise_std_m, c.region_depth_m
         skip_unchanged = self._skip_unchanged
@@ -222,16 +224,18 @@ class BsState:
                             and rec.observed_motion is MARKER_NONE:
                         skipped += 1
                         continue
-            if distance(bs_pos, pos) > reach:
+            east, north, depth = pos
+            # distance(bs_position, pos)'s operand order, so the bits agree
+            if sqrt((east - bs_east) ** 2 + (north - bs_north) ** 2
+                    + (depth - bs_depth) ** 2) > reach:
                 continue
             if p_miss > 0.0 and rng.random() < p_miss:
                 continue
             if noise > 0.0:
-                depth = min(floor, max(0.0, pos.depth + rng.gauss(0.0, noise)))
-                measured = Position(pos.east, pos.north, depth)
-            else:
-                depth, measured = pos.depth, pos
-            out.append(Detection(track_key, measured, bucket(depth)))
+                # clamped to the water column: Position's checks would pass
+                depth = min(floor, max(0.0, depth + rng.gauss(0.0, noise)))
+                pos = new(Position, (east, north, depth))
+            out.append(new(Detection, (track_key, pos, bucket(depth))))
         self.unchanged_returns = skipped
         return out
 

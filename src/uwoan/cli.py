@@ -118,9 +118,11 @@ def _cmd_run(args) -> int:
 
 
 def _sweep_one(task):
+    """A run's CSV row, and its report less the `nodes` and `edges` that
+    `aggregate` does not read, which are most of its pickled bytes."""
     config, c0, seed = task
     report = simulate(replace(config, c0=c0, seed=seed)).report
-    return c0, seed, csv_row(report), report
+    return csv_row(report), replace(report, nodes=(), edges=())
 
 
 def _usable_cpus() -> int:
@@ -165,13 +167,13 @@ def _cmd_sweep(args) -> int:
             results = list(pool.map(_sweep_one, tasks, chunksize=4))
     else:
         results = [_sweep_one(task) for task in tasks]
-    results.sort(key=lambda item: (item[0], item[1]))
-    summaries = aggregate([item[3] for item in results])
+    results.sort(key=lambda item: item[0][:2])  # by (c0, seed)
+    summaries = aggregate([report for _, report in results])
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for _, _, row, _ in results:
+    for row, _ in results:
         writer.writerow(row)
     for row in summary_csv_rows(summaries):
         writer.writerow(row)

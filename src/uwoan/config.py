@@ -10,6 +10,7 @@ table.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -31,6 +32,11 @@ _MAX_PERIODS = MAX_FRAME_SEQ + 1
 # most events one run may schedule, by `SimConfig.event_estimate`; at some
 # microseconds an event, a run stays within minutes of host time
 _MAX_EVENTS = 20_000_000
+
+# the types a field takes, by its annotation, and their name; a bool is an
+# int to Python, but a number field takes none
+_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+          "bool": (bool, "true or false")}
 
 
 @dataclass(frozen=True)
@@ -90,9 +96,17 @@ class SimConfig:
             if not cond:
                 raise ConfigError(msg)
 
+        # types first, so that no check below meets a string and no count
+        # a float
         for f in fields(c):
+            value = getattr(c, f.name)
+            types, name = _KINDS[f.type]
+            if not isinstance(value, types) \
+                    or (isinstance(value, bool) and f.type != "bool"):
+                raise ConfigError(f"{f.name} must be {name}, got {value!r}")
             if f.type == "float":
-                need(math.isfinite(getattr(c, f.name)),
+                # not isfinite, which raises on an int too large for a float
+                need(abs(value) <= sys.float_info.max,
                      f"{f.name} must be finite")
         need(c.n_uwn >= 0, f"n_uwn must be >= 0, got {c.n_uwn}")
         for name in ("region_east_m", "region_north_m", "region_depth_m"):

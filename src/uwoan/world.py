@@ -6,6 +6,12 @@ was set, and the current velocity.  Horizontal coordinates are fixed at
 deployment apart from an optional constant current.  Nodes start inside
 the region box, and all coordinates clip at it, through `_clip` alone.
 
+A position computed from clipped coordinates is valid by construction,
+so it is built without `Position`'s checks.  `World` rejects up front a
+non-finite current, region limit, velocity or time; each coordinate is
+then computed from finite numbers, so it may overflow to an infinity but
+is never NaN, and its clip is finite and inside the box.
+
 `positions(t)` and `bs_distances(t)` give every node's `position_of(i, t)`
 and `bs_distance_of(i, t)` in one pass over the bodies, bit for bit; a
 static world reads the same per-body caches.  `bs_distances_at_rest()`
@@ -16,6 +22,7 @@ settled-tail replay.
 from __future__ import annotations
 
 import math
+import sys
 from random import Random
 from typing import Callable
 
@@ -23,6 +30,19 @@ from .config import SimConfig
 from .geometry import GeometryError, Position, distance
 
 __all__ = ["World", "deploy", "generate"]
+
+# `tuple.__new__(Position, coords)`: a Position without the checks, for
+# coordinates valid by construction
+_tuple_new = tuple.__new__
+
+# the largest time accepted: two such times differ by a finite amount, so
+# even a zero velocity times the difference is a number, never NaN
+_MAX_TIME = sys.float_info.max / 2
+
+
+def _bad_time(t: float) -> GeometryError:
+    return GeometryError(f"time {t} is not finite or exceeds "
+                         f"{_MAX_TIME:.4g} s in magnitude")
 
 
 def _clip(value: float, limit: float) -> float:
@@ -52,6 +72,9 @@ class World:
                  node_positions: list[Position],
                  region: tuple[float, float, float],
                  current: tuple[float, float] = (0.0, 0.0)) -> None:
+        for what, values in (("region limit", region), ("current", current)):
+            if not all(math.isfinite(v) for v in values):
+                raise GeometryError(f"non-finite {what} in {values}")
         self.bs_position = bs_position
         self.region = region
         self.current = current
@@ -109,7 +132,9 @@ class World:
                 pos = body.cached_pos = Position(body.east0, body.north0,
                                                  body.depth_ref)
             return pos
-        return Position(*self._coords(body, t))
+        if not -_MAX_TIME <= t <= _MAX_TIME:
+            raise _bad_time(t)
+        return _tuple_new(Position, self._coords(body, t))
 
     def bs_distance_of(self, i: int, t: float) -> float:
         body = self.bodies[i]
@@ -127,7 +152,9 @@ class World:
             # a filled cache belongs to a static body
             return [body.cached_pos or self.position_of(i, t)
                     for i, body in enumerate(self.bodies)]
-        return [Position(*row) for row in self._rows(t)]
+        if not -_MAX_TIME <= t <= _MAX_TIME:
+            raise _bad_time(t)
+        return [_tuple_new(Position, row) for row in self._rows(t)]
 
     def bs_distances(self, t: float) -> list[float]:
         """Every node's `bs_distance_of(i, t)`, in one pass over the bodies."""
@@ -173,6 +200,10 @@ class World:
                           in zip(east2(t), north2(t), depth2)]
 
     def set_vertical_velocity(self, i: int, v: float, now: float) -> None:
+        if not math.isfinite(v):
+            raise GeometryError(f"non-finite vertical velocity {v}")
+        if not -_MAX_TIME <= now <= _MAX_TIME:
+            raise _bad_time(now)
         body = self.bodies[i]
         body.depth_ref = self.depth_of(i, now)
         body.ref_time = now

@@ -1,4 +1,5 @@
 import ast
+import collections
 import dataclasses
 import math
 import os
@@ -21,7 +22,8 @@ from uwoan.base_station import (
 )
 from uwoan.frame import MovementMarker, SlotPayload, SlotStage
 from uwoan.config import SimConfig
-from uwoan.geometry import Bearing, GeometryError, Position, bearing_from_to
+from uwoan.geometry import (Bearing, GeometryError, Position,
+                            bearing_from_to, distance)
 
 def make_bs(**kw):
     return BsState(SimConfig(**kw))
@@ -100,6 +102,127 @@ class TestSonarScan:
         rng = random.Random(33)
         got = sum(len(scan(bs, [Position(100, 100, 50)], rng)) for _ in range(400))
         assert 150 < got < 250
+
+
+def reference_sonar_scan(bs, snapshot, rng):
+    """`BsState.sonar_scan` as it read with `distance`, `Position` and
+    `Detection` called per return: the reference for the inline loop."""
+    c = bs.cfg
+    bs_pos, bucket = bs.bs_position, bs.depth_model.bucket
+    reach, p_miss = c.acoustic_range_m, c.p_misdetect
+    noise, floor = c.sonar_depth_noise_std_m, c.region_depth_m
+    skipped = 0
+    out = []
+    for track_key, pos in snapshot:
+        if bs._skip_unchanged:
+            rec = bs.record_for_track(track_key)
+            if rec is not None and rec.sonar_position is pos \
+                    and rec.observed_motion is MovementMarker.NONE:
+                skipped += 1
+                continue
+        if distance(bs_pos, pos) > reach:
+            continue
+        if p_miss > 0.0 and rng.random() < p_miss:
+            continue
+        if noise > 0.0:
+            depth = min(floor, max(0.0, pos.depth + rng.gauss(0.0, noise)))
+            measured = Position(pos.east, pos.north, depth)
+        else:
+            depth, measured = pos.depth, pos
+        out.append(Detection(track_key, measured, bucket(depth)))
+    bs.unchanged_returns = skipped
+    return out
+
+
+class TestScanDifferential:
+    RANGES = (50.0, 137.5, 1000.0)
+
+    @staticmethod
+    def returns(rng, reach):
+        """A return of each kind, as (kind, position)."""
+        # a 3-4-5 triangle, exact in floats for each of RANGES
+        east, north = 100.0 + 0.6 * reach, 100.0 + 0.8 * reach
+        kind = rng.choice(("at", "at_level", "inside", "past", "bs",
+                           "cube", "far"))
+        pos = {
+            "at": (100.0, 100.0, reach),
+            "at_level": (east, north, 0.0),
+            "inside": (100.0, 100.0, math.nextafter(reach, 0.0)),
+            "past": (100.0, 100.0, math.nextafter(reach, math.inf)),
+            "bs": (100.0, 100.0, 0.0),
+            "cube": (rng.uniform(0.0, 200.0), rng.uniform(0.0, 200.0),
+                     rng.uniform(0.0, 200.0)),
+            "far": (rng.uniform(-2000.0, 2000.0),
+                    rng.uniform(-2000.0, 2000.0), rng.uniform(0.0, 200.0)),
+        }[kind]
+        return kind, Position(*pos)
+
+    @pytest.mark.parametrize("reach", RANGES)
+    def test_returns_at_the_range_are_exact(self, reach):
+        bs = make_bs().bs_position
+        at = {kind: pos for kind, pos in (self.returns(random.Random(k), reach)
+                                          for k in range(200))}
+        assert distance(bs, at["at"]) == distance(bs, at["at_level"]) == reach
+        assert distance(bs, at["inside"]) < reach < distance(bs, at["past"])
+        assert distance(bs, at["bs"]) == 0.0
+
+    def test_matches_reference(self):
+        # the scan reads only its config and the registry, so one state
+        # serves both; each side draws from its own copy of one generator
+        rng = random.Random(2209)
+        seen = collections.Counter()
+        for _ in range(6000):
+            noise = rng.choice((0.0, 0.4))
+            p_miss = rng.choice((0.0, 0.3))
+            reach = rng.choice(self.RANGES)
+            bs = make_bs(acoustic_range_m=reach, p_misdetect=p_miss,
+                         sonar_depth_noise_std_m=noise)
+            snapshot, kinds = [], {}
+            for key in rng.sample(range(40), rng.randint(0, 8)):
+                kinds[key], pos = self.returns(rng, reach)
+                snapshot.append((key, pos))
+            # register some tracks, holding the very return object, an
+            # equal copy or another position, with or without motion
+            registered = [(key, pos) for key, pos in snapshot
+                          if rng.random() < 0.6]
+            held = {key: rng.choice((pos, Position(*pos),
+                                     Position(10.0, 10.0, 10.0)))
+                    for key, pos in registered}
+            bs.allocate([Detection(key, held[key], 0)
+                         for key, _ in registered], 0.0)
+            for key, pos in registered:
+                rec = bs.record_for_track(key)
+                rec.observed_motion = rng.choice(
+                    (MovementMarker.NONE, MovementMarker.NONE,
+                     MovementMarker.DIVING, MovementMarker.RISING))
+                seen["same object"] += held[key] is pos
+                seen["still"] += held[key] is pos and \
+                    rec.observed_motion is MovementMarker.NONE
+            seed = rng.random()
+            mine, theirs = random.Random(seed), random.Random(seed)
+            got = bs.sonar_scan(snapshot, mine)
+            got_skipped = bs.unchanged_returns
+            want = reference_sonar_scan(bs, snapshot, theirs)
+            assert got == want, (snapshot, reach, noise, p_miss)
+            assert got_skipped == bs.unchanged_returns
+            assert mine.getstate() == theirs.getstate()
+            for det in got:
+                assert type(det) is Detection
+                assert type(det.position) is Position
+                assert det.position == Position(*det.position)
+                seen[f"{kinds[det.track_key]} detected"] += 1
+            seen["skipped"] += got_skipped
+            seen[f"noise={noise > 0} miss={p_miss > 0}"] += 1
+        # a return exactly at the range is in reach, one just past it never
+        assert seen["past detected"] == 0
+        # no side of the draw is vacuous
+        for kind in ("at", "at_level", "inside", "bs", "cube", "far"):
+            assert seen[f"{kind} detected"] >= 100, (kind, seen)
+        for kind in ("same object", "still", "skipped"):
+            assert seen[kind] >= 300, (kind, seen)
+        for combo in ("noise=False miss=False", "noise=True miss=False",
+                      "noise=False miss=True", "noise=True miss=True"):
+            assert seen[combo] >= 1000, (combo, seen)
 
 
 class TestAllocate:

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import pickle
 from types import SimpleNamespace
 
 import pytest
@@ -7,8 +9,11 @@ import pytest
 from uwoan import cli
 from uwoan.base_station import BsState
 from uwoan.cli import main
+from uwoan.config import load_config
+from uwoan.engine import simulate
 from uwoan.frame import SlotPayload, SuperFrame
-from uwoan.report import SimReport, report_to_json
+from uwoan.report import (ReportError, SimReport, aggregate, csv_row,
+                          report_to_json)
 
 BASE_CFG = """
 n_uwn = 12
@@ -376,6 +381,28 @@ class TestSweepCommand:
         assert capsys.readouterr().err \
             == f"error: --c-list has an empty entry: '{c_list}'\n"
         assert not out.exists()
+
+    def test_workers_return_lean_results(self, cfg_file):
+        # a worker sends back what the parent reads: the CSV row, and for
+        # aggregate the report with its config, less nodes and edges
+        config = load_config(cfg_file)
+        tasks = [(config, c0, seed) for c0 in (0.056, 0.151)
+                 for seed in range(3)]
+        full = [simulate(dataclasses.replace(config, c0=c0, seed=seed)).report
+                for _, c0, seed in tasks]
+        results = [cli._sweep_one(task) for task in tasks]
+        assert [row for row, _ in results] == [csv_row(r) for r in full]
+        lean = [report for _, report in results]
+        assert lean == [dataclasses.replace(r, nodes=(), edges=())
+                        for r in full]
+        assert all(r.nodes and r.config for r in full)
+        assert aggregate(lean) == aggregate(full)
+        assert max(len(pickle.dumps(result)) for result in results) < 2000
+        # the mixed-config check still sees each run's config
+        other = cli._sweep_one(
+            (dataclasses.replace(config, t_max_s=11.0), 0.056, 7))[1]
+        with pytest.raises(ReportError, match="mixed configs"):
+            aggregate(lean + [other])
 
     def test_rows_sorted_by_c0_then_seed(self, cfg_file, tmp_path):
         out = tmp_path / "sorted.csv"

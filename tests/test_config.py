@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import random
 from dataclasses import fields
@@ -116,6 +117,24 @@ class TestParsing:
             load_config(missing)
 
 
+# values of the wrong type for their field, each named by the type check
+# that runs before any range check: a float n_uwn would crash in deploy, a
+# string in a comparison, and a bool would run as a number
+WRONG_TYPES = [
+    (dict(n_uwn=2.5), "n_uwn must be an integer, got 2.5"),
+    (dict(n_uwn=-0.0), "n_uwn must be an integer, got -0.0"),
+    (dict(c0="0.1"), "c0 must be a number, got '0.1'"),
+    (dict(match_on_motion_marker="no"),
+     "match_on_motion_marker must be true or false, got 'no'"),
+    (dict(match_on_motion_marker=1), "match_on_motion_marker must be true"),
+    (dict(n_uwn=True), "n_uwn must be an integer, got True"),
+    (dict(c0=True), "c0 must be a number, got True"),
+    (dict(seed=3.0), "seed must be an integer"),
+    (dict(direct_retries="5"), "direct_retries must be an integer"),
+    (dict(t_max_s=None), "t_max_s must be a number, got None"),
+]
+
+
 class TestValidation:
     @pytest.mark.parametrize("kwargs,needle", [
         (dict(n_uwn=-1), "n_uwn"),
@@ -152,10 +171,23 @@ class TestValidation:
         # within every 32-bit limit, but about 4.2e9 periods of work
         (dict(superframe_period_s=1.2e-8, first_superframe_offset_s=1e-9),
          r"estimated 4.292e\+11 events"),
+        # an int, but too large for any float
+        (dict(c0=10**400), "c0 must be finite"),
+        *WRONG_TYPES,
     ])
     def test_rejects(self, kwargs, needle):
         with pytest.raises(ConfigError, match=needle):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,needle", WRONG_TYPES)
+    def test_replace_rejects_wrong_types(self, kwargs, needle):
+        with pytest.raises(ConfigError, match=needle):
+            dataclasses.replace(SimConfig(), **kwargs)
+
+    def test_numbers_of_either_type_pass(self):
+        # an int is a number for a float field; parsed files give floats
+        assert SimConfig(c0=1, t_max_s=30) == parse_config("c0 = 1\n"
+                                                           "t_max_s = 30")
 
     def test_superframe_count_message_is_short(self):
         # the count is printed like the ping and movement counts, not as
@@ -205,16 +237,26 @@ class TestValidation:
         assert cfg.v_min_mps == 0.0
 
 
+_TYPES = {f.name: f.type for f in fields(SimConfig)}
+
+
 class TestConfigFuzz:
     FLOATS = (0.0, -1.0, 1e-300, 1e-9, 1e-3, 0.5, 1.0, 2.0, 100.0, 1e6,
               1e300, math.inf)
     INTS = (0, -1, 1, 2, 60, 2**31)
     N_UWN = (-1, 0, 1, 2, 60)  # capped: run cost grows with the node count
+    # values of the wrong type for each kind of field: floats for ints,
+    # bools for numbers, numeric strings and numbers for bools
+    WRONG = {"int": (2.5, 1.0, -0.0, True, False, "1", None),
+             "float": (True, False, "0.5", "1e3", None),
+             "bool": (0, 1, 1.0, "no", "true", None)}
 
     def draw(self, rng):
         overrides = {}
         for f in rng.sample(fields(SimConfig), rng.randint(1, 8)):
-            if f.name == "n_uwn":
+            if rng.random() < 0.05:
+                overrides[f.name] = rng.choice(self.WRONG[f.type])
+            elif f.name == "n_uwn":
                 overrides[f.name] = rng.choice(self.N_UWN)
             elif f.type == "bool":
                 overrides[f.name] = rng.choice((True, False))
@@ -224,14 +266,30 @@ class TestConfigFuzz:
                 overrides[f.name] = rng.choice(self.FLOATS)
         return overrides
 
+    @staticmethod
+    def well_typed(overrides):
+        """True when every value has its field's type: an int field takes
+        an int, a float field an int or a float, and neither a bool."""
+        kinds = {"int": (int,), "float": (int, float), "bool": (bool,)}
+        return all(type(value) in kinds[_TYPES[name]]
+                   for name, value in overrides.items())
+
     def test_valid_configs_run_clean(self):
         # a config either fails validation or runs to a consistent report,
         # the same with and without the trace (and so without any of the
         # untraced shortcuts); any other exception fails the test
         rng = random.Random(2109)
-        rejected = ran = 0
+        rejected = ran = wrong = 0
         for _ in range(200):
             overrides = self.draw(rng)
+            if not self.well_typed(overrides):
+                # checked before any value, so the type alone rejects it
+                for make in (lambda: SimConfig(**overrides),
+                             lambda: dataclasses.replace(SimConfig(),
+                                                         **overrides)):
+                    with pytest.raises(ConfigError, match="must be"):
+                        make()
+                wrong += 1
             try:
                 cfg = SimConfig(**overrides)
             except ConfigError:
@@ -248,3 +306,4 @@ class TestConfigFuzz:
             assert rep == simulate(cfg, collect_trace=True).report, overrides
             ran += 1
         assert rejected >= 100 and ran >= 30  # neither side is vacuous
+        assert wrong >= 20

@@ -479,6 +479,83 @@ class TestWorldKinematics:
         with pytest.raises(ValueError):
             world.bs_distances_at_rest()
 
+    @staticmethod
+    def assert_valid(pos):
+        # built without Position's checks, so the checks must accept it
+        assert type(pos) is Position
+        assert pos == Position(*pos)
+
+    @pytest.mark.parametrize("current", [(5.0, 5.0), (-5.0, 5.0),
+                                         (5.0, -5.0), (-5.0, -5.0),
+                                         (5.0, 0.0), (0.0, -5.0)], ids=str)
+    def test_positions_are_valid_by_construction(self, current):
+        rng = random.Random(13)
+        world = World(Position(100.0, 75.0, 0.0),
+                      [Position(rng.uniform(0.0, 200.0),
+                                rng.uniform(0.0, 150.0),
+                                rng.uniform(0.0, 100.0))
+                       for _ in range(30)],
+                      self.REGION, current)
+        depths = set()
+        t = 0.0
+        for t_next in (0.5, 7.0, 40.0, 300.0, 1e4, 1e6):
+            # vertical speeds that take bodies to the surface and the floor
+            for i in range(world.n):
+                world.set_vertical_velocity(
+                    i, rng.choice((0.0, -5.0, 5.0, rng.uniform(-1, 1))), t)
+            for t in (t_next * 0.5, t_next):
+                for pos in world.positions(t):
+                    self.assert_valid(pos)
+                for i in range(world.n):
+                    pos = world.position_of(i, t)
+                    self.assert_valid(pos)
+                    depths.add(pos.depth)
+        assert {0.0, 100.0} <= depths
+
+    def test_valid_at_the_time_limit(self):
+        # two accepted times differ by a finite amount, so a body at rest
+        # since the earliest accepted time is still at its depth
+        limit = sys.float_info.max / 2
+        world = World(Position(100.0, 75.0, 0.0),
+                      [Position(10.0, 20.0, 30.0)], self.REGION, (5.0, -5.0))
+        world.set_vertical_velocity(0, 0.0, -limit)
+        for t in (-limit, 0.0, limit):
+            self.assert_valid(world.position_of(0, t))
+            self.assert_valid(world.positions(t)[0])
+        assert world.position_of(0, limit) == (200.0, 0.0, 30.0)
+        with pytest.raises(GeometryError, match="time"):
+            world.position_of(0, math.nextafter(limit, math.inf))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_world_inputs_rejected(self, bad):
+        bs = Position(100.0, 75.0, 0.0)
+        nodes = [Position(10.0, 20.0, 30.0)]
+        for region in ((bad, 150.0, 100.0), (200.0, bad, 100.0),
+                       (200.0, 150.0, bad)):
+            with pytest.raises(GeometryError, match="region limit"):
+                World(bs, nodes, region)
+            with pytest.raises(GeometryError, match="region limit"):
+                World(bs, [], region)
+        for current in ((bad, 0.0), (0.0, bad), (bad, bad)):
+            with pytest.raises(GeometryError, match="current"):
+                World(bs, nodes, self.REGION, current)
+        world = World(bs, nodes, self.REGION)
+        with pytest.raises(GeometryError, match="velocity"):
+            world.set_vertical_velocity(0, bad, 1.0)
+        with pytest.raises(GeometryError, match="time"):
+            world.set_vertical_velocity(0, 1.0, bad)
+        # the rejected calls changed nothing
+        assert world.bodies[0].v_down == 0.0
+        assert world.position_of(0, 2.0) == (10.0, 20.0, 30.0)
+        # a time on the computed paths: a moving body, a drifting world
+        world.set_vertical_velocity(0, 1.0, 1.0)
+        drifting = World(bs, nodes, self.REGION, (0.5, 0.0))
+        for w in (world, drifting):
+            with pytest.raises(GeometryError, match="time"):
+                w.position_of(0, bad)
+            with pytest.raises(GeometryError, match="time"):
+                w.positions(bad)
+
 
 class TestReceiverFieldOfView:
     def test_misaligned_relay_receiver_drops_beam(self):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from uwoan import base_station, engine, frame, node
+from uwoan import base_station, engine, frame, node, world
 from uwoan.base_station import HandshakeStage, NodeRecord
 from uwoan.frame import MovementMarker, SlotPayload, SlotStage
 from uwoan.node import Lifecycle, UwnState
@@ -137,3 +137,93 @@ def test_slots_guard_catches_a_dict_class():
 
     assert has_instance_dict(Plain) and has_instance_dict(Subclass)
     assert not has_instance_dict(Slotted)
+
+
+# The sonar ping reads every node: `World.positions` builds each position
+# from clipped coordinates, valid by construction, and `sonar_scan`
+# unpacks each return once and tests its reach inline.  A validating
+# constructor or a distance call per return is a Python-level call each.
+PER_RETURN_CALLS = ("Position", "Detection", "distance")
+
+
+def calls_of(tree, names) -> list[str]:
+    """`name:line` for each call under `tree` of one of `names`: bare, as
+    `module.name`, or as a class method such as `Position._make`."""
+    found = []
+    for sub in ast.walk(tree):
+        if not isinstance(sub, ast.Call):
+            continue
+        func = sub.func
+        name = func.id if isinstance(func, ast.Name) \
+            else func.attr if isinstance(func, ast.Attribute) else None
+        if name not in names and isinstance(func, ast.Attribute) \
+                and isinstance(func.value, ast.Name):
+            name = func.value.id
+        if name in names:
+            found.append(f"{name}:{sub.lineno}")
+    return found
+
+
+def method(source: str, cls: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse(source)
+    owner = next(n for n in tree.body
+                 if isinstance(n, ast.ClassDef) and n.name == cls)
+    return next(n for n in owner.body
+                if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def per_return_calls(source: str) -> list[str]:
+    """The calls named above inside `BsState.sonar_scan`'s loop."""
+    scan = method(source, "BsState", "sonar_scan")
+    return [call for loop in scan.body if isinstance(loop, ast.For)
+            for call in calls_of(loop, PER_RETURN_CALLS)]
+
+
+def world_position_calls(source: str) -> list[str]:
+    """`Position` calls in `World.positions`, and in `World.position_of`
+    outside its static-body branch, the one that tests `drifting`."""
+    computed = [stmt for stmt in method(source, "World", "position_of").body
+                if not (isinstance(stmt, ast.If)
+                        and "drifting" in ast.unparse(stmt.test))]
+    return calls_of(method(source, "World", "positions"), ("Position",)) \
+        + [call for stmt in computed for call in calls_of(stmt, ("Position",))]
+
+
+def test_no_validating_call_per_sonar_return():
+    assert per_return_calls(inspect.getsource(base_station)) == []
+
+
+def test_world_positions_skip_the_validating_constructor():
+    assert world_position_calls(inspect.getsource(world)) == []
+
+
+def test_per_return_guard_sees_each_form():
+    source = (
+        "class BsState:\n"
+        "    def sonar_scan(self, snapshot):\n"
+        "        bs = Position(0, 0, 0)\n"                  # before the loop
+        "        for key, pos in snapshot:\n"
+        "            if distance(bs, pos) > 1:\n"
+        "                continue\n"
+        "            for extra in ():\n"
+        "                geometry.distance(bs, extra)\n"
+        "            out = [Detection._make(p) for p in (pos,)]\n"
+        "            pos = new(Position, pos)\n"            # no call of it
+        "        return Detection(0, bs, 0)\n")            # after the loop
+    assert sorted(per_return_calls(source)) == [
+        "Detection:9", "distance:5", "distance:8"]
+
+
+def test_world_guard_sees_each_form():
+    source = (
+        "class World:\n"
+        "    def position_of(self, i, t):\n"
+        "        if body.v_down == 0.0 and not self.drifting:\n"
+        "            return Position(1, 2, 3)\n"             # static: allowed
+        "        if t > 0:\n"
+        "            return geometry.Position(*self._coords(body, t))\n"
+        "        return Position._make(self._coords(body, t))\n"
+        "    def positions(self, t):\n"
+        "        return [Position(*row) for row in self._rows(t)]\n")
+    assert world_position_calls(source) == [
+        "Position:9", "Position:6", "Position:7"]
