@@ -9,11 +9,9 @@ and seed produces byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -133,6 +131,10 @@ def _usable_cpus() -> int:
 
 
 def _cmd_sweep(args) -> int:
+    # csv and the process pool are imported here, not at module level, so
+    # that `run` and `topo` start without them
+    import csv
+
     config = load_config(args.config)
     tokens = args.c_list.split(",")
     if not all(tok.strip() for tok in tokens):
@@ -163,6 +165,8 @@ def _cmd_sweep(args) -> int:
         # small chunks, so that no worker idles long through another's last
         # one: a 60-run sweep on two workers is 15 chunks of 4, not 4 of
         # 16.  Chunks of one task cost more in IPC than they save
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, tasks, chunksize=4))
     else:

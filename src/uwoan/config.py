@@ -109,6 +109,13 @@ class SimConfig:
                 need(abs(value) <= sys.float_info.max,
                      f"{f.name} must be finite")
         need(c.n_uwn >= 0, f"n_uwn must be >= 0, got {c.n_uwn}")
+        # before any float arithmetic, which an int past the float range
+        # overflows.  The estimate below counts a wake-up per node at the
+        # ping at t = 0, so this rejects no config that the estimate passes
+        need(c.n_uwn <= _MAX_EVENTS,
+             f"n_uwn must be at most {_MAX_EVENTS:,}: the sonar ping at "
+             f"t = 0 queues a wake-up per node, and one run may schedule at "
+             f"most {_MAX_EVENTS:,} events")
         for name in ("region_east_m", "region_north_m", "region_depth_m"):
             need(getattr(c, name) > 0, f"{name} must be positive")
         # distances square coordinate differences, and float ** raises
@@ -187,18 +194,29 @@ class SimConfig:
              f"may schedule")
 
     def event_estimate(self) -> float:
-        """Estimated count of the events one run schedules.
+        """An upper bound on the count of the events one run schedules.
 
-        Each sonar ping queues itself, a timeout check and a wake-up per
-        node; each superframe queues itself and an arrival per node; each
-        node may queue a movement expiry per movement interval, whose mean
-        length is the midpoint of its uniform range.
+        A run starts by queueing its end, the ping at t = 0 and the first
+        superframe.  Pings come at t = 0, period, ... before `t_max_s`, so
+        there are at most t_max_s / period + 1, and superframes at most one
+        more than the periods after the offset.  Each ping queues the next,
+        a timeout check and a wake-up per node.  Each superframe queues the
+        next and an arrival per node, and each arrival queues at most one
+        more event: a movement expiry, or the answer's landing at the base
+        station.  A moving node queues an expiry per movement interval.
+        Two terms are typical rather than worst cases: intervals are counted
+        at their mean length, the midpoint of their uniform range, and a
+        beam's landings at relays are left out.  In the traced runs of the
+        tests both fit in the slack of the wake-ups counted at every ping,
+        which a node takes only while dormant.
         """
         n, t_max, period = self.n_uwn, self.t_max_s, self.superframe_period_s
-        pings = t_max / period
-        frames = max(0.0, t_max - self.first_superframe_offset_s) / period
+        offset = self.first_superframe_offset_s
+        pings = t_max / period + 1
+        frames = (t_max - offset) / period + 1 if offset < t_max else 0.0
         mean_move = (self.move_duration_min_s + self.move_duration_max_s) / 2
-        return pings * (2 + n) + frames * (1 + n) + n * t_max / mean_move
+        return (3 + pings * (2 + n) + frames * (1 + 2 * n)
+                + n * t_max / mean_move)
 
     # -- derived objects: bs_position, water_profile, link_budget, depth_model
 

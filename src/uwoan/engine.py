@@ -99,11 +99,13 @@ class Simulation:
         self.cfg = config
         self.seed = config.seed if seed is None else seed
         self.rng = Random(self.seed)
-        self.world = world if world is not None else deploy(config, self.rng)
-        # deploy draws any size, but a run has only MAX_NETWORK_ID IDs
-        if self.world.n > MAX_NETWORK_ID:
-            raise ConfigError(f"n_uwn {self.world.n} exceeds the "
+        # a run has only MAX_NETWORK_ID IDs; checked before deploy draws
+        # a node, since it draws any count
+        n = config.n_uwn if world is None else world.n
+        if n > MAX_NETWORK_ID:
+            raise ConfigError(f"n_uwn {n} exceeds the "
                               f"{MAX_NETWORK_ID} network IDs of a run")
+        self.world = world if world is not None else deploy(config, self.rng)
         self.profile = config.water_profile()
         self.budget = config.link_budget()
         self.model = config.depth_model()

@@ -11,8 +11,8 @@ n_failed, n_unresolved.
 
 from __future__ import annotations
 
-import json
-import statistics
+# json and statistics are imported by the functions that use them, so that
+# `import uwoan` loads neither: no run serializes or aggregates
 from dataclasses import asdict, dataclass, field, fields
 
 __all__ = [
@@ -81,6 +81,8 @@ class SimReport:
 
 
 def report_to_json(report: SimReport) -> str:
+    import json
+
     # field by field, so each node is converted once, below
     payload = {f.name: getattr(report, f.name) for f in fields(report)}
     payload["nodes"] = [asdict(n) for n in report.nodes]
@@ -90,6 +92,8 @@ def report_to_json(report: SimReport) -> str:
 
 
 def report_from_json(text: str) -> SimReport:
+    import json
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -117,6 +121,8 @@ def aggregate(reports: list[SimReport]) -> list[dict]:
     configuration apart from the seed.  The fold is order-insensitive:
     inputs are sorted by (c0, seed) before summing.
     """
+    import statistics
+
     if not reports:
         raise ReportError("nothing to aggregate")
     groups: dict[float, list[SimReport]] = {}
@@ -155,6 +161,8 @@ def summary_csv_rows(summaries: list[dict]) -> list[list]:
 def export_topology(report: SimReport, fmt: str = "json") -> str:
     """Render the access topology as canonical JSON or a DOT digraph."""
     if fmt == "json":
+        import json
+
         payload = {
             "nodes": [{"id": "bs", "x": report.config.get("bs_east_m"),
                        "y": report.config.get("bs_north_m"),
@@ -180,6 +188,8 @@ def export_topology(report: SimReport, fmt: str = "json") -> str:
 
 def parse_topology(text: str) -> dict:
     """Parse exported JSON topology back into its dict form."""
+    import json
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

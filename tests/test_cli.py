@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -33,7 +34,8 @@ def cfg_file(tmp_path):
 def in_process_pool(monkeypatch):
     """A stand-in sweep pool that maps in-process, so no worker process is
     ever started, whatever the count asked for.  Records the size of each
-    pool made and every task handed to one."""
+    pool made and every task handed to one.  The sweep imports the pool
+    from `concurrent.futures` when it starts one, so it is patched there."""
     seen = SimpleNamespace(sizes=[], tasks=[])
 
     class RecordingPool:
@@ -50,7 +52,8 @@ def in_process_pool(monkeypatch):
             seen.tasks.extend(tasks)
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     return seen
 
 

@@ -170,10 +170,14 @@ class TestValidation:
          "move_duration_max_s"),
         # within every 32-bit limit, but about 4.2e9 periods of work
         (dict(superframe_period_s=1.2e-8, first_superframe_offset_s=1e-9),
-         r"estimated 4.292e\+11 events"),
+         r"estimated 6.375e\+11 events"),
         # an int, but too large for any float
         (dict(c0=10**400), "c0 must be finite"),
         *WRONG_TYPES,
+        # bounded before the estimate, whose float arithmetic overflows on
+        # the first and which once counted no ping at t = 0 for the second
+        (dict(n_uwn=10**400), "n_uwn must be at most 20,000,000"),
+        (dict(n_uwn=10**12, t_max_s=1e-9), "n_uwn must be at most 20,000,000"),
     ])
     def test_rejects(self, kwargs, needle):
         with pytest.raises(ConfigError, match=needle):

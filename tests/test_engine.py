@@ -17,7 +17,7 @@ from uwoan import engine
 from uwoan import node as uwn
 from uwoan.base_station import BsState, HandshakeStage
 from uwoan.channel import optical_reach_bound
-from uwoan.config import SimConfig
+from uwoan.config import ConfigError, SimConfig
 from uwoan.engine import Simulation, run, simulate, trace
 from uwoan.frame import (FrameError, FrameIndex, MovementMarker, SlotPayload,
                          SlotStage, SuperFrame, decode, encode)
@@ -723,13 +723,25 @@ def scenario_runs(names=tuple(SCENARIOS), seeds=range(10)):
                 yield cfg, seed, codepth_world(cfg, seed) if placed else None
 
 
-def test_event_estimate_bounds_the_queued_events():
+@pytest.mark.parametrize("t_max", [0.05, 0.5, 1.5, 50.0])
+def test_event_estimate_bounds_the_queued_events(t_max):
     # validation caps `event_estimate`; a traced run takes no shortcut, so
-    # its sequence counter is every event the plain loop queued
+    # its sequence counter is every event the plain loop queued.  Under two
+    # periods, the ping at t = 0 and the first frame are most of a run
     for cfg, seed, world in scenario_runs(seeds=range(3)):
+        cfg = dataclasses.replace(cfg, t_max_s=t_max)
         sim = Simulation(cfg, seed, world, collect_trace=True)
         sim.run()
-        assert sim._seq <= cfg.event_estimate()
+        assert sim._seq <= cfg.event_estimate(), (cfg, seed)
+
+
+def test_node_count_checked_before_deploy(monkeypatch):
+    def no_deploy(*args):
+        raise AssertionError("deploy drew the nodes of a run it rejects")
+
+    monkeypatch.setattr(engine, "deploy", no_deploy)
+    with pytest.raises(ConfigError, match="exceeds the 1023 network IDs"):
+        Simulation(SimConfig(n_uwn=1024))
 
 
 SLOT_FIELDS = operator.attrgetter(
