@@ -111,8 +111,10 @@ class NodeRecord:
     conflict_since: float | None = None
     last_reset_at: float | None = None
     # the last slot composed for this record, of whatever kind, sent again
-    # while its content stands: dropped when this record's or its relay
-    # partner's position changes value, and when a relay is bound or released
+    # while its content stands: dropped when this record's position changes
+    # value and the slot carries angles (CONFIRM slots carry none), when its
+    # relay partner's position changes value, and when a relay is bound or
+    # released
     slot: SlotPayload | None = None
 
 
@@ -291,7 +293,10 @@ class BsState:
             rec.sonar_position = new
             if (new.east != old.east or new.north != old.north
                     or new.depth != old.depth):
-                rec.slot = None
+                slot = rec.slot
+                if slot is not None and slot.stage is not SLOT_CONFIRM:
+                    # a CONFIRM slot carries no angles
+                    rec.slot = None
                 if rec.relayed_by is not None:
                     # the relay's RELAY_RX slot points at this position
                     self.registry[rec.relayed_by].slot = None
@@ -354,6 +359,9 @@ class BsState:
         Assignment slots carry the emission angles toward the base station
         and the conflict/movement/reset flags; confirmations complete the
         third handshake; relay pairs get reciprocal receive/transmit slots.
+        A confirmation's angle fields are 0: its receiver has already aimed
+        and reads only the depth code, so the slot depends only on the
+        record's ID and frozen depth code.
         Composing also advances stages: freshly assigned records start
         awaiting their beam, and confirmations mark the record accessed.
 
@@ -363,7 +371,8 @@ class BsState:
         conflict flag, movement marker or reset bit differs from the one
         the record would send now.  Its angles and partner need no test:
         a change of either position they are taken from, and a relay bound
-        or released, drops the slot.  An accessed record's slot is sent
+        or released, drops the slot; a CONFIRM slot, having no angles, is
+        kept across a move of its record.  An accessed record's slot is sent
         with no test at all, since its depth code is frozen and its kind
         follows `relay_of`.  No slot is written to once composed, so a
         RELAY_RX slot equal to the one a relay already heeded re-sets an
@@ -402,9 +411,12 @@ class BsState:
                     or slot.conflict_flag != conflicted \
                     or slot.movement_marker is not marker \
                     or slot.reset_bit != reset:
-                target = registry[partner].sonar_position if partner \
-                    else bs_pos
-                az, el = _slot_angles(rec.sonar_position, target)
+                if kind is SLOT_CONFIRM:
+                    az = el = 0
+                else:
+                    target = registry[partner].sonar_position if partner \
+                        else bs_pos
+                    az, el = _slot_angles(rec.sonar_position, target)
                 slot = rec.slot = SlotPayload(
                     rec.network_id, rec.depth_code, az, el, kind,
                     conflicted, marker, reset, partner)

@@ -19,22 +19,24 @@ arrival, so traced runs offer each beam to every relay.
 Settled nodes cost little.  The base station's per-period passes walk only
 its live records, those neither accessed nor failed (`BsState.settled`
 tells when none is left).  It sends each record's last slot again as the
-same object while nothing it depends on changes.  It skips the sonar
-return of a record that saw no motion and holds the same position,
-whatever its stage (`BsState.sonar_scan`).  An untraced run keeps a frame
-arrival off the event queue when it is known to change nothing: the node
-is bound to an ID and does not heed the frame (`node.heeds`); or its slot
-equals the RELAY_RX slot last queued to it while it was accessed; or it is
-bound but not accessed, and the beam it answers with can reach no
-receiver, being beyond optical reach of the base station and, for a
-RELAY_TX slot, of the relay (`_answer_misses`), in a static or a drifting
-world.  Binding is never undone and access is final, so that still holds
-when the arrival lands.  The last two need every frame to land before the
-next one is sent: a repeated RELAY_RX re-sets the duty the earlier one
-set, which has landed by then.  The duty is a function of the slot's field
-values and is only ever read by value, so an equal slot object composed
-afresh is a repeat too.  `_on_superframe_tx` gives the argument for an
-answer that misses.
+same object while nothing it depends on changes.  A CONFIRM slot carries
+no angles, since no receiver reads them, so it depends only on its
+record's ID and frozen depth code and outlasts the record's moves in a
+drifting world.  It skips the sonar return of a record that saw no motion
+and holds the same position, whatever its stage (`BsState.sonar_scan`).
+An untraced run keeps a frame arrival off the event queue when it is
+known to change nothing: the node is bound to an ID and does not heed the
+frame (`node.heeds`); or its slot equals the RELAY_RX slot last queued to
+it while it was accessed; or it is bound but not accessed, and the beam
+it answers with can reach no receiver, being beyond optical reach of the
+base station and, for a RELAY_TX slot, of the relay (`_answer_misses`),
+in a static or a drifting world.  Binding is never undone and access is
+final, so that still holds when the arrival lands.  The last two need
+every frame to land before the next one is sent: a repeated RELAY_RX
+re-sets the duty the earlier one set, which has landed by then.  The duty
+is a function of the slot's field values and is only ever read by value,
+so an equal slot object composed afresh is a repeat too.
+`_on_superframe_tx` gives the argument for an answer that misses.
 
 Each frame is checked against the wire rules (`SuperFrame.validate`) when
 it is sent, but never encoded: receivers share the composed slots.

@@ -158,6 +158,16 @@ def summary_csv_rows(summaries: list[dict]) -> list[list]:
             for s in summaries]
 
 
+def _dot_quoted(value) -> str:
+    """`value` as a double-quoted DOT string, `\\` and `"` escaped.
+
+    Names and outcomes come from the report file, so an unescaped quote in
+    one would end the string and let the rest read as DOT statements.
+    """
+    text = str(value).replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{text}"'
+
+
 def export_topology(report: SimReport, fmt: str = "json") -> str:
     """Render the access topology as canonical JSON or a DOT digraph."""
     if fmt == "json":
@@ -177,10 +187,12 @@ def export_topology(report: SimReport, fmt: str = "json") -> str:
     if fmt == "dot":
         lines = ["digraph uwoan {", '  "bs" [shape=box];']
         for n in report.nodes:
-            lines.append(f'  "{n.node}" [outcome="{n.outcome}"];')
+            lines.append(
+                f"  {_dot_quoted(n.node)} [outcome={_dot_quoted(n.outcome)}];")
         for e in report.edges:
             style = "" if e.hop == 1 else " [style=dashed]"
-            lines.append(f'  "{e.src}" -> "{e.dst}"{style};')
+            lines.append(
+                f"  {_dot_quoted(e.src)} -> {_dot_quoted(e.dst)}{style};")
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise ReportError(f"unknown topology format '{fmt}'")

@@ -874,8 +874,9 @@ class TestKeptSlots:
     """A record's kept slot is sent only while it is current.
 
     Composing every slot afresh must broadcast the same bytes in every
-    frame, so a kept slot is dropped whenever its record, or the partner
-    its RELAY_RX or RELAY_TX slot points at, moves.
+    frame.  A slot with angles is dropped whenever its record, or the
+    partner its RELAY_RX or RELAY_TX slot points at, moves; a CONFIRM slot
+    carries no angles, so it is kept while its record drifts.
     """
 
     def test_frames_match_freshly_composed(self, untraced_runs, plain_loop):
@@ -888,6 +889,69 @@ class TestKeptSlots:
         kept = payloads(untraced_runs)
         assert payloads(fresh) == kept
         assert sum(map(len, kept)) > 3000
+
+    def test_confirm_slots_carry_no_angles(self, untraced_runs):
+        confirms = [slot for _, sent, *_ in untraced_runs for index in sent
+                    for slot in index.frame.slots
+                    if slot.stage is SlotStage.CONFIRM]
+        assert len(confirms) > 10000
+        assert {(s.azimuth_centideg, s.elevation_centideg)
+                for s in confirms} == {(0, 0)}
+
+    def test_confirm_slot_outlasts_drift(self, untraced_runs):
+        # from its access on, a drifting record with no relay partner is
+        # sent one CONFIRM slot object in every frame; a relay's move still
+        # drops its partner's slot, whatever its kind
+        repeats = 0
+        for (cfg, *_), (_, sent, *_) in zip(scenario_runs(), untraced_runs):
+            if cfg.current_east_mps == 0.0:
+                continue
+            accessed: dict[int, list[SlotPayload]] = {}
+            partnered = set()
+            for index in sent:
+                for slot in index.frame.slots:
+                    nid = slot.network_id
+                    if nid in accessed or slot.stage is SlotStage.CONFIRM:
+                        accessed.setdefault(nid, []).append(slot)
+                    if slot.partner_id:
+                        partnered.update((nid, slot.partner_id))
+            for nid, slots in accessed.items():
+                if nid not in partnered:
+                    assert all(s is slots[0] for s in slots), nid
+                    repeats += len(slots) - 1
+        assert repeats > 5000
+
+
+def random_angled_confirms(rng):
+    """A `compose_superframe` whose CONFIRM slots get random valid angles."""
+    real_compose = BsState.compose_superframe
+
+    def compose(self, now):
+        frame = real_compose(self, now)
+        return SuperFrame(frame.frame_seq, tuple(
+            dataclasses.replace(slot, azimuth_centideg=rng.randrange(36000),
+                                elevation_centideg=rng.randrange(18001))
+            if slot.stage is SlotStage.CONFIRM else slot
+            for slot in frame.slots))
+    return compose
+
+
+def test_no_code_reads_confirm_angles(monkeypatch):
+    # traced runs take no shortcut, so every arrival of every CONFIRM slot
+    # reaches a node; angles that no code reads change no report or trace
+    def traced():
+        return [simulate(cfg, seed, world, collect_trace=True)
+                for cfg, seed, world
+                in scenario_runs(("static", "drift"), seeds=range(3))]
+
+    want = traced()
+    monkeypatch.setattr(BsState, "compose_superframe",
+                        random_angled_confirms(random.Random(0)))
+    got = traced()
+    assert [(r.report, r.trace_lines) for r in got] \
+        == [(r.report, r.trace_lines) for r in want]
+    assert sum(line.count(":CONFIRM:") for r in want
+               for line in r.trace_lines) > 1000
 
 
 def out_of_range(slots):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 from dataclasses import asdict
 
 import pytest
@@ -8,6 +10,7 @@ from uwoan.config import SimConfig
 from uwoan.engine import run, simulate
 from uwoan.report import (
     ReportError,
+    TopologyEdge,
     aggregate,
     export_topology,
     parse_topology,
@@ -138,6 +141,36 @@ class TestTopologyExport:
         assert dot.startswith("digraph")
         assert '"bs" [shape=box]' in dot
         assert dot == export_topology(report, "dot")  # deterministic
+
+    def test_dot_escapes_quotes_and_backslashes(self):
+        # names and outcomes are read back from a report file, so any text
+        # may reach the DOT output; each must stay one quoted string
+        names = ['u0" -> "bs', "u1\\", 'u2\\" [color=red]', "u3"]
+        outcomes = ["accessed", "failed", "dormant", 'x"; "y']
+        report = small_report()
+        nodes = tuple(dataclasses.replace(node, node=name, outcome=outcome)
+                      for node, name, outcome
+                      in zip(report.nodes, names, outcomes))
+        edges = (TopologyEdge(names[0], "bs", 1),
+                 TopologyEdge(names[1], names[2], 2))
+        text = report_to_json(dataclasses.replace(
+            report, nodes=nodes, edges=edges))
+        dot = export_topology(report_from_json(text), "dot")
+        assert dot == (
+            'digraph uwoan {\n'
+            '  "bs" [shape=box];\n'
+            '  "u0\\" -> \\"bs" [outcome="accessed"];\n'
+            '  "u1\\\\" [outcome="failed"];\n'
+            '  "u2\\\\\\" [color=red]" [outcome="dormant"];\n'
+            '  "u3" [outcome="x\\"; \\"y"];\n'
+            '  "u0\\" -> \\"bs" -> "bs";\n'
+            '  "u1\\\\" -> "u2\\\\\\" [color=red]" [style=dashed];\n'
+            '}\n')
+        # read back, the quoted strings are the names and outcomes
+        quoted = re.findall(r'"((?:[^"\\]|\\.)*)"', dot)
+        assert [re.sub(r"\\(.)", r"\1", q) for q in quoted] == [
+            "bs", *(x for pair in zip(names, outcomes) for x in pair),
+            names[0], "bs", names[1], names[2]]
 
     def test_unknown_format(self):
         with pytest.raises(ReportError, match="unknown topology format"):
