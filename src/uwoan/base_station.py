@@ -111,11 +111,18 @@ class NodeRecord:
     conflict_since: float | None = None
     last_reset_at: float | None = None
     # the last slot composed for this record, of whatever kind, sent again
-    # while its content stands: dropped when this record's position changes
-    # value and the slot carries angles (CONFIRM slots carry none), when its
-    # relay partner's position changes value, and when a relay is bound or
-    # released
+    # while its content stands: dropped when a relay is bound or released,
+    # and, if it carries angles (CONFIRM slots carry none), when this
+    # record's position or its relay partner's changes value
     slot: SlotPayload | None = None
+
+
+def _drop_angled_slot(rec: NodeRecord) -> None:
+    """Drop `rec`'s kept slot unless it is a CONFIRM slot, which has no
+    angles to go stale."""
+    slot = rec.slot
+    if slot is not None and slot.stage is not SLOT_CONFIRM:
+        rec.slot = None
 
 
 def _slot_angles(origin: Position, target: Position) -> tuple[int, int]:
@@ -293,16 +300,14 @@ class BsState:
             rec.sonar_position = new
             if (new.east != old.east or new.north != old.north
                     or new.depth != old.depth):
-                slot = rec.slot
-                if slot is not None and slot.stage is not SLOT_CONFIRM:
-                    # a CONFIRM slot carries no angles
-                    rec.slot = None
+                # this record's slot points from this position
+                _drop_angled_slot(rec)
                 if rec.relayed_by is not None:
                     # the relay's RELAY_RX slot points at this position
                     self.registry[rec.relayed_by].slot = None
                 if rec.relay_of is not None:
                     # the partner's RELAY_TX slot points at this position
-                    self.registry[rec.relay_of].slot = None
+                    _drop_angled_slot(self.registry[rec.relay_of])
             if rec.stage in _DEPTH_MATCHABLE:
                 rec.depth_code = det.depth_code
         self._recompute_conflicts(now)
@@ -372,11 +377,11 @@ class BsState:
         the record would send now.  Its angles and partner need no test:
         a change of either position they are taken from, and a relay bound
         or released, drops the slot; a CONFIRM slot, having no angles, is
-        kept across a move of its record.  An accessed record's slot is sent
-        with no test at all, since its depth code is frozen and its kind
-        follows `relay_of`.  No slot is written to once composed, so a
-        RELAY_RX slot equal to the one a relay already heeded re-sets an
-        equal duty, which changes nothing.
+        kept across a move of its record or of its relay.  An accessed
+        record's slot is sent with no test at all, since its depth code is
+        frozen and its kind follows `relay_of`.  No slot is written to once
+        composed, so a RELAY_RX slot equal to the one a relay already heeded
+        re-sets an equal duty, which changes nothing.
         """
         bs_pos = self.bs_position
         registry = self.registry

@@ -21,9 +21,10 @@ its live records, those neither accessed nor failed (`BsState.settled`
 tells when none is left).  It sends each record's last slot again as the
 same object while nothing it depends on changes.  A CONFIRM slot carries
 no angles, since no receiver reads them, so it depends only on its
-record's ID and frozen depth code and outlasts the record's moves in a
-drifting world.  It skips the sonar return of a record that saw no motion
-and holds the same position, whatever its stage (`BsState.sonar_scan`).
+record's ID and frozen depth code and outlasts the moves of the record
+and of its relay in a drifting world.  It skips the sonar return of a
+record that saw no motion and holds the same position, whatever its stage
+(`BsState.sonar_scan`).
 An untraced run keeps a frame arrival off the event queue when it is
 known to change nothing: the node is bound to an ID and does not heed the
 frame (`node.heeds`); or its slot equals the RELAY_RX slot last queued to

@@ -6,12 +6,14 @@ import math
 import operator
 import random
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from functools import reduce
 from heapq import heappop
 from pathlib import Path
 
 import pytest
+from conftest import CORPUS, PLAIN, SLOT_FIELDS, WATER_TYPES, record
 
 from uwoan import engine
 from uwoan import node as uwn
@@ -107,51 +109,33 @@ class TestDeterminism:
             assert run(cfg) == simulate(cfg, collect_trace=True).report
 
 
-# the paper's three water types (clear, coastal, turbid)
-WATER_TYPES = (0.056, 0.120, 0.151)
-
-# (east, north) current in m/s and superframe period in s: along east,
-# along north, along a diagonal, and strong enough that nodes reach the
-# walls and stay clamped there.  An axis with no current keeps its squared
-# term through the replay.  Repeated additions of a 0.9 s period round
-# differently from offset + k * period, which moves a fast-drifting
-# node's bits
-DRIFTS = [((0.02, 0.0), 1.0), ((0.0, 0.02), 1.0), ((0.03, -0.02), 1.0),
-          ((5.0, 0.0), 1.0), ((0.0, -5.0), 1.0), ((-3.0, 4.0), 1.0),
-          ((-3.0, 4.0), 0.9)]
+def reports(recordings):
+    return [r.report for r in recordings]
 
 
 class TestFastForward:
     """The settled-tail replay gives exactly the report of the full loop."""
 
     @pytest.mark.parametrize("c0", WATER_TYPES)
-    def test_matches_plain_event_loop(self, c0, plain_loop):
+    def test_matches_plain_event_loop(self, c0, recorder):
         # float summation order included; the caches, which static worlds
         # hit most, are checked one by one in TestShortcuts
-        cfg = SimConfig(c0=c0)
-        sims = [Simulation(cfg, seed) for seed in range(100)]
-        fast = [sim.run() for sim in sims]
+        fast = [recorder.run("static", c0, seed) for seed in range(100)]
         # the shortcut is the common case
-        assert sum(sim.settled_at is not None for sim in sims) > 50
-        with plain_loop("fast_forward"):
-            plain = [run(cfg, seed) for seed in range(100)]
-        assert fast == plain
+        assert sum(r.settled_at is not None for r in fast) > 50
+        plain = [recorder.run("static", c0, seed, off=["fast_forward"])
+                 for seed in range(100)]
+        assert reports(fast) == reports(plain)
 
-    @pytest.mark.parametrize("current, period", DRIFTS, ids=str)
-    def test_drifting_worlds_match_plain_event_loop(self, current, period,
-                                                    plain_loop):
-        east, north = current
-        runs = [(SimConfig(c0=c0, current_east_mps=east,
-                           current_north_mps=north,
-                           superframe_period_s=period), seed)
-                for c0 in WATER_TYPES for seed in range(4)]
-        sims = [Simulation(cfg, seed) for cfg, seed in runs]
-        fast = [sim.run() for sim in sims]
+    @pytest.mark.parametrize("row", [
+        "drift", "drift_north", "drift_diagonal", "wall", "wall_south",
+        "wall_corner", "wall_corner_0.9"])
+    def test_drifting_worlds_match_plain_event_loop(self, row, recorder):
+        fast = recorder.runs([row], range(4))
         # a 200 m box lies within the 1000 m reach, so every run settles
-        assert all(sim.settled_at is not None for sim in sims)
-        with plain_loop():
-            plain = [run(cfg, seed) for cfg, seed in runs]
-        assert fast == plain
+        assert all(r.settled_at is not None for r in fast)
+        plain = recorder.runs([row], range(4), off=PLAIN)
+        assert reports(fast) == reports(plain)
 
     def test_arrivals_tied_out_of_index_order(self, plain_loop):
         # the two delays differ, but at each frame time they round to one
@@ -690,49 +674,23 @@ class TestConflictExcursionBound:
         assert violations == []
 
 
-# scenario -> (config overrides, co-depth placement); the placement is the
-# criterion-3 geometry scaled up, as in the benchmark's codepth workload
-SCENARIOS = {
-    "static": ({}, False),
-    "drift": ({"current_east_mps": 0.02}, False),
-    "codepth": ({"n_uwn": 20}, True),
-    "sonar_noise": ({"sonar_depth_noise_std_m": 3.0, "p_frame_loss": 0.1},
-                    False),
-}
-
-
-def codepth_world(cfg, seed):
-    """20 nodes at 100 m depth over the central 80 m square."""
-    rng = random.Random(seed)
-    return World(cfg.bs_position(),
-                 [Position(rng.uniform(60.0, 140.0), rng.uniform(60.0, 140.0),
-                           100.0) for _ in range(20)],
-                 (cfg.region_east_m, cfg.region_north_m, cfg.region_depth_m))
-
-
-def scenario_runs(names=tuple(SCENARIOS), seeds=range(10)):
-    """(config, seed, world) over scenarios x water types x seeds.
-
-    A run mutates its world, so each one yielded is fresh.
-    """
-    for name in names:
-        overrides, placed = SCENARIOS[name]
-        for c0 in WATER_TYPES:
-            cfg = SimConfig(c0=c0, **overrides)
-            for seed in seeds:
-                yield cfg, seed, codepth_world(cfg, seed) if placed else None
-
-
-@pytest.mark.parametrize("t_max", [0.05, 0.5, 1.5, 50.0])
-def test_event_estimate_bounds_the_queued_events(t_max):
+@pytest.mark.parametrize("t_max", [0.05, 0.5, 1.5])
+def test_event_estimate_bounds_the_queued_events(t_max, recorder):
     # validation caps `event_estimate`; a traced run takes no shortcut, so
     # its sequence counter is every event the plain loop queued.  Under two
     # periods, the ping at t = 0 and the first frame are most of a run
-    for cfg, seed, world in scenario_runs(seeds=range(3)):
+    for cfg, seed, world in recorder.scenes(CORPUS, range(3)):
         cfg = dataclasses.replace(cfg, t_max_s=t_max)
         sim = Simulation(cfg, seed, world, collect_trace=True)
         sim.run()
         assert sim._seq <= cfg.event_estimate(), (cfg, seed)
+
+
+def test_event_estimate_bounds_the_traced_corpus(recorder):
+    # at full length, where the estimate's relay landings and movement
+    # intervals, taken at their mean, are typical rather than worst cases
+    for r in recorder.corpus(traced=True):
+        assert r.seq <= r.cfg.event_estimate(), (r.cfg, r.seed)
 
 
 def test_node_count_checked_before_deploy(monkeypatch):
@@ -742,75 +700,6 @@ def test_node_count_checked_before_deploy(monkeypatch):
     monkeypatch.setattr(engine, "deploy", no_deploy)
     with pytest.raises(ConfigError, match="exceeds the 1023 network IDs"):
         Simulation(SimConfig(n_uwn=1024))
-
-
-SLOT_FIELDS = operator.attrgetter(
-    *(f.name for f in dataclasses.fields(SlotPayload)))
-
-
-def recorded_runs(monkeypatch, traced):
-    """Run every scenario with the engine's frame path recorded.
-
-    Yields (result, sent, seen, computed, powers) per run: its SimResult,
-    the index built over every frame broadcast, every index a receiver
-    matched, how many delivery verdicts were computed and how many of them
-    reached the power formula.  `encode` and `decode` raise throughout.
-    """
-    sent, seen, computed, powers = [], {}, [], []
-    real_index = engine.FrameIndex
-    real_match = uwn.match_frame_indexed
-    real_power = Simulation._delivery_power
-    real_formula = engine.optical_received_power
-
-    def recording_index(frame):
-        index = real_index(frame)
-        sent.append(index)
-        return index
-
-    def recording_match(state, index, *args):
-        seen[id(index)] = index
-        return real_match(state, index, *args)
-
-    def counted_power(self, *args):
-        computed.append(None)
-        return real_power(self, *args)
-
-    def counted_formula(*args):
-        powers.append(None)
-        return real_formula(*args)
-
-    def no_codec(*args):
-        raise AssertionError("the run loop encoded or decoded a frame")
-
-    monkeypatch.setattr(engine, "FrameIndex", recording_index)
-    monkeypatch.setattr(engine, "encode", no_codec)
-    monkeypatch.setattr(engine, "decode", no_codec)
-    monkeypatch.setattr(uwn, "match_frame_indexed", recording_match)
-    monkeypatch.setattr(Simulation, "_delivery_power", counted_power)
-    monkeypatch.setattr(engine, "optical_received_power", counted_formula)
-    for cfg, seed, world in scenario_runs():
-        result = simulate(cfg, seed, world, collect_trace=traced)
-        yield (result, sent[:], list(seen.values()), len(computed),
-               len(powers))
-        sent.clear()
-        seen.clear()
-        computed.clear()
-        powers.clear()
-
-
-@pytest.fixture(scope="module")
-def traced_runs():
-    # shared by the frame and the reach-bound tests: traced runs cost the
-    # most
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        return list(recorded_runs(monkeypatch, traced=True))
-
-
-@pytest.fixture(scope="module")
-def untraced_runs():
-    # shared by the frame and the idle-relay tests
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        return list(recorded_runs(monkeypatch, traced=False))
 
 
 class TestComposedFrame:
@@ -828,12 +717,12 @@ class TestComposedFrame:
     @staticmethod
     def check_runs(runs):
         frames = matches = 0
-        for result, sent, seen, *_ in runs:
-            TestComposedFrame.check_broadcasts(sent, seen)
-            if result.trace_lines:
-                TestComposedFrame.check_trace(result.trace_lines, sent)
-            frames += len(sent)
-            matches += len(seen)
+        for r in runs:
+            TestComposedFrame.check_broadcasts(r.frames, r.matched)
+            if r.result.trace_lines:
+                TestComposedFrame.check_trace(r.result.trace_lines, r.frames)
+            frames += len(r.frames)
+            matches += len(r.matched)
         assert frames > 3000 and matches > 3000
 
     @staticmethod
@@ -863,11 +752,11 @@ class TestComposedFrame:
                   for line in lines if " nbytes=" in line]
         assert logged == [len(encode(index.frame)) for index in sent]
 
-    def test_traced_runs(self, traced_runs):
-        self.check_runs(traced_runs)
+    def test_traced_runs(self, recorder):
+        self.check_runs(recorder.corpus(traced=True))
 
-    def test_untraced_runs(self, untraced_runs):
-        self.check_runs(untraced_runs)
+    def test_untraced_runs(self, recorder):
+        self.check_runs(recorder.corpus())
 
 
 class TestKeptSlots:
@@ -876,50 +765,52 @@ class TestKeptSlots:
     Composing every slot afresh must broadcast the same bytes in every
     frame.  A slot with angles is dropped whenever its record, or the
     partner its RELAY_RX or RELAY_TX slot points at, moves; a CONFIRM slot
-    carries no angles, so it is kept while its record drifts.
+    carries no angles, so it is kept while its record or its relay drifts.
     """
 
-    def test_frames_match_freshly_composed(self, untraced_runs, plain_loop):
-        with plain_loop("kept_slots"), pytest.MonkeyPatch.context() as patch:
-            fresh = list(recorded_runs(patch, traced=False))
+    def test_frames_match_freshly_composed(self, recorder):
+        # the plain loop composes every slot afresh.  A traced run keeps
+        # slots and sends every frame of the run; an untraced run sends
+        # them up to its settled-tail replay
+        fresh = [r.frame_bytes for r in recorder.corpus(off=PLAIN)]
 
         def payloads(runs):
-            return [[encode(index.frame) for index in sent]
-                    for _, sent, *_ in runs]
-        kept = payloads(untraced_runs)
-        assert payloads(fresh) == kept
+            return [[encode(index.frame) for index in r.frames] for r in runs]
+        assert payloads(recorder.corpus(traced=True)) == fresh
+        kept = payloads(recorder.corpus())
+        assert [sent[:len(k)] for sent, k in zip(fresh, kept)] == kept
         assert sum(map(len, kept)) > 3000
 
-    def test_confirm_slots_carry_no_angles(self, untraced_runs):
-        confirms = [slot for _, sent, *_ in untraced_runs for index in sent
+    def test_confirm_slots_carry_no_angles(self, recorder):
+        confirms = [slot for r in recorder.corpus() for index in r.frames
                     for slot in index.frame.slots
                     if slot.stage is SlotStage.CONFIRM]
         assert len(confirms) > 10000
         assert {(s.azimuth_centideg, s.elevation_centideg)
                 for s in confirms} == {(0, 0)}
 
-    def test_confirm_slot_outlasts_drift(self, untraced_runs):
-        # from its access on, a drifting record with no relay partner is
-        # sent one CONFIRM slot object in every frame; a relay's move still
-        # drops its partner's slot, whatever its kind
+    def test_confirm_slot_outlasts_drift(self, recorder):
+        # from its access on, a drifting record that never relays is sent
+        # one CONFIRM slot object in every frame, however it and its own
+        # relay move
         repeats = 0
-        for (cfg, *_), (_, sent, *_) in zip(scenario_runs(), untraced_runs):
-            if cfg.current_east_mps == 0.0:
+        for r in recorder.corpus():
+            if r.cfg.current_east_mps == 0.0:
                 continue
             accessed: dict[int, list[SlotPayload]] = {}
-            partnered = set()
-            for index in sent:
+            relays = set()
+            for index in r.frames:
                 for slot in index.frame.slots:
                     nid = slot.network_id
                     if nid in accessed or slot.stage is SlotStage.CONFIRM:
                         accessed.setdefault(nid, []).append(slot)
-                    if slot.partner_id:
-                        partnered.update((nid, slot.partner_id))
+                    if slot.stage is SlotStage.RELAY_RX:
+                        relays.add(nid)
             for nid, slots in accessed.items():
-                if nid not in partnered:
+                if nid not in relays:
                     assert all(s is slots[0] for s in slots), nid
                     repeats += len(slots) - 1
-        assert repeats > 5000
+        assert repeats > 8000
 
 
 def random_angled_confirms(rng):
@@ -936,18 +827,15 @@ def random_angled_confirms(rng):
     return compose
 
 
-def test_no_code_reads_confirm_angles(monkeypatch):
+def test_no_code_reads_confirm_angles(recorder, monkeypatch):
     # traced runs take no shortcut, so every arrival of every CONFIRM slot
     # reaches a node; angles that no code reads change no report or trace
-    def traced():
-        return [simulate(cfg, seed, world, collect_trace=True)
-                for cfg, seed, world
-                in scenario_runs(("static", "drift"), seeds=range(3))]
-
-    want = traced()
+    rows = ("static", "drift")
+    want = [r.result for r in recorder.runs(rows, range(3), traced=True)]
     monkeypatch.setattr(BsState, "compose_superframe",
                         random_angled_confirms(random.Random(0)))
-    got = traced()
+    got = [simulate(cfg, seed, world, collect_trace=True)
+           for cfg, seed, world in recorder.scenes(rows, range(3))]
     assert [(r.report, r.trace_lines) for r in got] \
         == [(r.report, r.trace_lines) for r in want]
     assert sum(line.count(":CONFIRM:") for r in want
@@ -987,7 +875,8 @@ class TestCorruptFrame:
         (partner_dropped, "names absent partner"),
         (repeated_id, "duplicate network_id"),
     ], ids=["out_of_range", "partner_dropped", "repeated_id"])
-    def test_raises_when_sent(self, corrupt, match, traced, monkeypatch):
+    def test_raises_when_sent(self, corrupt, match, traced, recorder,
+                              monkeypatch):
         real_compose = BsState.compose_superframe
         real_transmit = Simulation._on_superframe_tx
         corrupted, failed = [], []
@@ -1010,7 +899,7 @@ class TestCorruptFrame:
 
         monkeypatch.setattr(BsState, "compose_superframe", compose)
         monkeypatch.setattr(Simulation, "_on_superframe_tx", transmit)
-        for cfg, seed, world in scenario_runs(seeds=range(3)):
+        for cfg, seed, world in recorder.scenes(CORPUS, range(3)):
             try:
                 simulate(cfg, seed, world, collect_trace=traced)
             except FrameError as error:
@@ -1026,32 +915,15 @@ class TestSlotsStayUnchanged:
     Kept slots and the RELAY_RX repeat test both rely on it: each slot
     object must hold the values it was composed with for the rest of the
     run.  Its values are recorded when it is first composed and compared
-    when the run ends.
+    when the run ends (`Recording.rewritten`).
     """
 
     @pytest.mark.parametrize("traced", [False, True],
                              ids=["untraced", "traced"])
-    def test_composed_slots_keep_their_values(self, traced, monkeypatch):
-        composed = {}
-        real = BsState.compose_superframe
-
-        def recording(self, now):
-            frame = real(self, now)
-            for slot in frame.slots:
-                if id(slot) not in composed:
-                    composed[id(slot)] = slot, SLOT_FIELDS(slot)
-            return frame
-
-        monkeypatch.setattr(BsState, "compose_superframe", recording)
-        slots = 0
-        for cfg, seed, world in scenario_runs():
-            composed.clear()
-            simulate(cfg, seed, world, collect_trace=traced)
-            changed = [(values, slot) for slot, values in composed.values()
-                       if SLOT_FIELDS(slot) != values]
-            assert changed == []
-            slots += len(composed)
-        assert slots > 10_000
+    def test_composed_slots_keep_their_values(self, traced, recorder):
+        runs = recorder.corpus(traced=traced)
+        assert [r.rewritten for r in runs if r.rewritten] == []
+        assert sum(r.slot_objects for r in runs) > 10_000
 
 
 def relay_scene(traced=False, src=Position(100.0, 60.0, 120.0)):
@@ -1137,16 +1009,12 @@ class TestIdleRelays:
         assert [(src, claim, relayed) for src, claim, relayed, _ in to_bs] \
             == [(1, 1, True)]
 
-    def test_runs_match_and_skip_most_checks(self, untraced_runs,
-                                            monkeypatch, plain_loop):
-        computed = plain_computed = 0
-        with plain_loop("idle_relays"):
-            for (skipping, _, _, n, _), (plain, _, _, n_plain, _) in zip(
-                    untraced_runs, recorded_runs(monkeypatch, traced=False)):
-                assert skipping == plain
-                computed += n
-                plain_computed += n_plain
-        assert computed < 0.5 * plain_computed
+    def test_runs_match_and_skip_most_checks(self, recorder):
+        skipping = recorder.corpus()
+        plain = recorder.corpus(off=["idle_relays"])
+        assert [r.result for r in skipping] == [r.result for r in plain]
+        assert sum(r.verdicts for r in skipping) \
+            < 0.5 * sum(r.verdicts for r in plain)
 
 
 class TestNearCoincidentBeams:
@@ -1203,14 +1071,18 @@ def popped_arrivals():
         yield seen
 
 
-def pop_order_tally(seen):
-    """The delay sum and count of recorded arrivals, added in pop order."""
-    return reduce(operator.add, [delay for *_, delay in seen], 0.0), len(seen)
+def pop_order_tally(delays):
+    """The sum and count of delays, added in the order given."""
+    return reduce(operator.add, delays, 0.0), len(delays)
 
 
-def pop_order_mean(seen):
-    total, count = pop_order_tally(seen)
+def pop_order_mean(delays):
+    total, count = pop_order_tally(delays)
     return total / count if count else 0.0
+
+
+def delays(seen):
+    return [delay for *_, delay in seen]
 
 
 def arrival_tallies(make_sim):
@@ -1234,7 +1106,8 @@ class TestInertArrivals:
         (fast_report, fast_seen), (plain_report, plain_seen) = fast, plain
         handled = {entry[:3] for entry in fast_seen}
         assert fast_seen == [e for e in plain_seen if e[:3] in handled]
-        assert plain_report.avg_sound_delay_s == pop_order_mean(plain_seen)
+        assert plain_report.avg_sound_delay_s \
+            == pop_order_mean(delays(plain_seen))
         assert fast_report == plain_report
         return {e[:3] for e in plain_seen} - handled  # the tallied arrivals
 
@@ -1339,7 +1212,7 @@ class TestInertArrivals:
             with plain_loop(), popped_arrivals() as seen:
                 assert run(cfg, seed) == fast[seed]
             popped = dict(pings)[settled_at]
-            assert tally == list(pop_order_tally(seen[:popped]))
+            assert tally == list(pop_order_tally(delays(seen[:popped])))
             assert pending >= cfg.n_uwn and left == 0
 
     def test_emitting_node_may_be_confirmed_before_a_relay_slot(
@@ -1407,7 +1280,7 @@ class TestInertArrivals:
         assert sim.nodes == plain_sim.nodes
         assert (sim._delay_sum, sim._delay_count) \
             == (plain_sim._delay_sum, plain_sim._delay_count) \
-            == pop_order_tally(plain_seen)
+            == pop_order_tally(delays(plain_seen))
         return sim.nodes[0], sent
 
     @staticmethod
@@ -1496,22 +1369,12 @@ class TestInertArrivals:
         assert (sent[1].partner_id, sent[2].partner_id) == (2, 3)
         assert state.relay_duty == RelayDuty(3, uwn.slot_bearing(sent[2]))
 
-    def test_relay_rx_repeats_are_tallied(self, monkeypatch, plain_loop):
-        handled = []
-        real = Simulation._on_acoustic_arrival
-
-        def counting(self, t, i, payload):
-            handled.append(None)
-            real(self, t, i, payload)
-
-        monkeypatch.setattr(Simulation, "_on_acoustic_arrival", counting)
-        fast = [simulate(cfg, seed, world).report
-                for cfg, seed, world in scenario_runs()]
-        n_fast, handled[:] = len(handled), []
-        with plain_loop("relay_rx_repeats"):
-            plain = [simulate(cfg, seed, world).report
-                     for cfg, seed, world in scenario_runs()]
-        assert fast == plain and len(handled) > n_fast
+    def test_relay_rx_repeats_are_tallied(self, recorder):
+        fast = recorder.corpus()
+        plain = recorder.corpus(off=["relay_rx_repeats"])
+        assert reports(fast) == reports(plain)
+        assert sum(len(r.delays) for r in plain) \
+            > sum(len(r.delays) for r in fast)
 
     @pytest.mark.parametrize("partner_dives", [False, True],
                              ids=["drifting", "partner_dives"])
@@ -1589,13 +1452,12 @@ class TestInertArrivals:
             assert sim.settled_at is None and len(logged) == 401
             assert cfg.n_uwn < max(logged) <= 2 * cfg.n_uwn
 
-    def test_tally_is_summed_in_pop_order(self, plain_loop):
-        fast = [simulate(cfg, seed, world).report
-                for cfg, seed, world in scenario_runs()]
-        for report, (cfg, seed, world) in zip(fast, scenario_runs()):
-            with plain_loop(), popped_arrivals() as seen:
-                assert simulate(cfg, seed, world).report == report
-            assert report.avg_sound_delay_s == pop_order_mean(seen)
+    def test_tally_is_summed_in_pop_order(self, recorder):
+        fast = recorder.corpus()
+        plain = recorder.corpus(off=PLAIN)
+        assert reports(fast) == reports(plain)
+        for r in plain:
+            assert r.report.avg_sound_delay_s == pop_order_mean(r.delays)
 
 
 class TestSettledReturns:
@@ -1834,125 +1696,58 @@ class TestBeyondReach:
         assert fast.bs.registry[1].stage is plain.bs.registry[1].stage \
             is HandshakeStage.CONFIRMING
 
-    def test_no_duty_names_a_record_sent_an_assign_slot(self, monkeypatch,
-                                                        plain_loop):
+    def test_no_duty_names_a_record_sent_an_assign_slot(self, recorder):
         # the premise that keeps a missed direct beam from every relay: at
         # each frame, no node's duty names an ID whose slot is ASSIGN
-        indexes, duties = [], []
-        real_index = engine.FrameIndex
-        real_tx = Simulation._on_superframe_tx
-
-        def recording_index(frame):
-            indexes.append(real_index(frame))
-            return indexes[-1]
-
-        def tx(self, t):
-            indexes.clear()
-            real_tx(self, t)
-            for index in indexes:
-                for state in self.nodes:
-                    if state.relay_duty is not None:
-                        slot = index.by_id.get(state.relay_duty.partner_id)
-                        duties.append(slot and slot.stage)
-
-        monkeypatch.setattr(engine, "FrameIndex", recording_index)
-        monkeypatch.setattr(Simulation, "_on_superframe_tx", tx)
-        with plain_loop():
-            for cfg, seed, world in scenario_runs():
-                simulate(cfg, seed, world)
+        duties = sum((r.partner_stages
+                      for r in recorder.corpus(off=PLAIN)),
+                     Counter())
         assert duties and SlotStage.ASSIGN not in duties
         assert SlotStage.RELAY_TX in duties
 
-    def test_duties_name_only_the_relays_partner(self, monkeypatch):
+    def test_duties_name_only_the_relays_partner(self, recorder):
         # the premise that gives a RELAY_TX answer no forwarder but the
         # nodes bound to its relay's ID: at each frame, a node whose duty
         # names record c is bound to the record relaying c.  The same runs
         # show where the rule fires: beyond the reach of turbid and coastal
         # water, never in clear water
-        checked, fired = [], set()
-        real_tx = Simulation._on_superframe_tx
-        real_misses = Simulation._answer_misses
-
-        def tx(self, t):
-            real_tx(self, t)
-            for state in self.nodes:
-                if state.relay_duty is not None:
-                    rec = self.bs.registry[state.relay_duty.partner_id]
-                    if rec.relayed_by is not None:
-                        checked.append(state.matched_id == rec.relayed_by)
-
-        def misses(self, *args):
-            missed = real_misses(self, *args)
-            if missed:
-                fired.add((self.cfg, self.seed))
-            return missed
-
-        monkeypatch.setattr(Simulation, "_on_superframe_tx", tx)
-        monkeypatch.setattr(Simulation, "_answer_misses", misses)
-        runs = list(scenario_runs())
-        for cfg, seed, world in runs:
-            simulate(cfg, seed, world)
-        assert checked and all(checked)
-        scattered = [(cfg, seed) for cfg, seed, world in runs
-                     if world is None]  # codepth's nodes stay near the BS
-        assert {run for run in scattered if run[0].c0 > 0.1} <= fired
-        assert not any(cfg.c0 < 0.1 for cfg, _ in fired)
-
-    # world -> (config overrides, co-depth placement, seeds): currents
-    # along each axis and one that clamps every node at a wall,
-    # attenuation gradients, imperfect channels, and periods at the gate
-    # and just below it
-    GATE = 1000.0 / 1500.0  # acoustic_range_m / sound_speed_mps
-    WORLDS = {
-        "static": ({}, False, 3),
-        "codepth": ({"n_uwn": 20}, True, 3),
-        "east": ({"current_east_mps": 0.02}, False, 2),
-        "north": ({"current_north_mps": -0.02}, False, 2),
-        "both": ({"current_east_mps": 0.03, "current_north_mps": 0.02},
-                 False, 2),
-        "wall": ({"current_east_mps": 5.0}, False, 2),
-        "gamma+": ({"gamma": 0.0003}, False, 2),
-        "gamma-": ({"gamma": -0.0002}, False, 2),
-        "loss": ({"p_frame_loss": 0.1}, False, 3),
-        "misdetect": ({"p_misdetect": 0.05}, False, 3),
-        "depth_noise": ({"sonar_depth_noise_std_m": 0.3}, False, 3),
-        "at_gate": ({"superframe_period_s": GATE}, False, 2),
-        "below_gate": ({"superframe_period_s": GATE * (1.0 - 1e-9)},
-                       False, 2),
-    }
+        runs = recorder.corpus()
+        checked = sum((r.duties_bound for r in runs), Counter())
+        assert checked[True] and not checked[False]
+        # codepth's nodes stay near the BS
+        assert all(r.missed for r in runs
+                   if r.row != "codepth" and r.cfg.c0 > 0.1)
+        assert not any(r.missed for r in runs if r.cfg.c0 < 0.1)
 
     @staticmethod
-    def check_runs(runs, plain_loop):
+    def queued_fewer(runs):
         """Reports and end states equal the plain loop's; returns how many
-        runs queued fewer events with the rule on."""
-        def results(*off):
-            with plain_loop(*off):
-                sims = [Simulation(cfg, seed, world() if world else None)
-                        for cfg, seed, world in runs]
-                return [(sim.run(), sim.nodes, sim._seq) for sim in sims]
+        runs queued fewer events with the rule on.  `runs(*off)` records
+        the runs with the named shortcuts off."""
+        fast = runs("fast_forward")
+        queued = runs("fast_forward", "beyond_reach")
+        plain = runs(*PLAIN)
+        assert [(r.report, r.nodes) for r in fast] \
+            == [(r.report, r.nodes) for r in plain]
+        assert [r.report.avg_sound_delay_s for r in fast] \
+            == [r.report.avg_sound_delay_s for r in plain]
+        return sum(f.seq < q.seq for f, q in zip(fast, queued))
 
-        fast = results("fast_forward")
-        queued = results("fast_forward", "beyond_reach")
-        plain = results()
-        assert [r[:2] for r in fast] == [r[:2] for r in plain]
-        assert [r[0].avg_sound_delay_s for r in fast] \
-            == [r[0].avg_sound_delay_s for r in plain]
-        return sum(f[2] < q[2] for f, q in zip(fast, queued))
+    # row -> seeds: currents along each axis and one that clamps every node
+    # at a wall, attenuation gradients, imperfect channels, and periods at
+    # the gate and just below it
+    ROWS = {"static": 3, "codepth": 3, "drift": 2, "north": 2, "both": 2,
+            "wall": 2, "gamma+": 2, "gamma-": 2, "loss": 3, "misdetect": 3,
+            "depth_noise": 3, "at_gate": 2, "below_gate": 2}
 
-    @pytest.mark.parametrize("name", list(WORLDS))
-    def test_runs_match_the_plain_loop(self, name, plain_loop):
-        overrides, placed, seeds = self.WORLDS[name]
-        runs = [(cfg, seed, placed and (lambda cfg=cfg, seed=seed:
-                                        codepth_world(cfg, seed)))
-                for cfg in (SimConfig(c0=c0, **overrides)
-                            for c0 in WATER_TYPES)
-                for seed in range(seeds)]
-        fired = self.check_runs(runs, plain_loop)
-        assert (fired > 0) == (name != "below_gate")
+    @pytest.mark.parametrize("row", list(ROWS))
+    def test_runs_match_the_plain_loop(self, row, recorder):
+        fired = self.queued_fewer(
+            lambda *off: recorder.runs([row], range(self.ROWS[row]), off=off))
+        assert (fired > 0) == (row != "below_gate")
 
     @pytest.mark.parametrize("workload, k", [("drift", 24), ("codepth", 62)])
-    def test_stolen_id_runs_match_the_plain_loop(self, workload, k,
-                                                 plain_loop):
+    def test_stolen_id_runs_match_the_plain_loop(self, workload, k):
         # two nodes end bound to one ID in each of these benchmark runs
         cfg, seed, world = bench_spec(workload, k)
         sim = Simulation(cfg, seed, world)
@@ -1960,47 +1755,34 @@ class TestBeyondReach:
         ids = [s.matched_id for s in sim.nodes if s.matched_id is not None]
         assert len(ids) > len(set(ids))
         turbid = dataclasses.replace(cfg, c0=0.151)
-        runs = [(c, seed, world and (lambda c=c: bench_spec(workload, k)[2]))
-                for c in (cfg, turbid)]
-        assert self.check_runs(runs, plain_loop) >= 1
+        assert self.queued_fewer(lambda *off: [
+            record(c, seed, world and bench_spec(workload, k)[2], off=off)
+            for c in (cfg, turbid)]) >= 1
 
     @pytest.mark.parametrize("traced", [False, True],
                              ids=["untraced", "traced"])
     @pytest.mark.parametrize("offset, fires", [(-0.001, False),
                                                (0.001, True)])
-    def test_node_at_the_bound(self, offset, fires, traced, monkeypatch,
-                               plain_loop):
+    def test_node_at_the_bound(self, offset, fires, traced):
         # one static node straight below the base station in turbid water,
         # just inside or just beyond the reach bound
         cfg = SimConfig(n_uwn=1, c0=0.151)
         bound = optical_reach_bound(cfg.link_budget(), cfg.water_profile(),
                                     cfg.region_depth_m)
 
-        def world():
-            return World(cfg.bs_position(),
-                         [Position(100.0, 100.0, bound + offset)],
-                         (200.0, 200.0, 200.0))
+        def runs(*off):
+            return [record(cfg, 0, World(
+                cfg.bs_position(), [Position(100.0, 100.0, bound + offset)],
+                (200.0, 200.0, 200.0)), traced, off)]
 
         if not traced:
-            assert self.check_runs([(cfg, 0, world)], plain_loop) \
-                == int(fires)
+            assert self.queued_fewer(runs) == int(fires)
             return
         # a traced run queues every answer; the bound drops its beams
         # before the power formula
-        powers = []
-        real = engine.optical_received_power
-        monkeypatch.setattr(engine, "optical_received_power",
-                            lambda *args: powers.append(None) or real(*args))
-
-        def traced_run():
-            powers.clear()
-            return simulate(cfg, 0, world(), collect_trace=True), len(powers)
-
-        result, n = traced_run()
-        with plain_loop("beyond_reach"):
-            plain, n_plain = traced_run()
-        assert result == plain and n_plain > 0
-        assert n == (0 if fires else n_plain)
+        (on,), (plain,) = runs(), runs("beyond_reach")
+        assert on.result == plain.result and plain.powers > 0
+        assert on.powers == (0 if fires else plain.powers)
 
     def test_range_past_the_search_runs(self):
         # an infinite bound drops no beam and skips no answer
@@ -2009,50 +1791,52 @@ class TestBeyondReach:
             == simulate(cfg, 1, collect_trace=True).report
 
     def test_traced_beams_beyond_reach_skip_the_power_formula(
-            self, traced_runs, monkeypatch, plain_loop):
+            self, recorder):
         # traced runs queue every answer, so the bound acts on beams alone:
         # the traces stay the same and the test is not vacuous
-        with plain_loop("beyond_reach"):
-            plain = list(recorded_runs(monkeypatch, traced=True))
-        assert [r[0] for r in traced_runs] == [r[0] for r in plain]
-        powers = [(r[4], p[4]) for r, p in zip(traced_runs, plain)]
+        bounded = recorder.corpus(traced=True)
+        plain = recorder.corpus(traced=True, off=["beyond_reach"])
+        assert [r.result for r in bounded] == [r.result for r in plain]
+        powers = [(r.powers, p.powers) for r, p in zip(bounded, plain)]
         assert all(on <= off for on, off in powers)
         assert sum(on for on, _ in powers) < sum(off for _, off in powers)
 
 
-def shortcut_runs():
-    """Untraced reports, traced results, and the events each untraced run
-    pushed: static, drift and codepth."""
-    def runs():
-        return scenario_runs(("static", "drift", "codepth"), seeds=range(2))
-    sims = [Simulation(cfg, seed, world) for cfg, seed, world in runs()]
-    return ([sim.run() for sim in sims],
-            [simulate(cfg, seed, world, collect_trace=True)
-             for cfg, seed, world in runs()],
-            [sim._seq for sim in sims])
-
-
-@pytest.fixture(scope="module")
-def runs_with_shortcuts():
-    return shortcut_runs()
+def kept_events_off_the_queue(on, off):
+    return any(o.seq > n.seq for n, o in zip(on, off))
 
 
 class TestShortcuts:
     """Turning any one shortcut off changes no report and no trace."""
 
-    # the shortcuts that keep events off the queue
-    QUEUE_SHORTCUTS = ("fast_forward", "inert_arrivals", "relay_rx_repeats",
-                       "beyond_reach")
+    # how each shortcut shows that it fired: on and off are its runs with
+    # it on and off.  The position caches leave no mark a run records
+    FIRED = {
+        "fast_forward": kept_events_off_the_queue,
+        "inert_arrivals": kept_events_off_the_queue,
+        "relay_rx_repeats": kept_events_off_the_queue,
+        "beyond_reach": kept_events_off_the_queue,
+        "kept_slots": lambda on, off: sum(r.slot_objects for r in on)
+        < sum(r.slot_objects for r in off),
+        "idle_relays": lambda on, off: sum(r.verdicts for r in on)
+        < sum(r.verdicts for r in off),
+        "unchanged_returns": lambda on, off: any(
+            r.unchanged_returns for r in on),
+    }
+    UNSEEN = ("cached_pos", "cached_bs_dist")
 
-    def test_runs_match_with_shortcut_off(self, shortcut, runs_with_shortcuts,
-                                          plain_loop):
-        reports, results, pushed = runs_with_shortcuts
-        with plain_loop(shortcut):
-            off_reports, off_results, off_pushed = shortcut_runs()
-        assert (off_reports, off_results) == (reports, results)
-        if shortcut in self.QUEUE_SHORTCUTS:
-            # the comparison above is not vacuous: the shortcut fired
-            assert any(off > on for off, on in zip(off_pushed, pushed))
+    def test_runs_match_with_shortcut_off(self, shortcut, recorder):
+        def runs(traced=False, off=()):
+            return recorder.runs(("static", "drift", "codepth"), range(2),
+                                 traced, off)
+
+        on, off = runs(), runs(off=[shortcut])
+        assert reports(off) == reports(on)
+        assert [r.result for r in runs(True, [shortcut])] \
+            == [r.result for r in runs(True)]
+        # the comparisons above are not vacuous: the shortcut fired
+        if shortcut not in self.UNSEEN:
+            assert self.FIRED[shortcut](on, off)
 
     def test_entry_names_an_attribute_of_its_owner(self, shortcut_entry):
         # `plain_loop` patches with raising=False: a misspelt name would add
@@ -2093,3 +1877,52 @@ def test_slot_stage_guard_sees_each_form():
               "stage = frame.SLOT_ASSIGN\n")
     assert slot_stage_names(source) \
         == ["SLOT_ASSIGN", "SLOT_CONFIRM", "SLOT_RELAY_RX", "SlotStage"]
+
+
+def names_read(source):
+    """Every name a source file imports, reads or reads off an object."""
+    found = set()
+    for stmt in ast.walk(ast.parse(source)):
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.rsplit(".", 1)[-1] for alias in stmt.names)
+        elif isinstance(stmt, ast.Name):
+            found.add(stmt.id)
+        elif isinstance(stmt, ast.Attribute):
+            found.add(stmt.attr)
+    return found
+
+
+def test_only_conftest_names_the_scenario_table():
+    # a differential test reads the recorder, which simulates each run of
+    # the table once per mode, rather than simulating the table itself
+    tests = Path(__file__).resolve().parent
+    table = "SCENARIOS"
+    assert table in names_read((tests / "conftest.py").read_text())
+    naming = [path.name for path in sorted(tests.glob("test_*.py"))
+              if table in names_read(path.read_text())]
+    assert naming == []
+
+
+def test_scenario_table_guard_sees_each_form():
+    for source in ("from conftest import SCENARIOS as rows\n",
+                   "import conftest.SCENARIOS\n",
+                   "rows = conftest.SCENARIOS\n",
+                   "rows = list(SCENARIOS)\n"):
+        assert "SCENARIOS" in names_read(source), source
+
+
+def test_recordings_come_only_from_unpatched_code(recorder, monkeypatch,
+                                                  plain_loop):
+    # a run already recorded is refused too, so the order tests run in
+    # cannot hide a patch
+    recorder.run("static", WATER_TYPES[0], 0)
+    real = BsState.compose_superframe
+    monkeypatch.setattr(BsState, "compose_superframe",
+                        lambda self, now: real(self, now))
+    with pytest.raises(RuntimeError, match="compose_superframe is patched"):
+        recorder.run("static", WATER_TYPES[0], 0)
+    monkeypatch.undo()
+    with plain_loop("kept_slots"):
+        with pytest.raises(RuntimeError, match="slot is patched"):
+            recorder.run("static", WATER_TYPES[0], 0)
+    assert recorder.run("static", WATER_TYPES[0], 0).report

@@ -4,10 +4,9 @@ import re
 from dataclasses import asdict
 
 import pytest
-from test_engine import scenario_runs
 
 from uwoan.config import SimConfig
-from uwoan.engine import run, simulate
+from uwoan.engine import run
 from uwoan.report import (
     ReportError,
     TopologyEdge,
@@ -36,10 +35,9 @@ class TestSerialization:
         payload = json.loads(report_to_json(report))
         assert list(payload) == sorted(payload)
 
-    def test_bytes_match_asdict_payload(self):
+    def test_bytes_match_asdict_payload(self, recorder):
         # the payload as dataclasses.asdict builds it, edges renamed
-        reports = [simulate(cfg, seed, world).report
-                   for cfg, seed, world in scenario_runs(seeds=range(3))]
+        reports = [r.report for r in recorder.corpus(range(3))]
         assert any(edge.hop == 2 for r in reports for edge in r.edges)
         for report in reports:
             payload = asdict(report)
