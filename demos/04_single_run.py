@@ -1,31 +1,31 @@
-"""One full initialization run, narrated from the event trace.
+"""One full initialization run, narrated from its event records.
 
 Deploys the paper-scale scenario (50 nodes in a 200 m cube) in coastal
 water, runs the engine once, and walks through what happened: the first
 handshakes, any dual-hop rescues, and the final topology.
 """
 
-from uwoan import SimConfig, export_topology, simulate
+from uwoan import SimConfig, Simulation, export_topology
+from uwoan.engine import OPTICAL_ARRIVAL, format_event
 
 cfg = SimConfig(c0=0.120, seed=7)
-result = simulate(cfg, collect_trace=True)
-report = result.report
+sim = Simulation(cfg, collect_trace=True)
+report = sim.run()
 
 print(f"scenario: {cfg.n_uwn} nodes, c0={cfg.c0}, seed={cfg.seed}, "
       f"{cfg.t_max_s:.0f} s budget")
 print()
 print("first events on the wire:")
-for line in result.trace_lines[:6]:
-    print("  " + line[:110])
+for event in sim.events[:6]:
+    print("  " + format_event(event)[:110])
 print("  ...")
 print()
 
-beams = [l for l in result.trace_lines
-         if "OPTICAL_ARRIVAL bs" in l and "relayed=0" in l]
-relayed = [l for l in result.trace_lines
-           if "OPTICAL_ARRIVAL bs" in l and "relayed=1" in l]
-print(f"optical arrivals at the base station: {len(beams)} direct beams, "
-      f"{len(relayed)} relayed")
+# a beam's record data is (source node, claimed ID, relayed, power)
+relayed = [beam[2] for _, kind, receiver, beam in sim.events
+           if kind == OPTICAL_ARRIVAL and receiver == "bs"]
+print(f"optical arrivals at the base station: {relayed.count(False)} direct "
+      f"beams, {relayed.count(True)} relayed")
 print()
 
 print("outcome:")

@@ -8,7 +8,8 @@ drifting apart scan by scan.
 
 from random import Random
 
-from uwoan import Position, SimConfig, Simulation, World
+from uwoan import Position, SimConfig, Simulation, SlotStage, World
+from uwoan.engine import SUPERFRAME_TX
 
 SEED = 11
 cfg = SimConfig(n_uwn=5)
@@ -22,19 +23,16 @@ report = sim.run()
 print("five nodes at exactly 100.0 m; sounder resolution there is 1.0 m")
 print()
 print("broadcast slots per superframe (bucket, C = conflict flag):")
-for line in sim.trace_lines:
-    if "SUPERFRAME_TX" not in line:
+for t, kind, _, data in sim.events:
+    if kind != SUPERFRAME_TX:
         continue
-    t = float(line.split()[0])
-    slots = line.split("slots=")[1]
+    frame, = data
     codes = []
-    for token in slots.split(","):
-        bits = token.split(":")
-        mark = "C" if len(bits) > 3 else (" " if bits[1] == "ASSIGN" else "*")
-        codes.append(f"{bits[0]}@{bits[2]}{mark}")
+    for slot in frame.slots:
+        mark = "C" if slot.conflict_flag \
+            else " " if slot.stage is SlotStage.ASSIGN else "*"
+        codes.append(f"{slot.network_id}@{slot.depth_code}{mark}")
     print(f"  t={t:5.1f}  " + "  ".join(codes))
-    if all("*" in c or "C" not in c for c in codes) and "C" not in slots:
-        break
 print("  (* = handshake finished for that node)")
 print()
 

@@ -42,6 +42,9 @@ so an equal slot object composed afresh is a repeat too.
 Each frame is checked against the wire rules (`SuperFrame.validate`) when
 it is sent, but never encoded: receivers share the composed slots.
 
+A traced run records each event as `(t, kind, subject, data)` in
+`Simulation.events`; `format_event` writes one as a `trace.log` line.
+
 Every acoustic delivery, queued or kept off the queue, logs its arrival
 time and delay when it is sent, so the log is in sequence order.  Each
 ping, and the end of the run, sorts the log stably by arrival time and
@@ -74,7 +77,8 @@ from .node import (NODE_ACCESSED, NODE_CONFLICT_MOVING, NODE_DORMANT, answers,
 from .report import NodeOutcome, SimReport, TopologyEdge
 from .world import World, deploy
 
-__all__ = ["Simulation", "SimResult", "simulate", "run", "trace"]
+__all__ = ["Simulation", "SimResult", "format_event", "simulate", "run",
+           "trace"]
 
 SONAR_PING = "SONAR_PING"
 SUPERFRAME_TX = "SUPERFRAME_TX"
@@ -83,6 +87,34 @@ OPTICAL_ARRIVAL = "OPTICAL_ARRIVAL"
 MOVEMENT_EXPIRY = "MOVEMENT_EXPIRY"
 TIMEOUT_CHECK = "TIMEOUT_CHECK"
 SIM_END = "SIM_END"
+
+
+def format_event(event: tuple) -> str:
+    """The `trace.log` line of one event record `(t, kind, subject, data)`."""
+    t, kind, subject, data = event
+    if kind == ACOUSTIC_ARRIVAL:  # most events are arrivals
+        what, frame_seq, dist, delay = data
+        return (f"{t!r} {kind} u{subject} src=bs what={what} "
+                f"frame={frame_seq} dist={dist!r} delay={delay!r}")
+    if kind == SUPERFRAME_TX:
+        frame, = data
+        slots = ",".join(
+            f"{s.network_id}:{s.stage.name}:{s.depth_code}"
+            f"{':C' if s.conflict_flag else ''}" for s in frame.slots)
+        return (f"{t!r} {kind} bs frame={frame.frame_seq} "
+                f"nbytes={frame.nbytes} slots={slots}")
+    if kind == SONAR_PING:
+        found, skipped, new = data
+        return f"{t!r} {kind} bs detected={found + skipped} new={new}"
+    if kind == OPTICAL_ARRIVAL:
+        src, claimed_id, relayed, power = data
+        receiver = subject if subject == "bs" else f"u{subject}"
+        return (f"{t!r} {kind} {receiver} src=u{src} claim={claimed_id} "
+                f"relayed={int(relayed)} power={power!r}")
+    if kind == MOVEMENT_EXPIRY:
+        return f"{t!r} {kind} u{subject} v={data[0]!r}"
+    return f"{t!r} {kind} {subject} "  # TIMEOUT_CHECK and SIM_END
+
 
 # the sort key of an `(arrival time, delay)` log entry
 _ARRIVAL_TIME = itemgetter(0)
@@ -117,7 +149,7 @@ class Simulation:
             uwn.UwnState(original_depth=body.depth_ref)
             for body in self.world.bodies
         ]
-        self.trace_lines: list[str] | None = [] if collect_trace else None
+        self.events: list[tuple] | None = [] if collect_trace else None
         self._heap: list = []
         self._seq = 0
         # (arrival time, delay) of every acoustic delivery, in sequence
@@ -187,9 +219,12 @@ class Simulation:
         self._delay_count += n
         del arrivals[:n]
 
-    def _trace(self, t: float, kind: str, subject: str, detail: str) -> None:
-        if self.trace_lines is not None:
-            self.trace_lines.append(f"{t!r} {kind} {subject} {detail}")
+    @property
+    def trace_lines(self) -> list[str] | None:
+        """The `trace.log` lines of the event records; None untraced."""
+        if self.events is None:
+            return None
+        return [format_event(event) for event in self.events]
 
     # -- event handlers --------------------------------------------------------
 
@@ -199,10 +234,9 @@ class Simulation:
         detections = self.bs.sonar_scan(snapshot, self.rng)
         new_ids = self.bs.allocate(detections, t)
         self.bs.update_decomposition(detections, t)
-        if self.trace_lines is not None:
-            detected = len(detections) + self.bs.unchanged_returns
-            self._trace(t, SONAR_PING, "bs",
-                        f"detected={detected} new={len(new_ids)}")
+        if self.events is not None:
+            self.events.append((t, SONAR_PING, "bs", (
+                len(detections), self.bs.unchanged_returns, len(new_ids))))
         if self._may_fast_forward and self._quiescent(t):
             self.settled_at = t
             self._fast_forward_tail()
@@ -313,8 +347,8 @@ class Simulation:
 
     def _on_timeout_check(self, t: float) -> None:
         self.bs.handle_timeouts(t)
-        if self.trace_lines is not None:
-            self._trace(t, TIMEOUT_CHECK, "bs", "")
+        if self.events is not None:
+            self.events.append((t, TIMEOUT_CHECK, "bs", ()))
 
     def _on_superframe_tx(self, t: float) -> None:
         """Compose, check and broadcast a frame; queue what can matter.
@@ -385,14 +419,8 @@ class Simulation:
                             continue
                 self._push(t + delay, ACOUSTIC_ARRIVAL, i,
                            ("frame", index, d, delay))
-            if self.trace_lines is not None:
-                slots = ",".join(
-                    f"{s.network_id}:{s.stage.name}:{s.depth_code}"
-                    f"{':C' if s.conflict_flag else ''}"
-                    for s in frame.slots)
-                self._trace(t, SUPERFRAME_TX, "bs",
-                            f"frame={frame.frame_seq} nbytes={frame.nbytes} "
-                            f"slots={slots}")
+            if self.events is not None:
+                self.events.append((t, SUPERFRAME_TX, "bs", (frame,)))
         self._next_tx = t + self.cfg.superframe_period_s
         self._push(self._next_tx, SUPERFRAME_TX)
 
@@ -438,11 +466,10 @@ class Simulation:
 
     def _on_acoustic_arrival(self, t: float, i: int, payload) -> None:
         what, index, d, delay = payload
-        if self.trace_lines is not None:
+        if self.events is not None:
             frame_seq = None if index is None else index.frame.frame_seq
-            self._trace(t, ACOUSTIC_ARRIVAL, f"u{i}",
-                        f"src=bs what={what} frame={frame_seq} dist={d!r} "
-                        f"delay={delay!r}")
+            self.events.append((t, ACOUSTIC_ARRIVAL, i,
+                                (what, frame_seq, d, delay)))
         state = self.nodes[i]
         if what == "trigger":
             uwn.on_trigger(state)
@@ -465,9 +492,9 @@ class Simulation:
         before = state.movement_epoch
         uwn.on_movement_expiry(state, self.cfg, self.rng, t,
                                self.world.depth_of(i, t))
-        if self.trace_lines is not None:
-            self._trace(t, MOVEMENT_EXPIRY, f"u{i}",
-                        f"v={state.vertical_velocity!r}")
+        if self.events is not None:
+            self.events.append((t, MOVEMENT_EXPIRY, i,
+                                (state.vertical_velocity,)))
         self._sync_motion(i, t, before)
 
     def _emit(self, src: int, emission: uwn.Emission, t: float) -> None:
@@ -536,12 +563,9 @@ class Simulation:
         return power
 
     def _on_optical_arrival(self, t: float, receiver, beam) -> None:
-        src, claimed_id, relayed, power = beam
-        if self.trace_lines is not None:
-            subject = "bs" if receiver == "bs" else f"u{receiver}"
-            self._trace(t, OPTICAL_ARRIVAL, subject,
-                        f"src=u{src} claim={claimed_id} relayed={int(relayed)} "
-                        f"power={power!r}")
+        if self.events is not None:
+            self.events.append((t, OPTICAL_ARRIVAL, receiver, beam))
+        _, claimed_id, relayed, _ = beam
         if receiver == "bs":
             self.bs.on_optical_arrival(claimed_id, relayed, t)
             return
@@ -562,8 +586,8 @@ class Simulation:
         while self._heap:
             t, _, kind, a, b = heappop(self._heap)
             if kind == SIM_END:
-                if self.trace_lines is not None:
-                    self._trace(t, SIM_END, "sim", "")
+                if self.events is not None:
+                    self.events.append((t, SIM_END, "sim", ()))
                 break
             if kind == ACOUSTIC_ARRIVAL:
                 self._on_acoustic_arrival(t, a, b)
@@ -662,8 +686,7 @@ def simulate(config: SimConfig, seed: int | None = None,
              collect_trace: bool = False) -> SimResult:
     sim = Simulation(config, seed=seed, world=world, collect_trace=collect_trace)
     report = sim.run()
-    lines = tuple(sim.trace_lines) if sim.trace_lines is not None else ()
-    return SimResult(report, lines)
+    return SimResult(report, tuple(sim.trace_lines or ()))
 
 
 def run(config: SimConfig, seed: int | None = None) -> SimReport:

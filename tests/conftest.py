@@ -20,6 +20,9 @@ Tests only read recordings.  `record` records a hand-built world the same
 way, without the memo.  A test that patches the code simulates its own
 runs, of the same rows (`Recorder.scenes`); only this module names the
 table.
+
+`check_trace_invariants` is the one checker of the protocol invariants a
+traced run's event records show, for criterion 5 and `TestCausality`.
 """
 
 import dataclasses
@@ -38,7 +41,7 @@ from uwoan import node as uwn
 from uwoan.base_station import BsState, NodeRecord
 from uwoan.config import SimConfig
 from uwoan.engine import SimResult, Simulation
-from uwoan.frame import FrameIndex, SlotPayload, encode
+from uwoan.frame import FrameIndex, SlotPayload, SlotStage, encode
 from uwoan.geometry import Position
 from uwoan.world import World, _Body
 
@@ -178,6 +181,9 @@ class Recording:
     seq: int                  # events queued (`Simulation._seq`)
     settled_at: float | None
     unchanged_returns: int    # `BsState.unchanged_returns` at the end
+    # sonar returns skipped over the run, from the SONAR_PING records of a
+    # traced run; None untraced
+    skipped: int | None
     slot_objects: int         # distinct slot objects composed
     # each composed slot whose field values at the end differ from those
     # it was composed with, as (values, slot)
@@ -197,6 +203,8 @@ class Recording:
     # indexed, and every index a receiver matched, once
     frames: list | None = None
     matched: list | None = None
+    # and traced: the frame of each SUPERFRAME_TX record
+    tx_frames: list | None = None
     # kept in the corpus with every shortcut off: every frame's wire bytes
     frame_bytes: list | None = None
 
@@ -309,6 +317,8 @@ def record(cfg, seed, world=None, traced=False, off=(), row=None):
         SimResult(report, tuple(map(sys.intern, sim.trace_lines))
                   if traced else ()),
         sim.nodes, sim._seq, sim.settled_at, sim.bs.unchanged_returns,
+        sum(data[1] for _, kind, _, data in sim.events
+            if kind == engine.SONAR_PING) if traced else None,
         len(composed), [(values, slot) for slot, values in composed.values()
                         if SLOT_FIELDS(slot) != values],
         counts["verdicts"], counts["powers"], delays, partner_stages,
@@ -317,6 +327,10 @@ def record(cfg, seed, world=None, traced=False, off=(), row=None):
         if not off:
             recording.frames = frames
             recording.matched = list(matched.values())
+            if traced:
+                recording.tx_frames = [
+                    data[0] for _, kind, _, data in sim.events
+                    if kind == engine.SUPERFRAME_TX]
         elif off == PLAIN:
             recording.frame_bytes = [encode(index.frame) for index in frames]
     return recording
@@ -363,3 +377,61 @@ class Recorder:
 @pytest.fixture(scope="session")
 def recorder():
     return Recorder()
+
+
+def check_trace_invariants(sim, report):
+    """Assert the protocol invariants of a finished traced run.
+
+    Its event records show that only the base station pings, checks
+    timeouts and transmits, and that every acoustic arrival is a node
+    receiving the base station's trigger or frame; a frame lands exactly
+    `dist / 1500` after it was sent, and names no ID twice.  Every
+    accessed node's ID is sent an ASSIGN slot (HS1), then claimed by a
+    beam at the base station (HS2), then sent a CONFIRM slot (HS3), all
+    before the node is accessed.  The report shows unique IDs, relay
+    fan-in of at most 1 and at most two hops.  The engine's state shows
+    that no network ID is held by two nodes, and that every bound node
+    holds the ID of its own sonar track's record.
+    """
+    frames, hs2 = {}, {}  # frame seq -> (time sent, {ID: stage}); ID -> HS2
+    for t, kind, subject, data in sim.events:
+        if kind in (engine.SONAR_PING, engine.SUPERFRAME_TX,
+                    engine.TIMEOUT_CHECK):
+            assert subject == "bs", "acoustic-side event not from the bs"
+        if kind == engine.ACOUSTIC_ARRIVAL:
+            what, seq, dist, delay = data
+            assert isinstance(subject, int) \
+                and what in ("trigger", "frame"), "node-originated acoustics"
+            if what == "frame":
+                assert delay == dist / 1500.0
+                assert t == frames[seq][0] + delay
+        elif kind == engine.SUPERFRAME_TX:
+            frame, = data
+            stages = {slot.network_id: slot.stage for slot in frame.slots}
+            assert len(stages) == len(frame.slots), "duplicate slot id"
+            frames[frame.frame_seq] = t, stages
+        elif kind == engine.OPTICAL_ARRIVAL and subject == "bs":
+            hs2.setdefault(data[1], t)
+    ids = [n.network_id for n in report.nodes if n.network_id is not None]
+    assert len(ids) == len(set(ids)), "duplicate network ids"
+    relays_used = [e.dst for e in report.edges if e.hop == 2]
+    assert len(relays_used) == len(set(relays_used)), "relay fan-in > 1"
+    direct = {e.src for e in report.edges if e.dst == "bs"}
+    assert all(dst in direct for dst in relays_used), "hop count > 2"
+    for node in report.nodes:
+        if node.outcome != "accessed":
+            continue
+        nid = node.network_id
+        hs1 = min(t for t, stages in frames.values()
+                  if stages.get(nid) is SlotStage.ASSIGN)
+        hs3 = min(t for t, stages in frames.values()
+                  if stages.get(nid) is SlotStage.CONFIRM)
+        assert hs1 < hs2[nid] < hs3 < node.access_time, \
+            f"handshake order violated for id {nid}"
+    held = [s.matched_id for s in sim.nodes if s.matched_id is not None]
+    assert len(held) == len(set(held)), "a network id held by two nodes"
+    for i, state in enumerate(sim.nodes):
+        if state.matched_id is not None:
+            rec = sim.bs.record_for_track(i)
+            assert rec is not None and rec.network_id == state.matched_id, \
+                f"u{i} holds another record's network id"

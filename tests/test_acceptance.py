@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import check_trace_invariants
 from scipy.integrate import quad
 
 from uwoan.base_station import (
@@ -215,61 +216,12 @@ def test_criterion_4_oracle_equivalence():
          f"(worst {worst:.3f} m)")
 
 
-def _check_trace_invariants(cfg, seed):
-    sim = Simulation(cfg, seed=seed, collect_trace=True)
-    report = sim.run()
-    tx_times = {}
-    frames = {}
-    hs2 = {}
-    for line in sim.trace_lines:
-        t_str, kind, subject, *rest = line.split(" ", 3)
-        t = float(t_str)
-        detail = rest[0] if rest else ""
-        if kind in ("SONAR_PING", "SUPERFRAME_TX", "TIMEOUT_CHECK"):
-            assert subject == "bs", "acoustic-side event not from the bs"
-        if kind == "ACOUSTIC_ARRIVAL":
-            assert "src=bs" in detail, "node-originated acoustic event"
-            fields = dict(kv.split("=") for kv in detail.split())
-            if fields["what"] == "frame":
-                delay = float(fields["delay"])
-                assert delay == float(fields["dist"]) / 1500.0
-                assert t == tx_times[int(fields["frame"])] + delay
-        elif kind == "SUPERFRAME_TX":
-            fields = detail.split()
-            seq = int(fields[0].split("=")[1])
-            tx_times[seq] = t
-            slots = {}
-            for token in fields[2].split("=")[1].split(","):
-                bits = token.split(":")
-                assert int(bits[0]) not in slots, "duplicate slot id in frame"
-                slots[int(bits[0])] = bits[1]
-            frames[seq] = (t, slots)
-        elif kind == "OPTICAL_ARRIVAL" and subject == "bs":
-            fields = dict(kv.split("=") for kv in detail.split())
-            hs2.setdefault(int(fields["claim"]), t)
-    ids = [n.network_id for n in report.nodes if n.network_id is not None]
-    assert len(ids) == len(set(ids)), "duplicate network ids"
-    relays_used = [e.dst for e in report.edges if e.hop == 2]
-    assert len(relays_used) == len(set(relays_used)), "relay fan-in > 1"
-    direct = {e.src for e in report.edges if e.dst == "bs"}
-    assert all(dst in direct for dst in relays_used), "hop count > 2"
-    for node in report.nodes:
-        if node.outcome != "accessed":
-            continue
-        nid = node.network_id
-        hs1 = min(t for t, slots in frames.values()
-                  if slots.get(nid) == "ASSIGN")
-        hs3 = min(t for t, slots in frames.values()
-                  if slots.get(nid) == "CONFIRM")
-        assert hs1 < hs2[nid] < hs3 <= node.access_time, \
-            f"handshake order violated for id {nid}"
-
-
 def test_criterion_5_protocol_invariants():
     checked = 0
     for c0 in (0.120, 0.151):
         for seed in range(50):
-            _check_trace_invariants(SimConfig(c0=c0, seed=seed), seed)
+            sim = Simulation(SimConfig(c0=c0, seed=seed), collect_trace=True)
+            check_trace_invariants(sim, sim.run())
             checked += 1
     note("criterion 5 (protocol invariants over full traces)", True,
          f"{checked} seeded runs: no node-originated acoustics, exact "

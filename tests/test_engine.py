@@ -13,7 +13,8 @@ from heapq import heappop
 from pathlib import Path
 
 import pytest
-from conftest import CORPUS, PLAIN, SLOT_FIELDS, WATER_TYPES, record
+from conftest import (CORPUS, PLAIN, SLOT_FIELDS, WATER_TYPES,
+                      check_trace_invariants, record)
 
 from uwoan import engine
 from uwoan import node as uwn
@@ -34,11 +35,6 @@ def single_node_world(cfg, depth=50.0):
                  (cfg.region_east_m, cfg.region_north_m, cfg.region_depth_m))
 
 
-def parse(line):
-    t, kind, subject, *rest = line.split(" ", 3)
-    return float(t), kind, subject, rest[0] if rest else ""
-
-
 class TestHandComputedTrace:
     """Oracle: the full event timeline of one node 50 m below the BS."""
 
@@ -47,18 +43,16 @@ class TestHandComputedTrace:
         sim = Simulation(cfg, seed=0, world=single_node_world(cfg),
                          collect_trace=True)
         report = sim.run()
-        lines = [parse(l) for l in sim.trace_lines]
         delay = 50.0 / 1500.0
 
-        triggers = [l for l in lines if l[1] == "ACOUSTIC_ARRIVAL"
-                    and "what=trigger" in l[3]]
+        arrivals = [e for e in sim.events if e[1] == engine.ACOUSTIC_ARRIVAL]
+        triggers = [e for e in arrivals if e[3][0] == "trigger"]
         assert triggers[0][0] == pytest.approx(delay, abs=1e-12)
 
-        frames = [l for l in lines if l[1] == "ACOUSTIC_ARRIVAL"
-                  and "what=frame" in l[3]]
+        frames = [e for e in arrivals if e[3][0] == "frame"]
         assert frames[0][0] == pytest.approx(0.1 + delay, abs=1e-12)
 
-        beams = [l for l in lines if l[1] == "OPTICAL_ARRIVAL"]
+        beams = [e for e in sim.events if e[1] == engine.OPTICAL_ARRIVAL]
         assert beams[0][2] == "bs"
         assert beams[0][0] == pytest.approx(0.1 + delay, abs=1e-12)
 
@@ -72,11 +66,13 @@ class TestHandComputedTrace:
 
     def test_vertical_emission_geometry(self):
         cfg = SimConfig(n_uwn=1)
-        lines = Simulation(cfg, seed=0, world=single_node_world(cfg),
-                           collect_trace=True)
-        lines.run()
-        tx = [l for l in lines.trace_lines if "SUPERFRAME_TX" in l][0]
-        assert "1:ASSIGN:" in tx
+        sim = Simulation(cfg, seed=0, world=single_node_world(cfg),
+                         collect_trace=True)
+        sim.run()
+        frame, = next(e[3] for e in sim.events
+                      if e[1] == engine.SUPERFRAME_TX)
+        assert [(s.network_id, s.stage) for s in frame.slots] \
+            == [(1, SlotStage.ASSIGN)]
 
 
 class TestVacuousRun:
@@ -198,59 +194,15 @@ class TestFastForward:
 
 
 class TestCausality:
-    def test_acoustic_delays_exact(self):
-        cfg = SimConfig(n_uwn=10, t_max_s=6.0)
-        lines = trace(cfg, seed=4)
-        tx_times = {}
-        for line in lines:
-            t, kind, subject, detail = parse(line)
-            if kind == "SUPERFRAME_TX":
-                seq = int(detail.split()[0].split("=")[1])
-                tx_times[seq] = t
-            elif kind == "ACOUSTIC_ARRIVAL" and "what=frame" in detail:
-                fields = dict(kv.split("=") for kv in detail.split())
-                dist, delay = float(fields["dist"]), float(fields["delay"])
-                assert delay == dist / 1500.0  # exact, not approximate
-                assert t == tx_times[int(fields["frame"])] + delay
-
-    def test_no_node_originates_acoustic_events(self):
-        cfg = SimConfig(n_uwn=10, t_max_s=6.0)
-        for line in trace(cfg, seed=4):
-            t, kind, subject, detail = parse(line)
-            if kind == "ACOUSTIC_ARRIVAL":
-                assert "src=bs" in detail
-            if kind in ("SONAR_PING", "SUPERFRAME_TX", "TIMEOUT_CHECK"):
-                assert subject == "bs"
-
-    def test_handshake_order_per_accessed_node(self):
-        cfg = SimConfig(n_uwn=12, c0=0.12, t_max_s=25.0)
-        sim = Simulation(cfg, seed=11, collect_trace=True)
+    @pytest.mark.parametrize("cfg,seed", [
+        (SimConfig(n_uwn=10, t_max_s=6.0), 4),
+        (SimConfig(n_uwn=12, c0=0.12, t_max_s=25.0), 11)],
+        ids=["seed4", "seed11"])
+    def test_trace_invariants(self, cfg, seed):
+        sim = Simulation(cfg, seed=seed, collect_trace=True)
         report = sim.run()
-        frames = {}   # seq -> (time, {id: stage})
-        hs2 = {}      # claimed id -> first beam arrival at the bs
-        for line in sim.trace_lines:
-            t, kind, subject, detail = parse(line)
-            if kind == "SUPERFRAME_TX":
-                fields = detail.split()
-                seq = int(fields[0].split("=")[1])
-                slots = {}
-                for part in fields[2].split("=")[1].split(","):
-                    bits = part.split(":")
-                    slots[int(bits[0])] = bits[1]
-                frames[seq] = (t, slots)
-            elif kind == "OPTICAL_ARRIVAL" and subject == "bs":
-                fields = dict(kv.split("=") for kv in detail.split())
-                claim = int(fields["claim"])
-                hs2.setdefault(claim, t)
-        accessed = [n for n in report.nodes if n.outcome == "accessed"]
-        assert accessed
-        for node in accessed:
-            nid = node.network_id
-            hs1 = min(t for t, slots in frames.values()
-                      if slots.get(nid) == "ASSIGN")
-            hs3 = min(t for t, slots in frames.values()
-                      if slots.get(nid) == "CONFIRM")
-            assert hs1 < hs2[nid] < hs3 < node.access_time
+        assert report.n_accessed
+        check_trace_invariants(sim, report)
 
 
 class TestConservation:
@@ -710,8 +662,10 @@ class TestComposedFrame:
     must survive a round trip through the codec field by field, with the
     same types: node code compares stages and markers by identity, and an
     IntEnum slot field holding a plain int would still compare equal.  Its
-    wire length must be the `nbytes=` the trace logs.  Round-tripping
-    after the run also catches a receiver that wrote to a shared slot.
+    wire length must be the `nbytes` it reports, which the trace writes
+    from the frames of its SUPERFRAME_TX records: those must be the frames
+    broadcast.  Round-tripping after the run also catches a receiver that
+    wrote to a shared slot.
     """
 
     @staticmethod
@@ -719,8 +673,9 @@ class TestComposedFrame:
         frames = matches = 0
         for r in runs:
             TestComposedFrame.check_broadcasts(r.frames, r.matched)
-            if r.result.trace_lines:
-                TestComposedFrame.check_trace(r.result.trace_lines, r.frames)
+            if r.tx_frames is not None:
+                assert list(map(id, r.tx_frames)) \
+                    == [id(index.frame) for index in r.frames]
             frames += len(r.frames)
             matches += len(r.matched)
         assert frames > 3000 and matches > 3000
@@ -745,12 +700,6 @@ class TestComposedFrame:
         broadcast = {id(index) for index in sent}
         for index in seen:
             assert id(index) in broadcast, index.frame.frame_seq
-
-    @staticmethod
-    def check_trace(lines, sent):
-        logged = [int(line.split(" nbytes=", 1)[1].split(" ", 1)[0])
-                  for line in lines if " nbytes=" in line]
-        assert logged == [len(encode(index.frame)) for index in sent]
 
     def test_traced_runs(self, recorder):
         self.check_runs(recorder.corpus(traced=True))
@@ -831,15 +780,16 @@ def test_no_code_reads_confirm_angles(recorder, monkeypatch):
     # traced runs take no shortcut, so every arrival of every CONFIRM slot
     # reaches a node; angles that no code reads change no report or trace
     rows = ("static", "drift")
-    want = [r.result for r in recorder.runs(rows, range(3), traced=True)]
+    traced = recorder.runs(rows, range(3), traced=True)
+    want = [r.result for r in traced]
     monkeypatch.setattr(BsState, "compose_superframe",
                         random_angled_confirms(random.Random(0)))
     got = [simulate(cfg, seed, world, collect_trace=True)
            for cfg, seed, world in recorder.scenes(rows, range(3))]
     assert [(r.report, r.trace_lines) for r in got] \
         == [(r.report, r.trace_lines) for r in want]
-    assert sum(line.count(":CONFIRM:") for r in want
-               for line in r.trace_lines) > 1000
+    assert sum(slot.stage is SlotStage.CONFIRM for r in traced
+               for index in r.frames for slot in index.frame.slots) > 1000
 
 
 def out_of_range(slots):
@@ -1467,29 +1417,15 @@ class TestSettledReturns:
     return in reach, so with either one nothing may be skipped.
     """
 
-    @pytest.mark.parametrize("overrides", [
-        {}, {"p_misdetect": 0.05}, {"sonar_depth_noise_std_m": 3.0}],
-        ids=["plain", "misdetect", "noise"])
-    def test_skips_only_without_draws(self, overrides, monkeypatch,
-                                      plain_loop):
-        skipped = []
-        real = BsState.sonar_scan
-
-        def counting(self, snapshot, rng):
-            detections = real(self, snapshot, rng)
-            skipped.append(self.unchanged_returns)
-            return detections
-
-        monkeypatch.setattr(BsState, "sonar_scan", counting)
-        runs = [(SimConfig(c0=c0, **overrides), seed)
-                for c0 in WATER_TYPES for seed in range(3)]
-        fast = [simulate(cfg, seed, collect_trace=True) for cfg, seed in runs]
-        n_skipped = sum(skipped)
-        with plain_loop("unchanged_returns"):
-            plain = [simulate(cfg, seed, collect_trace=True)
-                     for cfg, seed in runs]
-        assert fast == plain
-        assert (n_skipped > 0) == (not overrides)
+    @pytest.mark.parametrize("row", ["static", "misdetect", "sonar_noise"])
+    def test_skips_only_without_draws(self, row, recorder):
+        runs = recorder.runs([row], range(3), traced=True)
+        skipped = sum(r.skipped for r in runs)
+        assert (skipped > 0) == (row == "static")
+        if skipped:  # with none skipped, turning the skip off changes nothing
+            plain = recorder.runs([row], range(3), traced=True,
+                                  off=["unchanged_returns"])
+            assert [r.result for r in plain] == [r.result for r in runs]
 
 
 def bench_spec(workload, k, seed=3):
@@ -1926,3 +1862,42 @@ def test_recordings_come_only_from_unpatched_code(recorder, monkeypatch,
         with pytest.raises(RuntimeError, match="slot is patched"):
             recorder.run("static", WATER_TYPES[0], 0)
     assert recorder.run("static", WATER_TYPES[0], 0).report
+
+
+# the keys of the trace's text, which only `engine.format_event` writes
+TRACE_KEYS = [f"{key}=" for key in (
+    "what", "src", "dist", "delay", "claim", "power", "nbytes", "slots",
+    "detected")] + [f"relayed={bit}" for bit in (0, 1)]
+
+
+def trace_keys_in(source):
+    """Every trace key that a string constant of a source file holds."""
+    return [key for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for key in TRACE_KEYS if key in node.value]
+
+
+def test_tests_and_demos_read_records_not_trace_text():
+    # the trace's text has one writer; a reader takes a run's event records
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted((root / "tests").glob("*.py")) \
+        + sorted((root / "demos").glob("*.py"))
+    assert len(paths) > 20
+    holding = {path.name: keys for path in paths
+               if (keys := trace_keys_in(path.read_text()))}
+    assert holding == {}
+
+
+def test_trace_key_guard_sees_each_form():
+    for key in TRACE_KEYS:
+        for source in (f"x = {key!r}\n",
+                       f"x = f'{{t}} {key}{{v}}'\n",
+                       f"def f():\n    '''{key} in a docstring'''\n",
+                       f"x = ('a' {key!r})\n"):
+            assert trace_keys_in(source) == [key], source
+
+
+def test_untraced_run_records_nothing():
+    sim = Simulation(SimConfig(n_uwn=5, t_max_s=5.0), seed=1)
+    sim.run()
+    assert sim.events is None and sim.trace_lines is None
