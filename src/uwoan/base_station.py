@@ -165,7 +165,7 @@ def nearest_eligible_relay(records: Iterable[NodeRecord],
 class BsState:
     """The base-station half of the initialization protocol."""
 
-    def __init__(self, config: SimConfig) -> None:
+    def __init__(self, config: SimConfig, box_in_reach: bool = False) -> None:
         self.cfg = config
         # built once: SimConfig makes a new object per call
         self.bs_position = config.bs_position()
@@ -183,6 +183,10 @@ class BsState:
         self._skip_unchanged = (config.sonar_depth_noise_std_m == 0.0
                                 and config.p_misdetect == 0.0)
         self.unchanged_returns = 0
+        # set when no position in the world's region box lies beyond
+        # `acoustic_range_m` of `bs_position`: the scan's range test then
+        # never fails, so it is not made
+        self._skip_range_test = box_in_reach
 
     @property
     def settled(self) -> bool:
@@ -214,6 +218,11 @@ class BsState:
         detected at this position before, so it is in reach;
         `unchanged_returns` counts the skipped returns, which are
         detections all the same.
+
+        A return is out of reach when its distance from `bs_position`
+        exceeds `acoustic_range_m`.  The scan makes no such test when
+        constructed with `box_in_reach`: every position in the world's
+        region box is then in reach, so none would fail it.
         """
         c = self.cfg
         bs_east, bs_north, bs_depth = self.bs_position
@@ -221,6 +230,7 @@ class BsState:
         reach, p_miss = c.acoustic_range_m, c.p_misdetect
         noise, floor = c.sonar_depth_noise_std_m, c.region_depth_m
         skip_unchanged = self._skip_unchanged
+        test_range = not self._skip_range_test
         by_track, registry = self._by_track, self.registry
         skipped = 0
         out: list[Detection] = []
@@ -235,8 +245,9 @@ class BsState:
                         continue
             east, north, depth = pos
             # distance(bs_position, pos)'s operand order, so the bits agree
-            if sqrt((east - bs_east) ** 2 + (north - bs_north) ** 2
-                    + (depth - bs_depth) ** 2) > reach:
+            if test_range and sqrt((east - bs_east) ** 2
+                                   + (north - bs_north) ** 2
+                                   + (depth - bs_depth) ** 2) > reach:
                 continue
             if p_miss > 0.0 and rng.random() < p_miss:
                 continue

@@ -4,7 +4,11 @@ Positions integrate piecewise-constant vertical velocity in closed form
 (no step-size drift): each node stores a reference depth, the time it
 was set, and the current velocity.  Horizontal coordinates are fixed at
 deployment apart from an optional constant current.  Nodes start inside
-the region box, and all coordinates clip at it, through `_clip` alone.
+the region box, and all moving coordinates clip at it, through `_clip`
+alone.  A coordinate that cannot move, the depth of a body with no
+vertical velocity or an axis with no current, is read as its body stores
+it: the clamped formula's value at the body's reference time, which it
+keeps at every later time, bit for bit (`_Body`).
 
 A position computed from clipped coordinates is valid by construction,
 so it is built without `Position`'s checks.  `World` rejects up front a
@@ -51,15 +55,30 @@ def _clip(value: float, limit: float) -> float:
 
 
 class _Body:
-    __slots__ = ("east0", "north0", "depth_ref", "ref_time", "v_down",
-                 "cached_pos", "cached_bs_dist")
+    """One node's kinematics.
 
-    def __init__(self, east: float, north: float, depth: float) -> None:
+    `east`, `north` and `depth` are the clamped formula's coordinates at
+    the body's reference time, t = 0 across and `ref_time` down: the start
+    plus its rate times zero, which lies in the region box.  On an axis
+    whose rate is zero, that is also the formula's value at every later
+    time, since the rate times a time difference is then the same signed
+    zero: a `-0.0` start under a `0.0` rate reads as `0.0`, as
+    `-0.0 + 0.0` is.
+    """
+
+    __slots__ = ("east0", "north0", "depth_ref", "ref_time", "v_down",
+                 "east", "north", "depth", "cached_pos", "cached_bs_dist")
+
+    def __init__(self, east: float, north: float, depth: float,
+                 current: tuple[float, float]) -> None:
         self.east0 = east
         self.north0 = north
+        self.east = east + current[0] * 0.0
+        self.north = north + current[1] * 0.0
         self.depth_ref = depth
         self.ref_time = 0.0
         self.v_down = 0.0
+        self.depth = depth + 0.0
         # valid only while the body is fully static (v == 0, no current)
         self.cached_pos: Position | None = None
         self.cached_bs_dist: float | None = None
@@ -85,7 +104,8 @@ class World:
                 if not 0.0 <= value <= limit:
                     raise GeometryError(f"node {i} {axis} {value} outside "
                                         f"the region's [0, {limit}]")
-        self.bodies = [_Body(p.east, p.north, p.depth) for p in node_positions]
+        self.bodies = [_Body(p.east, p.north, p.depth, current)
+                       for p in node_positions]
 
     @property
     def n(self) -> int:
@@ -93,6 +113,8 @@ class World:
 
     def depth_of(self, i: int, t: float) -> float:
         body = self.bodies[i]
+        if body.v_down == 0.0:
+            return body.depth
         return _clip(body.depth_ref + body.v_down * (t - body.ref_time),
                      self.region[2])
 
@@ -100,18 +122,25 @@ class World:
         """(east, north, depth) of `body` at `t`, clipped to the region."""
         east_rate, north_rate = self.current
         east_max, north_max, depth_max = self.region
-        return (_clip(body.east0 + east_rate * t, east_max),
-                _clip(body.north0 + north_rate * t, north_max),
-                _clip(body.depth_ref + body.v_down * (t - body.ref_time),
-                      depth_max))
+        return (_clip(body.east0 + east_rate * t, east_max)
+                if east_rate else body.east,
+                _clip(body.north0 + north_rate * t, north_max)
+                if north_rate else body.north,
+                body.depth if body.v_down == 0.0
+                else _clip(body.depth_ref + body.v_down * (t - body.ref_time),
+                           depth_max))
 
     def _rows(self, t: float) -> list[tuple[float, float, float]]:
         """`_coords(body, t)` of every body, with no method call per body."""
         east_rate, north_rate = self.current
         east_max, north_max, depth_max = self.region
-        return [(_clip(b.east0 + east_rate * t, east_max),
-                 _clip(b.north0 + north_rate * t, north_max),
-                 _clip(b.depth_ref + b.v_down * (t - b.ref_time), depth_max))
+        return [(_clip(b.east0 + east_rate * t, east_max)
+                 if east_rate else b.east,
+                 _clip(b.north0 + north_rate * t, north_max)
+                 if north_rate else b.north,
+                 b.depth if b.v_down == 0.0
+                 else _clip(b.depth_ref + b.v_down * (t - b.ref_time),
+                            depth_max))
                 for b in self.bodies]
 
     def _bs_distances(
@@ -208,6 +237,7 @@ class World:
         body.depth_ref = self.depth_of(i, now)
         body.ref_time = now
         body.v_down = v
+        body.depth = body.depth_ref + v * 0.0
         body.cached_pos = None
         body.cached_bs_dist = None
 

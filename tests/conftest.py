@@ -22,7 +22,8 @@ runs, of the same rows (`Recorder.scenes`); only this module names the
 table.
 
 `check_trace_invariants` is the one checker of the protocol invariants a
-traced run's event records show, for criterion 5 and `TestCausality`.
+traced run's event records show, and `check_held_ids` of the network IDs
+the nodes hold at the end, for criterion 5 and `TestCausality`.
 """
 
 import dataclasses
@@ -76,6 +77,9 @@ SHORTCUTS = {
     # beam beyond it goes through the pointing math and the power formula
     "beyond_reach": (Simulation, "_optical_reach",
                      _forgetful(lambda: math.inf)),
+    # every sonar return is tested against the acoustic range, as when
+    # part of the region box lies out of reach
+    "range_test": (BsState, "_skip_range_test", _forgetful(lambda: False)),
 }
 
 
@@ -199,6 +203,8 @@ class Recording:
     # the duty's holder is bound to the record's relay
     duties_bound: Counter
     missed: bool              # `_answer_misses` kept some answer off the queue
+    # the sonar made no range test (`BsState._skip_range_test`)
+    range_untested: bool
     # kept in the corpus with every shortcut on: every frame broadcast,
     # indexed, and every index a receiver matched, once
     frames: list | None = None
@@ -311,6 +317,8 @@ def record(cfg, seed, world=None, traced=False, off=(), row=None):
         _turn_off(patch, off)
         sim = Simulation(cfg, seed, world, collect_trace=traced)
         report = sim.run()
+        # read while the shortcuts named in `off` are still turned off
+        range_untested = sim.bs._skip_range_test
     recording = Recording(
         cfg, seed, row,
         # interned, so the modes of one run share their equal lines
@@ -322,7 +330,7 @@ def record(cfg, seed, world=None, traced=False, off=(), row=None):
         len(composed), [(values, slot) for slot, values in composed.values()
                         if SLOT_FIELDS(slot) != values],
         counts["verdicts"], counts["powers"], delays, partner_stages,
-        duties_bound, counts["missed"] > 0)
+        duties_bound, counts["missed"] > 0, range_untested)
     if row in CORPUS and seed in CORPUS_SEEDS:
         if not off:
             recording.frames = frames
@@ -385,13 +393,11 @@ def check_trace_invariants(sim, report):
     Its event records show that only the base station pings, checks
     timeouts and transmits, and that every acoustic arrival is a node
     receiving the base station's trigger or frame; a frame lands exactly
-    `dist / 1500` after it was sent, and names no ID twice.  Every
-    accessed node's ID is sent an ASSIGN slot (HS1), then claimed by a
+    `dist / 1500` after it was sent, and names no ID twice.  The ID every
+    accessed node holds is sent an ASSIGN slot (HS1), then claimed by a
     beam at the base station (HS2), then sent a CONFIRM slot (HS3), all
     before the node is accessed.  The report shows unique IDs, relay
-    fan-in of at most 1 and at most two hops.  The engine's state shows
-    that no network ID is held by two nodes, and that every bound node
-    holds the ID of its own sonar track's record.
+    fan-in of at most 1 and at most two hops.
     """
     frames, hs2 = {}, {}  # frame seq -> (time sent, {ID: stage}); ID -> HS2
     for t, kind, subject, data in sim.events:
@@ -418,16 +424,23 @@ def check_trace_invariants(sim, report):
     assert len(relays_used) == len(set(relays_used)), "relay fan-in > 1"
     direct = {e.src for e in report.edges if e.dst == "bs"}
     assert all(dst in direct for dst in relays_used), "hop count > 2"
-    for node in report.nodes:
+    for node, state in zip(report.nodes, sim.nodes):
         if node.outcome != "accessed":
             continue
-        nid = node.network_id
+        # the report prints the ID of the node's track record, which under
+        # imperfect sounding need not be the one the node holds
+        nid = state.matched_id
         hs1 = min(t for t, stages in frames.values()
                   if stages.get(nid) is SlotStage.ASSIGN)
         hs3 = min(t for t, stages in frames.values()
                   if stages.get(nid) is SlotStage.CONFIRM)
         assert hs1 < hs2[nid] < hs3 < node.access_time, \
             f"handshake order violated for id {nid}"
+
+
+def check_held_ids(sim):
+    """Assert that no network ID is held by two nodes, and that every bound
+    node holds the ID of its own sonar track's record."""
     held = [s.matched_id for s in sim.nodes if s.matched_id is not None]
     assert len(held) == len(set(held)), "a network id held by two nodes"
     for i, state in enumerate(sim.nodes):

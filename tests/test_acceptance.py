@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import check_trace_invariants
+from conftest import check_held_ids, check_trace_invariants
 from scipy.integrate import quad
 
 from uwoan.base_station import (
@@ -222,6 +222,7 @@ def test_criterion_5_protocol_invariants():
         for seed in range(50):
             sim = Simulation(SimConfig(c0=c0, seed=seed), collect_trace=True)
             check_trace_invariants(sim, sim.run())
+            check_held_ids(sim)
             checked += 1
     note("criterion 5 (protocol invariants over full traces)", True,
          f"{checked} seeded runs: no node-originated acoustics, exact "

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 from conftest import (CORPUS, PLAIN, SLOT_FIELDS, WATER_TYPES,
-                      check_trace_invariants, record)
+                      check_held_ids, check_trace_invariants, record)
 
 from uwoan import engine
 from uwoan import node as uwn
@@ -154,6 +154,39 @@ class TestFastForward:
         assert fast.avg_sound_delay_s == 0.03333333333333332
         assert fast == plain
 
+    def test_drifting_arrivals_tied_out_of_index_order(self, plain_loop):
+        # both nodes drift east alike under the base station.  Node 0's
+        # delay stays a hair longer than node 1's, yet at most replayed
+        # frames the two round to one arrival time: the heap pops node 0
+        # first there, and sorting a frame by delay alone would sum node
+        # 1's delay first, which moves the last bit of the mean
+        cfg = SimConfig(n_uwn=2, current_east_mps=0.02)
+
+        def world():
+            return World(cfg.bs_position(),
+                         [Position(100.0, 100.0, 50.0 + 7.105427357601002e-14),
+                          Position(100.0, 130.0, 40.0)],
+                         (cfg.region_east_m, cfg.region_north_m,
+                          cfg.region_depth_m),
+                         (cfg.current_east_mps, cfg.current_north_mps))
+
+        sim = Simulation(cfg, seed=1, world=world())
+        fast = sim.run()
+        assert sim.settled_at is not None
+        at_rest = world().bs_distances_at_rest()
+        speed = sim.profile.sound_speed
+        tied, t = 0, cfg.first_superframe_offset_s
+        while t < cfg.t_max_s:  # the frame times, as the loop builds them
+            if t > sim.settled_at:
+                delay0, delay1 = (d / speed for d in at_rest(t))
+                tied += delay1 < delay0 and t + delay1 == t + delay0
+            t += cfg.superframe_period_s
+        assert tied > 40
+        with plain_loop():
+            plain = simulate(cfg, 1, world()).report
+        assert fast.avg_sound_delay_s == 0.03333545976991186
+        assert fast == plain
+
     def test_node_drifting_into_reach_refuses_the_shortcut(self, plain_loop):
         # node 0 settles early; node 1 starts 141 m out and drifts under
         # the base station, in reach of 120 m from about t = 17 s on
@@ -203,6 +236,65 @@ class TestCausality:
         report = sim.run()
         assert report.n_accessed
         check_trace_invariants(sim, report)
+        check_held_ids(sim)
+
+    def test_handshakes_follow_the_held_id_under_depth_noise(self):
+        # the report prints each node's track record's ID; under depth
+        # noise an accessed node may hold another, and its handshakes are
+        # those of the ID it holds.  The held IDs themselves still break
+        # (ROADMAP item 2): a shared ID or another record's ID
+        cfg = SimConfig(c0=0.056, sonar_depth_noise_std_m=0.3)
+        elsewhere = 0
+        for seed in range(3):
+            sim = Simulation(cfg, seed=seed, collect_trace=True)
+            report = sim.run()
+            check_trace_invariants(sim, report)
+            with pytest.raises(AssertionError, match="network id"):
+                check_held_ids(sim)
+            elsewhere += sum(
+                node.network_id != state.matched_id
+                for node, state in zip(report.nodes, sim.nodes)
+                if node.outcome == "accessed")
+        assert elsewhere == 2
+
+
+class TestBoxInReach:
+    """The sonar makes no range test when the whole box is in reach."""
+
+    @staticmethod
+    def world(cfg, positions, bs=None):
+        return World(bs or cfg.bs_position(), positions,
+                     (cfg.region_east_m, cfg.region_north_m,
+                      cfg.region_depth_m),
+                     (cfg.current_east_mps, cfg.current_north_mps))
+
+    @pytest.mark.parametrize("current", [0.0, 0.02])
+    def test_default_box_skips_the_test(self, current):
+        # the far corners of the 200 m box lie 245 m from the base station
+        cfg = SimConfig(current_east_mps=current)
+        sim = Simulation(cfg, seed=0)
+        assert sim.bs._skip_range_test
+        assert sim._may_fast_forward
+
+    def test_box_partly_out_of_reach_keeps_the_test(self, plain_loop):
+        # node 1 lies 236.8 m from the base station, beyond a 150 m range
+        cfg = SimConfig(n_uwn=2, acoustic_range_m=150.0)
+        nodes = [Position(100.0, 100.0, 50.0), Position(0.0, 0.0, 190.0)]
+        sim = Simulation(cfg, seed=0, world=self.world(cfg, nodes))
+        report = sim.run()
+        assert not sim.bs._skip_range_test
+        assert sim.bs.record_for_track(1) is None
+        assert [n.outcome for n in report.nodes] == ["accessed", "dormant"]
+        with plain_loop():
+            assert simulate(cfg, 0, self.world(cfg, nodes)).report == report
+
+    def test_sonar_elsewhere_than_the_world_keeps_the_test(self):
+        # the sonar sounds from the config's position; a world built around
+        # another one says nothing of the sonar's reach
+        cfg = SimConfig(n_uwn=1)
+        world = self.world(cfg, [Position(100.0, 100.0, 50.0)],
+                           bs=Position(100.0, 100.0, 10.0))
+        assert not Simulation(cfg, seed=0, world=world).bs._skip_range_test
 
 
 class TestConservation:
@@ -346,35 +438,64 @@ class TestWorldKinematics:
     REGION = (200.0, 150.0, 100.0)
 
     @staticmethod
-    def reference_position(world, i, t):
-        """The position as min/max clamps and depth_of give it."""
+    def clamped(world, i, t):
+        """(east, north, depth) by the clamped formula, with min/max clamps.
+
+        Every term is computed, a resting one as `x + 0 * dt` too."""
         body = world.bodies[i]
-        east = min(max(body.east0 + world.current[0] * t, 0.0),
-                   world.region[0])
-        north = min(max(body.north0 + world.current[1] * t, 0.0),
-                    world.region[1])
-        return Position(east, north, world.depth_of(i, t))
+        east_max, north_max, depth_max = world.region
+        return (min(max(body.east0 + world.current[0] * t, 0.0), east_max),
+                min(max(body.north0 + world.current[1] * t, 0.0), north_max),
+                min(max(body.depth_ref + body.v_down * (t - body.ref_time),
+                        0.0), depth_max))
+
+    @staticmethod
+    def bits(values):
+        """Each value with its sign, so that 0.0 and -0.0 differ."""
+        return [(v, math.copysign(1.0, v)) for v in values]
+
+    def world(self, rng, current, n):
+        """`n` random bodies, after bodies on the box's corners and a
+        `-0.0` start on every axis."""
+        return World(Position(100.0, 75.0, 0.0),
+                     [Position(-0.0, -0.0, -0.0), Position(*self.REGION),
+                      Position(-0.0, 150.0, 0.0), Position(200.0, -0.0, 50.0)]
+                     + [Position(rng.uniform(0.0, 200.0),
+                                 rng.uniform(0.0, 150.0),
+                                 rng.uniform(0.0, 100.0)) for _ in range(n)],
+                     self.REGION, current)
 
     def test_float_paths_match_positions(self):
+        # resting and moving bodies, axes with and without a current (a
+        # -0.0 current is none), all six walls and -0.0 starts: the
+        # resting terms read as stored keep the formula's bits
         rng = random.Random(11)
-        walls = set()
-        for current in ((0.0, 0.0), (1.5, 0.8), (-1.5, -0.8)):
-            world = World(Position(100.0, 75.0, 0.0),
-                          [Position(rng.uniform(0.0, 200.0),
-                                    rng.uniform(0.0, 150.0),
-                                    rng.uniform(0.0, 100.0))
-                           for _ in range(40)],
-                          self.REGION, current)
+        walls, signs = set(), set()
+        for current in ((0.0, 0.0), (1.5, 0.8), (-1.5, -0.8), (1.5, 0.0),
+                        (0.0, -0.8), (-0.0, 0.8)):
+            world = self.world(rng, current, 40)
             for step in range(60):
                 t = step * 2.5 + rng.random()
                 for i in range(world.n):
                     if rng.random() < 0.2:
-                        v = rng.choice((0.0, -3.0, 3.0, rng.uniform(-1, 1)))
+                        v = rng.choice((0.0, -0.0, -3.0, 3.0,
+                                        rng.uniform(-1, 1)))
                         world.set_vertical_velocity(i, v, t)
+                    body = world.bodies[i]
+                    ref = self.clamped(world, i, t)
+                    assert self.bits(world._coords(body, t)) \
+                        == self.bits(ref)
+                    assert self.bits([world.depth_of(i, t)]) \
+                        == self.bits(ref[2:])
                     pos = world.position_of(i, t)
-                    assert pos == self.reference_position(world, i, t)
+                    if world.drifting or body.v_down != 0.0:
+                        assert self.bits(pos) == self.bits(ref)
+                    else:  # a static body's cache keeps its stored start
+                        assert pos == ref
                     assert world.bs_distance_of(i, t) \
                         == distance(world.bs_position, pos)
+                    signs.update(math.copysign(1.0, v)
+                                 for v in ref if v == 0.0)
                     walls.update(
                         wall for wall, hit in (
                             ("west", pos.east == 0.0),
@@ -383,6 +504,9 @@ class TestWorldKinematics:
                             ("north", pos.north == 150.0),
                             ("surface", pos.depth == 0.0),
                             ("floor", pos.depth == 100.0)) if hit)
+                assert [self.bits(row) for row in world._rows(t)] \
+                    == [self.bits(self.clamped(world, i, t))
+                        for i in range(world.n)]
                 # the batches, which plain_loop cannot turn off
                 assert world.positions(t) == [world.position_of(i, t)
                                               for i in range(world.n)]
@@ -390,26 +514,31 @@ class TestWorldKinematics:
                                                  for i in range(world.n)]
         assert walls == {"west", "east", "south", "north", "surface",
                          "floor"}
+        assert signs == {1.0, -1.0}  # zeros of both signs were compared
 
-    @pytest.mark.parametrize("current", [(1.5, 0.0), (0.0, 0.8), (-1.5, -0.8)],
-                             ids=str)
+    @pytest.mark.parametrize("current", [(1.5, 0.0), (0.0, 0.8), (-1.5, -0.8),
+                                         (-0.0, -0.8)], ids=str)
     def test_distances_at_rest_match_batch(self, current):
         rng = random.Random(12)
-        world = World(Position(100.0, 75.0, 0.0),
-                      [Position(rng.uniform(0.0, 200.0),
-                                rng.uniform(0.0, 150.0),
-                                rng.uniform(0.0, 100.0))
-                       for _ in range(40)],
-                      self.REGION, current)
+        world = self.world(rng, current, 40)
         # move some bodies to the surface, the floor and in between first
         for i in range(world.n):
             world.set_vertical_velocity(i, rng.choice((0.0, -3.0, 3.0)), 0.0)
         for i in range(world.n):
-            world.set_vertical_velocity(i, 0.0, rng.uniform(0.0, 50.0))
+            world.set_vertical_velocity(i, rng.choice((0.0, -0.0)),
+                                        rng.uniform(0.0, 50.0))
         at_rest = world.bs_distances_at_rest()
+        bs = world.bs_position
         t = 50.0
         for _ in range(120):  # long enough for drifters to reach the walls
-            assert at_rest(t) == world.bs_distances(t)
+            batch = world.bs_distances(t)
+            assert at_rest(t) == batch
+            # the clamped formula, in `distance`'s operand order
+            assert self.bits(batch) == self.bits(
+                math.sqrt((east - bs.east) ** 2 + (north - bs.north) ** 2
+                          + (depth - bs.depth) ** 2)
+                for east, north, depth in (self.clamped(world, i, t)
+                                           for i in range(world.n)))
             t += 0.9
         world.set_vertical_velocity(3, 1.0, t)
         with pytest.raises(ValueError):
@@ -1758,6 +1887,9 @@ class TestShortcuts:
         < sum(r.verdicts for r in off),
         "unchanged_returns": lambda on, off: any(
             r.unchanged_returns for r in on),
+        # every run's first ping has returns, untested when the flag is on
+        "range_test": lambda on, off: all(r.range_untested for r in on)
+        and not any(r.range_untested for r in off),
     }
     UNSEEN = ("cached_pos", "cached_bs_dist")
 
