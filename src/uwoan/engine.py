@@ -303,25 +303,20 @@ class Simulation:
 
         What the report sees of the tail is `_delay_sum`, to which the run
         loop adds each frame's delays in the order the heap pops its
-        arrivals: by arrival time `t + delay`, and among equal times in
-        node order, the order in which the frame pushed them (and `_fold`
-        keeps it too, by a stable sort).  The ping has folded every earlier
-        delay, so this walks the transmit times as the loop builds them
-        (from `_next_tx`, then `t += period`) and sums each frame's
-        `bs_distance_of(i, t) / speed` in that order, stopping at `t_max`
-        as SIM_END does.
-
-        A static world computes its delays once, sorted by `(delay, i)`.
-        That is the heap's order unless two of them, with descending node
-        indices, round to one arrival time; such a frame is re-sorted by
-        its arrival times.  A drifting world recomputes its delays every
-        frame in one batched pass, `World.bs_distances_at_rest`, which
-        clamps at the walls as `bs_distance_of` does and squares the terms
-        that cannot change (depth, and any axis with no current) once per
-        replay.  It sorts each frame's node indices stably by arrival time
-        and adds the delays that land before `t_max`.  The replay adds to
-        the tally directly rather than through the arrival log, which
-        measured slower.
+        arrivals.  The ping has folded every earlier delay, so this walks
+        the transmit times as the loop builds them (from `_next_tx`, then
+        `t += period`) and sums each frame's `bs_distance_of(i, t) /
+        speed` in the heap's `(t + delay, i)` order, stopping at `t_max`
+        as SIM_END does.  Sorted by `(delay, i)`, the delays come out in
+        that order unless two of them, with descending node indices, round
+        to one arrival time; such a frame is re-sorted by its arrival
+        times.  A static world computes its delays once.  A drifting world
+        recomputes them every frame in one batched pass,
+        `World.bs_distances_at_rest`, which clamps at the walls as
+        `bs_distance_of` does and squares the terms that cannot change
+        (depth, and any axis with no current) once per replay.  The replay
+        adds to the tally directly rather than through the arrival log,
+        which measured slower.
         """
         if not self.bs.registry:
             return
@@ -331,36 +326,28 @@ class Simulation:
         t = self._next_tx
         t_max = self.cfg.t_max_s
         period = self.cfg.superframe_period_s
+        # no arrival lands later than this; one ulp of it is the widest
+        # gap two delays can have and still round to one arrival time
+        tie_gap = math.ulp(t_max + reach / speed)
         total, count = self._delay_sum, self._delay_count
         bs_distances = world.bs_distances_at_rest()
-        if world.drifting:
-            while t < t_max:
-                delays = [d / speed for d in bs_distances(t) if d <= reach]
-                times = [t + delay for delay in delays]
-                order = sorted(range(len(times)), key=times.__getitem__)
-                n = bisect_left(order, t_max, key=times.__getitem__)
-                total = reduce(add, [delays[k] for k in order[:n]], total)
-                count += n
-                t += period
-        else:
-            # no arrival lands later than this; one ulp of it is the widest
-            # gap two delays can have and still round to one arrival time
-            tie_gap = math.ulp(t_max + reach / speed)
-            delays = sorted((d / speed, i)
-                            for i, d in enumerate(bs_distances(t))
-                            if d <= reach)
-            may_tie = any(
-                later[0] - first[0] <= tie_gap and first[1] > later[1]
-                for first, later in zip(delays, delays[1:]))
-            while t < t_max:
-                frame = sorted(delays, key=lambda e: (t + e[0], e[1])) \
-                    if may_tie else delays
-                for delay, _ in frame:
-                    if t + delay >= t_max:  # the loop stops at SIM_END too
-                        break
-                    total += delay
-                    count += 1
-                t += period
+        delays: list[tuple[float, int]] | None = None
+        while t < t_max:
+            if delays is None or world.drifting:
+                delays = sorted((d / speed, i)
+                                for i, d in enumerate(bs_distances(t))
+                                if d <= reach)
+                may_tie = any(
+                    later[0] - first[0] <= tie_gap and first[1] > later[1]
+                    for first, later in zip(delays, delays[1:]))
+            frame = sorted(delays, key=lambda e: (t + e[0], e[1])) \
+                if may_tie else delays
+            for delay, _ in frame:
+                if t + delay >= t_max:  # the loop stops at SIM_END too
+                    break
+                total += delay
+                count += 1
+            t += period
         self._delay_sum, self._delay_count = total, count
 
     def _on_timeout_check(self, t: float) -> None:

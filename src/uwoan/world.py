@@ -197,9 +197,10 @@ class World:
 
         Then only an axis with a current changes with t.  Each body's
         depth term, and its term on an axis with no current, is squared
-        once here (adding a zero velocity changes no square); the returned
-        function recomputes the others and keeps `bs_distance_of`'s
-        association, `sqrt((east2 + north2) + depth2)`, so the bits agree.
+        once here from the coordinate the body stores (`_Body`); the
+        returned function recomputes the others and keeps
+        `bs_distance_of`'s association, `sqrt((east2 + north2) + depth2)`,
+        so the bits agree.
         """
         bodies = self.bodies
         if not self.drifting:
@@ -207,23 +208,24 @@ class World:
         if any(b.v_down != 0.0 for b in bodies):
             raise ValueError("a node is moving vertically")
 
-        def squares(starts: list[float], rate: float, limit: float,
+        def squares(starts: list[float], still: list[float], rate: float,
+                    limit: float,
                     origin: float) -> Callable[[float], list[float]]:
             """Each body's squared term on one axis, as a function of t."""
             if rate == 0.0:
-                still = [(_clip(s, limit) - origin) ** 2 for s in starts]
-                return lambda t: still
+                fixed = [(s - origin) ** 2 for s in still]
+                return lambda t: fixed
             return lambda t: [(_clip(s + rate * t, limit) - origin) ** 2
                               for s in starts]
 
         bs = self.bs_position
-        east_max, north_max, depth_max = self.region
-        east2 = squares([b.east0 for b in bodies], self.current[0],
-                        east_max, bs.east)
-        north2 = squares([b.north0 for b in bodies], self.current[1],
+        east_max, north_max, _ = self.region
+        east2 = squares([b.east0 for b in bodies], [b.east for b in bodies],
+                        self.current[0], east_max, bs.east)
+        north2 = squares([b.north0 for b in bodies],
+                         [b.north for b in bodies], self.current[1],
                          north_max, bs.north)
-        depth2 = [(_clip(b.depth_ref, depth_max) - bs.depth) ** 2
-                  for b in bodies]
+        depth2 = [(b.depth - bs.depth) ** 2 for b in bodies]
         sqrt = math.sqrt
         return lambda t: [sqrt((e2 + n2) + d2) for e2, n2, d2
                           in zip(east2(t), north2(t), depth2)]
