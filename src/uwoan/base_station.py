@@ -178,8 +178,8 @@ class BsState:
         self.next_frame_seq = 0
         self.unknown_beams = 0
         self.duplicate_beams = 0
-        # an unchanged return folds to nothing while no draw rides on it, so
-        # the scan skips it; `unchanged_returns` counts the last skips
+        # a return that would only move its record is folded in the scan
+        # while no draw rides on it; `unchanged_returns` counts the last
         self._skip_unchanged = (config.sonar_depth_noise_std_m == 0.0
                                 and config.p_misdetect == 0.0)
         self.unchanged_returns = 0
@@ -208,16 +208,20 @@ class BsState:
         water column) and quantized with the shared depth model; each
         return is independently dropped with probability p_misdetect.
 
-        With neither noise nor misdetection, a return is skipped when its
-        record, whatever its stage, observed no motion and holds this very
-        `Position` object.  Folding it would change nothing: the marker
-        stays NONE, the position stays the same object, and no kept slot is
-        dropped.  A depth-matchable record's depth code already comes from
-        that object, since no record goes back to such a stage once it has
-        left one, and no random draw is skipped with it.  Such a record was
-        detected at this position before, so it is in reach;
-        `unchanged_returns` counts the skipped returns, which are
-        detections all the same.
+        With neither noise nor misdetection, the scan folds a return itself
+        when folding it in `update_decomposition` would change nothing but
+        the record's `sonar_position`.  Its record, whatever its stage,
+        observed no motion, and either holds this very `Position` object,
+        or holds one at the same depth while it has no relay partner either
+        way and keeps no slot with angles (none, or a CONFIRM slot).  The
+        marker then stays NONE, no kept slot is dropped, and a
+        depth-matchable record's depth code already comes from that depth,
+        since no record goes back to such a stage once it has left one; no
+        random draw is skipped with it.  A record at this very object was
+        detected there before, so it is in reach; a moved return is tested
+        first.  `unchanged_returns` counts the returns folded here, which
+        are detections all the same.  A relay pair's moved returns still go
+        to `update_decomposition`, which drops the partner's slot.
 
         A return is out of reach when its distance from `bs_position`
         exceeds `acoustic_range_m`.  The scan makes no such test when
@@ -235,12 +239,14 @@ class BsState:
         skipped = 0
         out: list[Detection] = []
         for track_key, pos in snapshot:
+            rec = None
             if skip_unchanged:
                 nid = by_track.get(track_key)
                 if nid is not None:
                     rec = registry[nid]
-                    if rec.sonar_position is pos \
-                            and rec.observed_motion is MARKER_NONE:
+                    if rec.observed_motion is not MARKER_NONE:
+                        rec = None
+                    elif rec.sonar_position is pos:
                         skipped += 1
                         continue
             east, north, depth = pos
@@ -248,6 +254,12 @@ class BsState:
             if test_range and sqrt((east - bs_east) ** 2
                                    + (north - bs_north) ** 2
                                    + (depth - bs_depth) ** 2) > reach:
+                continue
+            if rec is not None and depth == rec.sonar_position.depth \
+                    and rec.relay_of is None and rec.relayed_by is None \
+                    and (rec.slot is None or rec.slot.stage is SLOT_CONFIRM):
+                rec.sonar_position = pos  # all that folding it would change
+                skipped += 1
                 continue
             if p_miss > 0.0 and rng.random() < p_miss:
                 continue

@@ -22,10 +22,13 @@ tells when none is left).  It sends each record's last slot again as the
 same object while nothing it depends on changes.  A CONFIRM slot carries
 no angles, since no receiver reads them, so it depends only on its
 record's ID and frozen depth code and outlasts the moves of the record
-and of its relay in a drifting world.  It skips the sonar return of a
-record that saw no motion and holds the same position, whatever its stage,
-and makes no range test when the whole region box is in acoustic reach
-(`BsState.sonar_scan`).
+and of its relay in a drifting world.  It folds in the sonar scan the
+return of a record that saw no motion, whatever its stage, when the return
+only moves the record: the same position, or the same depth with no relay
+partner and no slot with angles.  It makes no range test when the whole
+region box is in acoustic reach (`BsState.sonar_scan`).  The settled-tail
+replay starts once the base station settles, while accessed nodes may
+still be heading home (`Simulation._quiescent`).
 An untraced run keeps a frame arrival off the event queue when it is
 known to change nothing: the node is bound to an ID and does not heed the
 frame (`node.heeds`); or its slot equals the RELAY_RX slot last queued to
@@ -62,7 +65,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 from random import Random
 
 from . import node as uwn
@@ -265,21 +268,31 @@ class Simulation:
         """True once no future event can change anything but delay tallies.
 
         The base station must hold no live record (every record accessed
-        or failed, both final), every node settled with zero vertical
-        velocity, and every node in reach at ping time `t` already
-        registered.  Terminal records put only
-        CONFIRM and RELAY_RX slots in a frame, and every frame lands before
-        the next ping, so an unaccessed node left over can match nothing.
-        A static node's reach never changes, and a drifting world passes
-        the gate only if every node stays in reach, so none can come into
-        reach later and be registered.
+        or failed, both final), and every node in reach at ping time `t`
+        must be registered.  Terminal records put only CONFIRM and RELAY_RX
+        slots in a frame, and every frame lands before the next ping, so an
+        unaccessed node left over can match nothing.  A static node's reach
+        never changes, and a drifting world passes the gate only if every
+        node stays in reach, so none can come into reach later and be
+        registered.
+
+        A body may still move vertically only on the way home that
+        `on_access` starts: its expiry draws no random number and emits
+        nothing, and the replay stops it through the loop's own handler.
+        Any other mover blocks, since a conflict mover draws at each
+        expiry.  So does a deadline equal to a replayed transmit time: at
+        such a tie the loop's order depends on sequence numbers.
         """
         if not self.bs.settled:
             return False
         reach = self.cfg.acoustic_range_m
+        deadlines = set()
         for i, state in enumerate(self.nodes):
             if self.world.bodies[i].v_down != 0.0:
-                return False
+                if state.lifecycle is not NODE_ACCESSED \
+                        or state.movement_deadline is None:
+                    return False
+                deadlines.add(state.movement_deadline)
             if state.lifecycle is NODE_ACCESSED:
                 continue
             if self.world.bs_distance_of(i, t) > reach:
@@ -287,6 +300,13 @@ class Simulation:
             # registered nodes need no stage check: CONFIRMs land before a ping
             if self.bs.record_for_track(i) is None:
                 return False
+        if deadlines:
+            last, t_max = max(deadlines), self.cfg.t_max_s
+            tx = self._next_tx
+            while tx < t_max and tx <= last:  # as the replay walks them
+                if tx in deadlines:
+                    return False
+                tx += self.cfg.superframe_period_s
         return True
 
     def _fast_forward_tail(self) -> None:
@@ -299,24 +319,29 @@ class Simulation:
         tail, so no bearing is ever read.  Sonar re-scans move
         `sonar_position` and drop kept slots, which changes slot angles but
         never a terminal stage.  Misdetection and depth-noise draws consume
-        the random stream, but nothing reads it afterwards.
+        the random stream, but nothing reads it afterwards.  An accessed
+        node still heading home stops at its deadline, which `_quiescent`
+        keeps off every replayed transmit time: before each frame, the
+        replay stops every mover whose deadline came earlier, through
+        `_on_movement_expiry`, as the loop would have.
 
         What the report sees of the tail is `_delay_sum`, to which the run
         loop adds each frame's delays in the order the heap pops its
         arrivals.  The ping has folded every earlier delay, so this walks
         the transmit times as the loop builds them (from `_next_tx`, then
-        `t += period`) and sums each frame's `bs_distance_of(i, t) /
-        speed` in the heap's `(t + delay, i)` order, stopping at `t_max`
-        as SIM_END does.  Sorted by `(delay, i)`, the delays come out in
-        that order unless two of them, with descending node indices, round
-        to one arrival time; such a frame is re-sorted by its arrival
-        times.  A static world computes its delays once.  A drifting world
-        recomputes them every frame in one batched pass,
-        `World.bs_distances_at_rest`, which clamps at the walls as
-        `bs_distance_of` does and squares the terms that cannot change
-        (depth, and any axis with no current) once per replay.  The replay
-        adds to the tally directly rather than through the arrival log,
-        which measured slower.
+        `t += period`) and sums the delays `d / speed` of the base-station
+        distances `d` in reach at each, in the heap's `(t + delay, i)`
+        order, stopping at `t_max` as SIM_END does.  Sorted by value, the
+        delays come out in that order unless two unequal ones round to one
+        arrival time; then the frame's delays, in node order, are sorted
+        stably by arrival time.  While a body moves, each frame's distances
+        come from `World.bs_distances` and are tested against the acoustic
+        range frame by frame, as the loop tests them.  Once every
+        body rests, a static world computes its delays once, and a drifting
+        one every frame in one batched pass, `World.bs_distances_at_rest`,
+        which squares the terms that cannot change once per replay.  The
+        replay adds to the tally directly rather than through the arrival
+        log, which measured slower.
         """
         if not self.bs.registry:
             return
@@ -330,19 +355,28 @@ class Simulation:
         # gap two delays can have and still round to one arrival time
         tie_gap = math.ulp(t_max + reach / speed)
         total, count = self._delay_sum, self._delay_count
-        bs_distances = world.bs_distances_at_rest()
-        delays: list[tuple[float, int]] | None = None
+        movers = sorted((state.movement_deadline, i)
+                        for i, state in enumerate(self.nodes)
+                        if world.bodies[i].v_down != 0.0)
+        bs_distances = world.bs_distances if movers \
+            else world.bs_distances_at_rest()
+        delays: list[float] | None = None
         while t < t_max:
-            if delays is None or world.drifting:
-                delays = sorted((d / speed, i)
-                                for i, d in enumerate(bs_distances(t))
-                                if d <= reach)
-                may_tie = any(
-                    later[0] - first[0] <= tie_gap and first[1] > later[1]
-                    for first, later in zip(delays, delays[1:]))
-            frame = sorted(delays, key=lambda e: (t + e[0], e[1])) \
-                if may_tie else delays
-            for delay, _ in frame:
+            while movers and movers[0][0] < t:
+                deadline, i = movers.pop(0)
+                self._on_movement_expiry(deadline, i,
+                                         self.nodes[i].movement_epoch)
+                delays = None
+                if not movers:
+                    bs_distances = world.bs_distances_at_rest()
+            if delays is None or movers or world.drifting:
+                delays = [d / speed for d in bs_distances(t) if d <= reach]
+                frame = sorted(delays)
+                may_tie = len(frame) > 1 \
+                    and min(map(sub, frame[1:], frame)) <= tie_gap
+            if may_tie:
+                frame = sorted(delays, key=lambda delay: t + delay)
+            for delay in frame:
                 if t + delay >= t_max:  # the loop stops at SIM_END too
                     break
                 total += delay

@@ -8,7 +8,11 @@ the region box, and all moving coordinates clip at it, through `_clip`
 alone.  A coordinate that cannot move, the depth of a body with no
 vertical velocity or an axis with no current, is read as its body stores
 it: the clamped formula's value at the body's reference time, which it
-keeps at every later time, bit for bit (`_Body`).
+keeps at every later time, bit for bit (`_Body`).  The static position
+cache holds those stored coordinates too.  From t = 0 up to a bound found
+once per world, no drifting coordinate can reach a wall, so the batches
+below skip its clamp there, which would return its argument; past the
+bound, or before t = 0, they clamp every drifting coordinate.
 
 A position computed from clipped coordinates is valid by construction,
 so it is built without `Position`'s checks.  `World` rejects up front a
@@ -106,6 +110,42 @@ class World:
                                         f"the region's [0, {limit}]")
         self.bodies = [_Body(p.east, p.north, p.depth, current)
                        for p in node_positions]
+        self._wall_free_until = self._find_wall_free_until()
+
+    def _find_wall_free_until(self) -> float:
+        """A time up to which no body's `start + rate * t` leaves the box.
+
+        From t = 0 to it, every drifting coordinate lies in the box, where
+        `_clip` returns its argument, so the clamp can be skipped.  IEEE
+        addition and multiplication round monotonically, so on each axis
+        the body nearest the downstream wall is the first to leave, and a
+        time at which its formula is still inside bounds every earlier
+        time.  The bound is checked by evaluating the formula at it; a
+        candidate off by rounding is bisected down toward 0, where every
+        start lies inside.
+        """
+        until = math.inf
+        for rate, limit, starts in zip(
+                self.current, self.region,
+                ([b.east0 for b in self.bodies],
+                 [b.north0 for b in self.bodies])):
+            if not rate or not starts:
+                continue
+            start = max(starts) if rate > 0.0 else min(starts)
+
+            def inside(t: float) -> bool:
+                return 0.0 <= start + rate * t <= limit
+            # the time the exact formula reaches the wall
+            lo = hi = ((limit if rate > 0.0 else 0.0) - start) / rate
+            if not inside(hi):
+                lo = 0.0
+                while lo < (mid := lo + (hi - lo) / 2) < hi:
+                    if inside(mid):
+                        lo = mid
+                    else:
+                        hi = mid
+            until = min(until, lo)
+        return until
 
     @property
     def n(self) -> int:
@@ -134,9 +174,12 @@ class World:
         """`_coords(body, t)` of every body, with no method call per body."""
         east_rate, north_rate = self.current
         east_max, north_max, depth_max = self.region
-        return [(_clip(b.east0 + east_rate * t, east_max)
+        free = 0.0 <= t <= self._wall_free_until
+        return [((b.east0 + east_rate * t if free
+                  else _clip(b.east0 + east_rate * t, east_max))
                  if east_rate else b.east,
-                 _clip(b.north0 + north_rate * t, north_max)
+                 (b.north0 + north_rate * t if free
+                  else _clip(b.north0 + north_rate * t, north_max))
                  if north_rate else b.north,
                  b.depth if b.v_down == 0.0
                  else _clip(b.depth_ref + b.v_down * (t - b.ref_time),
@@ -158,8 +201,8 @@ class World:
             # read once, so a cache that keeps nothing still returns a value
             pos = body.cached_pos
             if pos is None:
-                pos = body.cached_pos = Position(body.east0, body.north0,
-                                                 body.depth_ref)
+                pos = body.cached_pos = _tuple_new(
+                    Position, (body.east, body.north, body.depth))
             return pos
         if not -_MAX_TIME <= t <= _MAX_TIME:
             raise _bad_time(t)
@@ -215,11 +258,16 @@ class World:
             if rate == 0.0:
                 fixed = [(s - origin) ** 2 for s in still]
                 return lambda t: fixed
-            return lambda t: [(_clip(s + rate * t, limit) - origin) ** 2
-                              for s in starts]
+
+            def moving(t: float) -> list[float]:
+                free = 0.0 <= t <= wall_free_until
+                return [((s + rate * t if free else _clip(s + rate * t, limit))
+                         - origin) ** 2 for s in starts]
+            return moving
 
         bs = self.bs_position
         east_max, north_max, _ = self.region
+        wall_free_until = self._wall_free_until
         east2 = squares([b.east0 for b in bodies], [b.east for b in bodies],
                         self.current[0], east_max, bs.east)
         north2 = squares([b.north0 for b in bodies],

@@ -185,8 +185,8 @@ class Recording:
     seq: int                  # events queued (`Simulation._seq`)
     settled_at: float | None
     unchanged_returns: int    # `BsState.unchanged_returns` at the end
-    # sonar returns skipped over the run, from the SONAR_PING records of a
-    # traced run; None untraced
+    # sonar returns folded in the scan over the run, from the SONAR_PING
+    # records of a traced run; None untraced
     skipped: int | None
     slot_objects: int         # distinct slot objects composed
     # each composed slot whose field values at the end differ from those
@@ -205,6 +205,9 @@ class Recording:
     missed: bool              # `_answer_misses` kept some answer off the queue
     # the sonar made no range test (`BsState._skip_range_test`)
     range_untested: bool
+    # (deadline, node) of each body still moving when the settled-tail
+    # replay started
+    movers: list
     # kept in the corpus with every shortcut on: every frame broadcast,
     # indexed, and every index a receiver matched, once
     frames: list | None = None
@@ -227,7 +230,8 @@ _WRAPPED = [(engine, "FrameIndex"), (engine, "encode"), (engine, "decode"),
             (Simulation, "_on_superframe_tx"),
             (Simulation, "_answer_misses"),
             (Simulation, "_on_acoustic_arrival"),
-            (Simulation, "_delivery_power")]
+            (Simulation, "_delivery_power"),
+            (Simulation, "_fast_forward_tail")]
 _ABSENT = object()
 _ORIGINALS = [(owner, name, vars(owner).get(name, _ABSENT))
               for owner, name in _WRAPPED
@@ -249,6 +253,7 @@ def record(cfg, seed, world=None, traced=False, off=(), row=None):
     frames, matched, composed = [], {}, {}
     delays = array("d")
     partner_stages, duties_bound = Counter(), Counter()
+    movers = []
     counts = Counter()
 
     def index_frame(frame):
@@ -302,6 +307,12 @@ def record(cfg, seed, world=None, traced=False, off=(), row=None):
     def no_codec(*args):
         raise AssertionError("the run loop encoded or decoded a frame")
 
+    def replay(self):
+        movers.extend((state.movement_deadline, i)
+                      for i, state in enumerate(self.nodes)
+                      if self.world.bodies[i].v_down != 0.0)
+        real_replay(self)
+
     real_match = uwn.match_frame_indexed
     real_formula = engine.optical_received_power
     real_compose = BsState.compose_superframe
@@ -309,10 +320,11 @@ def record(cfg, seed, world=None, traced=False, off=(), row=None):
     real_misses = Simulation._answer_misses
     real_arrival = Simulation._on_acoustic_arrival
     real_power = Simulation._delivery_power
+    real_replay = Simulation._fast_forward_tail
     with pytest.MonkeyPatch.context() as patch:
         for (owner, name), wrapper in zip(_WRAPPED, [  # in the same order
                 index_frame, no_codec, no_codec, formula, match, compose,
-                transmit, answer_misses, arrival, delivery_power]):
+                transmit, answer_misses, arrival, delivery_power, replay]):
             patch.setattr(owner, name, wrapper)
         _turn_off(patch, off)
         sim = Simulation(cfg, seed, world, collect_trace=traced)
@@ -330,7 +342,7 @@ def record(cfg, seed, world=None, traced=False, off=(), row=None):
         len(composed), [(values, slot) for slot, values in composed.values()
                         if SLOT_FIELDS(slot) != values],
         counts["verdicts"], counts["powers"], delays, partner_stages,
-        duties_bound, counts["missed"] > 0, range_untested)
+        duties_bound, counts["missed"] > 0, range_untested, movers)
     if row in CORPUS and seed in CORPUS_SEEDS:
         if not off:
             recording.frames = frames

@@ -209,6 +209,92 @@ class TestFastForward:
         assert fast == plain
         assert [n.outcome for n in plain.nodes] == ["accessed", "accessed"]
 
+    @staticmethod
+    def pair_world(cfg):
+        """Two nodes at one depth, 10 m apart: the conflict moves them, and
+        each is accessed away from home, to which it then returns."""
+        return World(cfg.bs_position(),
+                     [Position(100.0, 100.0, 80.0),
+                      Position(110.0, 100.0, 80.0)],
+                     (cfg.region_east_m, cfg.region_north_m,
+                      cfg.region_depth_m))
+
+    @staticmethod
+    def same_tally(fast, plain):
+        assert fast == plain
+        assert fast.avg_sound_delay_s.hex() == plain.avg_sound_delay_s.hex()
+
+    def test_replay_stops_nodes_on_their_way_home(self):
+        cfg = SimConfig(n_uwn=2)
+        for seed in range(10):
+            fast = record(cfg, seed, self.pair_world(cfg))
+            # the base station settles while a node still heads home
+            assert fast.settled_at < max(fast.movers)[0]
+            plain = record(cfg, seed, self.pair_world(cfg), off=PLAIN)
+            self.same_tally(fast.report, plain.report)
+        # with seed 1, node 0 heads home from about 6.2 s to 10.1 s: the
+        # replay starts at 7 s and sends it three frames on its way
+        fast = record(cfg, 1, self.pair_world(cfg))
+        assert fast.settled_at == 7.0
+        assert fast.movers == [(10.110980380401706, 0), (7.246085510593038, 1)]
+
+    @staticmethod
+    def transmit_times(cfg):
+        """The frame times, as the loop builds them."""
+        times, t = [], cfg.first_superframe_offset_s
+        while t < cfg.t_max_s:
+            times.append(t)
+            t += cfg.superframe_period_s
+        return times
+
+    def test_deadline_on_a_transmit_time_refuses_the_replay(
+            self, monkeypatch, plain_loop):
+        # each way home is stretched to end exactly at a transmit time, at
+        # which the loop's order hangs on sequence numbers.  Unpatched,
+        # the replay of seed 1 starts at 7 s (above)
+        cfg = SimConfig(n_uwn=2)
+        times = self.transmit_times(cfg)
+        real = uwn.on_access
+        tied = []
+
+        def on_access(state, now, *args):
+            real(state, now, *args)
+            if state.movement_deadline is not None:
+                state.movement_deadline = next(
+                    t for t in times if t >= state.movement_deadline)
+                tied.append(state.movement_deadline)
+        monkeypatch.setattr(uwn, "on_access", on_access)
+        sim = Simulation(cfg, 1, self.pair_world(cfg))
+        fast = sim.run()
+        assert len(tied) == 2
+        assert max(tied) < sim.settled_at < max(tied) + cfg.superframe_period_s
+        with plain_loop():
+            plain = simulate(cfg, 1, self.pair_world(cfg)).report
+        self.same_tally(fast, plain)
+
+    def test_node_crossing_the_range_on_its_way_home(self, monkeypatch,
+                                                     plain_loop):
+        # a static node's way home stays in reach: it was woken at home,
+        # it is accessed where a frame reached it, and its distance to the
+        # base station is convex along the way.  A patched `on_access`
+        # sends both nodes down instead, past the 120 m range from about
+        # 14 s on, and the replay must follow them frame by frame
+        cfg = SimConfig(n_uwn=2, acoustic_range_m=120.0)
+        real = uwn.on_access
+
+        def on_access(state, now, *args):
+            real(state, now, *args)
+            state.vertical_velocity, state.movement_deadline = 5.0, now + 20.0
+        monkeypatch.setattr(uwn, "on_access", on_access)
+        sim = Simulation(cfg, 1, self.pair_world(cfg))
+        fast = sim.run()
+        assert sim.settled_at == 7.0
+        assert all(sim.world.bs_distance_of(i, 40.0) > 120.0
+                   for i in range(2))
+        with plain_loop():
+            plain = simulate(cfg, 1, self.pair_world(cfg)).report
+        self.same_tally(fast, plain)
+
     def test_node_whose_id_was_taken_does_not_block_the_shortcut(
             self, plain_loop):
         # with 3 m of sonar depth noise, seed 18 records node 30 at node
@@ -488,10 +574,8 @@ class TestWorldKinematics:
                     assert self.bits([world.depth_of(i, t)]) \
                         == self.bits(ref[2:])
                     pos = world.position_of(i, t)
-                    if world.drifting or body.v_down != 0.0:
-                        assert self.bits(pos) == self.bits(ref)
-                    else:  # a static body's cache keeps its stored start
-                        assert pos == ref
+                    # a static body's cache too, signed zeros included
+                    assert self.bits(pos) == self.bits(ref)
                     assert world.bs_distance_of(i, t) \
                         == distance(world.bs_position, pos)
                     signs.update(math.copysign(1.0, v)
@@ -543,6 +627,69 @@ class TestWorldKinematics:
         world.set_vertical_velocity(3, 1.0, t)
         with pytest.raises(ValueError):
             world.bs_distances_at_rest()
+
+    @pytest.mark.parametrize("at_wall", [False, True], ids=["near", "at"])
+    @pytest.mark.parametrize("current", [(0.02, 0.0), (-0.02, 0.0),
+                                         (0.0, 0.02), (0.0, -0.02),
+                                         (0.03, -0.02), (-1.5, 0.8)],
+                             ids=str)
+    def test_clamp_skipped_only_while_no_body_reaches_a_wall(
+            self, current, at_wall):
+        # bodies within one drift step (a 1 s period) of each wall, or at
+        # it, -0.0 starts among them: the batches skip the clamp up to the
+        # bound and must keep the clamped formula's bits on either side of
+        # it.  A -0.0 start lies on a drifting axis: a resting coordinate
+        # is read as stored, the formula's value from the reference time on
+        rng = random.Random(14)
+        east_max, north_max, depth_max = self.REGION
+        step_east, step_north = (abs(rate) * 1.0 for rate in current)
+        near = [Position(east_max - step_east * rng.random(), 70.0, 30.0),
+                Position(step_east * rng.random(), 80.0, 40.0),
+                Position(90.0, north_max - step_north * rng.random(), 50.0),
+                Position(110.0, step_north * rng.random(), 60.0)]
+        if at_wall:
+            near += [Position(east_max, 0.0, 20.0),
+                     Position(0.0, north_max, 20.0),
+                     Position(-0.0 if current[0] else 50.0,
+                              -0.0 if current[1] else 50.0, 20.0)]
+        world = World(Position(100.0, 75.0, 0.0), near + [
+            Position(rng.uniform(0.0, east_max), rng.uniform(0.0, north_max),
+                     rng.uniform(0.0, depth_max)) for _ in range(20)],
+            self.REGION, current)
+        bound = world._wall_free_until
+        if at_wall:
+            assert bound == 0.0
+        else:  # the bound is the time the nearest body reaches its wall
+            assert 0.0 < bound <= 1.0
+            past = bound * (1.0 + 1e-9)
+            assert not all(0.0 <= b.east0 + current[0] * past <= east_max
+                           and 0.0 <= b.north0 + current[1] * past
+                           <= north_max for b in world.bodies)
+        at_rest = world.bs_distances_at_rest()
+        bs = world.bs_position
+        times = [-1.0, -1e-300, -0.0, 0.0, math.nextafter(bound, -math.inf),
+                 bound, math.nextafter(bound, math.inf), bound + 0.5,
+                 bound + 1.0, 2.0 * bound + 30.0]
+        for t in times:
+            rows = [self.clamped(world, i, t) for i in range(world.n)]
+            assert [self.bits(row) for row in world._rows(t)] \
+                == [self.bits(row) for row in rows]
+            assert [self.bits(world._coords(body, t))
+                    for body in world.bodies] \
+                == [self.bits(row) for row in rows]
+            dists = self.bits(
+                math.sqrt((east - bs.east) ** 2 + (north - bs.north) ** 2
+                          + (depth - bs.depth) ** 2)
+                for east, north, depth in rows)
+            assert self.bits(world.bs_distances(t)) == dists
+            assert self.bits(at_rest(t)) == dists
+        # and with bodies moving vertically, to the surface and the floor
+        for i in range(world.n):
+            world.set_vertical_velocity(i, rng.choice((0.0, -9.0, 9.0)), -1.0)
+        for t in times:
+            assert [self.bits(row) for row in world._rows(t)] \
+                == [self.bits(self.clamped(world, i, t))
+                    for i in range(world.n)]
 
     @staticmethod
     def assert_valid(pos):
@@ -870,9 +1017,10 @@ class TestKeptSlots:
     def test_confirm_slot_outlasts_drift(self, recorder):
         # from its access on, a drifting record that never relays is sent
         # one CONFIRM slot object in every frame, however it and its own
-        # relay move
+        # relay move.  Traced runs send every frame of the run, so the
+        # count does not hang on when the settled-tail replay starts
         repeats = 0
-        for r in recorder.corpus():
+        for r in recorder.corpus(traced=True):
             if r.cfg.current_east_mps == 0.0:
                 continue
             accessed: dict[int, list[SlotPayload]] = {}
@@ -1540,21 +1688,70 @@ class TestInertArrivals:
 
 
 class TestSettledReturns:
-    """Unchanged sonar returns are skipped only where that is exact.
+    """Sonar returns are folded in the scan only where that is exact.
 
     Depth noise and misdetection draw from the random stream for every
-    return in reach, so with either one nothing may be skipped.
+    return in reach, so with either one every return goes on to
+    `update_decomposition`.  Without them, a static record's return and a
+    drifting one that only moves its record are folded in the scan.
     """
 
-    @pytest.mark.parametrize("row", ["static", "misdetect", "sonar_noise"])
+    @pytest.mark.parametrize("row", ["static", "drift", "misdetect",
+                                     "sonar_noise"])
     def test_skips_only_without_draws(self, row, recorder):
         runs = recorder.runs([row], range(3), traced=True)
         skipped = sum(r.skipped for r in runs)
-        assert (skipped > 0) == (row == "static")
+        assert (skipped > 0) == (row in ("static", "drift"))
         if skipped:  # with none skipped, turning the skip off changes nothing
             plain = recorder.runs([row], range(3), traced=True,
                                   off=["unchanged_returns"])
             assert [r.result for r in plain] == [r.result for r in runs]
+
+    def test_only_returns_that_change_more_are_folded_late(
+            self, monkeypatch, recorder):
+        # a drifting return that only moves a record with no motion, no
+        # relay and no angled slot is folded in the scan, and no other.  A
+        # relay pair's returns still reach `update_decomposition`, which
+        # drops the partner's slot that points at the moved record
+        late = Counter()
+        real, real_scan = BsState.update_decomposition, BsState.sonar_scan
+
+        def scan(self, snapshot, rng):
+            before = [(rec, rec.sonar_position) for rec in
+                      self.registry.values()]
+            detections = real_scan(self, snapshot, rng)
+            for rec, pos in before:
+                if rec.sonar_position is not pos:  # folded in the scan
+                    assert rec.observed_motion is MovementMarker.NONE
+                    assert rec.sonar_position.depth == pos.depth
+                    assert rec.relay_of is None and rec.relayed_by is None
+                    assert rec.slot is None \
+                        or rec.slot.stage is SlotStage.CONFIRM
+            return detections
+
+        def update(self, detections, now):
+            for det in detections:
+                rec = self.record_for_track(det.track_key)
+                # a record registered from this very return is new
+                if rec.sonar_position is det.position \
+                        or rec.observed_motion is not MovementMarker.NONE \
+                        or det.position.depth != rec.sonar_position.depth:
+                    continue
+                slot = rec.slot
+                relays = rec.relay_of is not None or rec.relayed_by is not None
+                assert relays or (slot is not None
+                                  and slot.stage is not SlotStage.CONFIRM)
+                late["relay" if relays else "angled slot"] += 1
+            real(self, detections, now)
+        monkeypatch.setattr(BsState, "update_decomposition", update)
+        monkeypatch.setattr(BsState, "sonar_scan", scan)
+        skipped = 0
+        for cfg, seed, world in recorder.scenes(["drift"], range(3)):
+            sim = Simulation(cfg, seed, world, collect_trace=True)
+            sim.run()
+            skipped += sum(data[1] for _, kind, _, data in sim.events
+                           if kind == engine.SONAR_PING)
+        assert late["relay"] > 0 and skipped > sum(late.values())
 
 
 def bench_spec(workload, k, seed=3):
@@ -1877,7 +2074,9 @@ class TestShortcuts:
     # how each shortcut shows that it fired: on and off are its runs with
     # it on and off.  The position caches leave no mark a run records
     FIRED = {
-        "fast_forward": kept_events_off_the_queue,
+        # and some replay started while a node was still heading home
+        "fast_forward": lambda on, off: kept_events_off_the_queue(on, off)
+        and any(r.movers for r in on),
         "inert_arrivals": kept_events_off_the_queue,
         "relay_rx_repeats": kept_events_off_the_queue,
         "beyond_reach": kept_events_off_the_queue,
@@ -1915,6 +2114,46 @@ class TestShortcuts:
             assert attribute in vars(owner(SimConfig()))
         else:
             assert attribute in slots
+
+
+def velocity_setters(source):
+    """The function around each mention of `set_vertical_velocity` in a
+    source file, or None at module level."""
+    name = "set_vertical_velocity"
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Attribute, ast.Name, ast.alias,
+                                  ast.Constant)) \
+                    and name in (getattr(child, "attr", None),
+                                 getattr(child, "id", None),
+                                 getattr(child, "name", None),
+                                 getattr(child, "value", None)):
+                found.append(where)
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_sync_motion_sets_a_velocity():
+    # the replay stops a node through the loop's own expiry handler, so
+    # the world learns of a velocity in one place
+    source = Path(engine.__file__).read_text()
+    assert velocity_setters(source) == ["_sync_motion"]
+
+
+def test_velocity_setter_guard_sees_each_form():
+    source = ("from .world import set_vertical_velocity as setter\n"
+              "def _sync_motion(self, i, t):\n"
+              "    self.world.set_vertical_velocity(i, 0.0, t)\n"
+              "def replay(world):\n"
+              "    stop = world.set_vertical_velocity\n"
+              "    getattr(world, 'set_vertical_velocity')(0, 0.0, 1.0)\n"
+              "    set_vertical_velocity(0, 0.0, 1.0)\n")
+    assert velocity_setters(source) \
+        == [None, "_sync_motion", "replay", "replay", "replay"]
 
 
 def slot_stage_names(source):
