@@ -194,7 +194,7 @@ class SimConfig:
              f"may schedule")
 
     def event_estimate(self) -> float:
-        """An upper bound on the count of the events one run schedules.
+        """An estimate of the events one run schedules, not a strict bound.
 
         A run starts by queueing its end, the ping at t = 0 and the first
         superframe.  Pings come at t = 0, period, ... before `t_max_s`, so

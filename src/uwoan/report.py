@@ -42,7 +42,11 @@ class ReportError(ValueError):
     """Malformed report content or incompatible aggregation input."""
 
 
-@dataclass(frozen=True)
+# Report values are frozen and slotted: a batch of runs keeps many, and a
+# `NodeOutcome` without a `__dict__` takes under a third of the memory.
+
+
+@dataclass(frozen=True, slots=True)
 class NodeOutcome:
     node: str                      # stable id, "u<i>" in deployment order
     network_id: int | None
@@ -55,14 +59,14 @@ class NodeOutcome:
     relay: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TopologyEdge:
     src: str
     dst: str
     hop: int                       # 1 = direct to BS, 2 = leg of a dual-hop path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimReport:
     c0: float
     seed: int

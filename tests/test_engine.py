@@ -496,14 +496,37 @@ class TestWorldGeneration:
         (Position(50.0, 50.0, 250.0), "depth"),
         (Position(-1.0, 50.0, 50.0), "east"),
         (Position(50.0, 200.5, 50.0), "north"),
+        # unchecked, as `deploy` builds its positions
+        (tuple.__new__(Position, (50.0, math.nan, 50.0)), "north"),
     ])
     def test_node_outside_the_region_is_rejected(self, outside, axis):
         # clipped readers and the static caches would disagree on it
         bs = SimConfig().bs_position()
         inside = [Position(0.0, 200.0, 200.0), Position(50.0, 50.0, 0.0)]
         assert World(bs, inside, (200.0, 200.0, 200.0)).n == 2
-        with pytest.raises(GeometryError, match=f"node 2 {axis}"):
+        with pytest.raises(GeometryError) as info:
             World(bs, inside + [outside], (200.0, 200.0, 200.0))
+        assert str(info.value) == (f"node 2 {axis} {getattr(outside, axis)} "
+                                   "outside the region's [0, 200.0]")
+
+    @pytest.mark.parametrize("region", [
+        (5e-324, 1e-300, 1e-3), (200.0, 200.0, 200.0), (1e150, 1e100, 1e6),
+    ], ids=["tiny", "default", "huge"])
+    def test_coordinates_are_uniform_draws_bit_for_bit(self, region):
+        # `deploy` scales each `random()` by its limit, which is what
+        # `uniform(0.0, limit)` returns: seeded worlds keep every bit
+        east, north, depth = region
+        cfg = SimConfig(n_uwn=20, region_east_m=east, region_north_m=north,
+                        region_depth_m=depth, bs_east_m=0.0, bs_north_m=0.0)
+        for seed in range(200):
+            rng = random.Random(seed)
+            want = [rng.uniform(0.0, limit)
+                    for _ in range(cfg.n_uwn) for limit in region]
+            got = [v for b in generate(cfg, seed).bodies
+                   for v in (b.east0, b.north0, b.depth_ref)]
+            assert got == want
+            assert [math.copysign(1.0, v) for v in got] \
+                == [math.copysign(1.0, v) for v in want]
 
     def test_marginals_uniform_chi_square(self):
         from scipy.stats import chisquare

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pickle
 import re
 from dataclasses import asdict
 
@@ -63,6 +64,62 @@ class TestSerialization:
         payload["config"] = config
         with pytest.raises(ReportError, match="config is"):
             report_from_json(json.dumps(payload))
+
+
+class TestReportValues:
+    """Reports are frozen, slotted values that share their node names."""
+
+    @pytest.fixture(scope="class")
+    def reports(self, recorder):
+        reports = [r.report for r in recorder.corpus(range(3))]
+        assert any(edge.hop == 2 for r in reports for edge in r.edges)
+        return reports
+
+    def test_no_instance_dict_and_no_new_attributes(self, reports):
+        report = reports[0]
+        for value in (report, report.nodes[0], report.edges[0]):
+            assert not hasattr(value, "__dict__")
+            name = dataclasses.fields(value)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, getattr(value, name))
+            # Python 3.11's frozen `__setattr__` names the class as it was
+            # before `slots=True` rebuilt it, so a new name raises TypeError
+            with pytest.raises((AttributeError, TypeError)):
+                value.extra = 1
+            # past the frozen check, no slot takes the name
+            with pytest.raises(AttributeError):
+                object.__setattr__(value, "extra", 1)
+
+    def test_pickle_round_trip(self, reports):
+        report = next(r for r in reports
+                      if any(e.hop == 2 for e in r.edges))
+        # `uwoan sweep` workers send the lean form
+        lean = dataclasses.replace(report, nodes=(), edges=())
+        for value in (report, lean):
+            back = pickle.loads(pickle.dumps(value))
+            assert back == value
+            assert report_to_json(back) == report_to_json(value)
+
+    def test_runs_share_each_node_name(self, reports):
+        a, b = reports[0], reports[-1]
+        assert len(a.nodes) == len(b.nodes) > 0
+        for x, y in zip(a.nodes, b.nodes):
+            assert x.node == y.node and x.node is y.node
+
+    def test_edges_and_relays_name_nodes_by_the_same_object(self, reports):
+        relayed = 0
+        for report in reports:
+            by_name = {n.node: n for n in report.nodes}
+            for edge in report.edges:
+                node = by_name[edge.src]
+                assert edge.src is node.node
+                if edge.hop == 2:
+                    relayed += 1
+                    assert edge.dst is by_name[edge.dst].node
+                    assert node.relay is edge.dst
+                else:
+                    assert edge.dst == "bs" and node.relay is None
+        assert relayed
 
 
 class TestAggregate:
