@@ -650,55 +650,64 @@ class Simulation:
 
     def _build_report(self, t_max: float) -> SimReport:
         names = _NODE_NAMES
-        registry = self.bs.registry
-        record_for_track = self.bs.record_for_track
         outcomes: list[NodeOutcome] = []
         edges: list[TopologyEdge] = []
-        n_accessed = n_failed = n_dormant = n_via = 0
-        # the largest delay, as `max` picks it: the first of equal values
-        max_decomp = -math.inf
-        for i, (state, body) in enumerate(zip(self.nodes, self.world.bodies)):
-            name = names[i]
-            rec = record_for_track(i)
-            lifecycle = state.lifecycle
-            relay = None
-            if lifecycle is NODE_ACCESSED:
+        counts = {"accessed": 0, "failed": 0, "dormant": 0, "unresolved": 0}
+        n_via = 0
+        for i, state in enumerate(self.nodes):
+            rec = self.bs.record_for_track(i)
+            nid = None if rec is None else rec.network_id
+            via = False
+            relay_name = None
+            if state.lifecycle is NODE_ACCESSED:
                 outcome = "accessed"
-                n_accessed += 1
                 if rec is not None and rec.via_relay and rec.relayed_by is not None:
-                    relay = names[registry[rec.relayed_by].track_key]
+                    via = True
+                    relay_name = \
+                        names[self.bs.registry[rec.relayed_by].track_key]
                     n_via += 1
-                    edges.append(TopologyEdge(name, relay, 2))
+                    edges.append(TopologyEdge(names[i], relay_name, 2))
                 else:
-                    edges.append(TopologyEdge(name, "bs", 1))
+                    edges.append(TopologyEdge(names[i], "bs", 1))
             elif rec is not None and rec.stage is STAGE_FAILED:
                 outcome = "failed"
-                n_failed += 1
-            elif lifecycle is NODE_DORMANT:
+            elif state.lifecycle is NODE_DORMANT:
                 outcome = "dormant"
-                n_dormant += 1
             else:
                 outcome = "unresolved"
+            counts[outcome] += 1
+            body = self.world.bodies[i]
             outcomes.append(NodeOutcome(
-                name, None if rec is None else rec.network_id,
-                body.east0, body.north0, state.original_depth, outcome,
-                state.access_time, relay is not None, relay))
-            # a node still moving counts its open conflict up to t_max
-            decomp = state.total_conflict_time
-            if lifecycle is NODE_CONFLICT_MOVING:
-                decomp += t_max - state.conflict_entered_at
-            if decomp > max_decomp:
-                max_decomp = decomp
+                node=names[i],
+                network_id=nid,
+                east=body.east0, north=body.north0,
+                depth=state.original_depth,
+                outcome=outcome,
+                access_time=state.access_time,
+                via_relay=via,
+                relay=relay_name))
         n = self.world.n
         return SimReport(
-            self.cfg.c0, self.seed, n,
-            n_accessed / n if n else 1.0,
-            n_via / n if n else 0.0,
-            self._delay_sum / self._delay_count if self._delay_count else 0.0,
-            max_decomp if n else 0.0,
-            n_accessed, n_failed, n_dormant,
-            n - n_accessed - n_failed - n_dormant,
-            tuple(outcomes), tuple(edges), self.cfg.to_dict())
+            c0=self.cfg.c0,
+            seed=self.seed,
+            n_uwn=n,
+            access_rate=(counts["accessed"] / n) if n else 1.0,
+            dual_hop_rate=(n_via / n) if n else 0.0,
+            avg_sound_delay_s=(self._delay_sum / self._delay_count
+                               if self._delay_count else 0.0),
+            # a node still moving counts its open conflict up to t_max
+            max_decomp_delay_s=max(
+                (s.total_conflict_time + (t_max - s.conflict_entered_at)
+                 if s.lifecycle is NODE_CONFLICT_MOVING
+                 else s.total_conflict_time for s in self.nodes),
+                default=0.0),
+            n_accessed=counts["accessed"],
+            n_failed=counts["failed"],
+            n_dormant=counts["dormant"],
+            n_unresolved=counts["unresolved"],
+            nodes=tuple(outcomes),
+            edges=tuple(edges),
+            config=self.cfg.to_dict())
 
 
 def _box_in_reach(world: World, reach: float) -> bool:

@@ -103,15 +103,11 @@ class World:
         self.current = current
         self.drifting = current != (0.0, 0.0)
         # every reader, clipped or cached, then sees the same position
-        east_max, north_max, depth_max = region
-        if not all(0.0 <= e <= east_max and 0.0 <= n <= north_max
-                   and 0.0 <= d <= depth_max for e, n, d in node_positions):
-            for i, p in enumerate(node_positions):
-                for axis, value, limit in zip(("east", "north", "depth"), p,
-                                              region):
-                    if not 0.0 <= value <= limit:
-                        raise GeometryError(f"node {i} {axis} {value} outside "
-                                            f"the region's [0, {limit}]")
+        for i, p in enumerate(node_positions):
+            for axis, value, limit in zip(("east", "north", "depth"), p, region):
+                if not 0.0 <= value <= limit:
+                    raise GeometryError(f"node {i} {axis} {value} outside "
+                                        f"the region's [0, {limit}]")
         self.bodies = [_Body(p.east, p.north, p.depth, current)
                        for p in node_positions]
         self._wall_free_until = self._find_wall_free_until()
@@ -297,23 +293,16 @@ class World:
 
 
 def deploy(config: SimConfig, rng: Random) -> World:
-    """Draw the deployment: node positions i.i.d. uniform over the region box.
-
-    Each coordinate is `limit * rng.random()`, bit for bit the value of
-    `rng.uniform(0.0, limit)`, which computes `0.0 + (limit - 0.0) *
-    random()`: a positive limit minus zero is the limit, and zero plus a
-    product that is not negative is the product.  The positions skip
-    `Position`'s checks, since `World` checks every coordinate against the
-    box.
-    """
-    east, north, depth = region = (config.region_east_m,
-                                   config.region_north_m,
-                                   config.region_depth_m)
-    random = rng.random
-    positions = [_tuple_new(Position, (east * random(), north * random(),
-                                       depth * random()))
-                 for _ in range(config.n_uwn)]
-    return World(config.bs_position(), positions, region,
+    """Draw the deployment: node positions i.i.d. uniform over the region box."""
+    positions = [
+        Position(rng.uniform(0.0, config.region_east_m),
+                 rng.uniform(0.0, config.region_north_m),
+                 rng.uniform(0.0, config.region_depth_m))
+        for _ in range(config.n_uwn)
+    ]
+    return World(config.bs_position(), positions,
+                 (config.region_east_m, config.region_north_m,
+                  config.region_depth_m),
                  (config.current_east_mps, config.current_north_mps))
 
 

@@ -496,7 +496,7 @@ class TestWorldGeneration:
         (Position(50.0, 50.0, 250.0), "depth"),
         (Position(-1.0, 50.0, 50.0), "east"),
         (Position(50.0, 200.5, 50.0), "north"),
-        # unchecked, as `deploy` builds its positions
+        # past `Position`'s own checks: `World` still refuses it
         (tuple.__new__(Position, (50.0, math.nan, 50.0)), "north"),
     ])
     def test_node_outside_the_region_is_rejected(self, outside, axis):
@@ -513,8 +513,8 @@ class TestWorldGeneration:
         (5e-324, 1e-300, 1e-3), (200.0, 200.0, 200.0), (1e150, 1e100, 1e6),
     ], ids=["tiny", "default", "huge"])
     def test_coordinates_are_uniform_draws_bit_for_bit(self, region):
-        # `deploy` scales each `random()` by its limit, which is what
-        # `uniform(0.0, limit)` returns: seeded worlds keep every bit
+        # each node draws east, north, depth in turn from `uniform(0.0,
+        # limit)`: a faster draw must keep every bit of seeded worlds
         east, north, depth = region
         cfg = SimConfig(n_uwn=20, region_east_m=east, region_north_m=north,
                         region_depth_m=depth, bs_east_m=0.0, bs_north_m=0.0)
